@@ -9,95 +9,41 @@ inequality with exact rationals.
 """
 
 from .errors import GroupGapError, ValidationError
-from .exact import (
-    SearchLimits,
-    WeightedBipartiteGraph,
-    exhaustive_knapsack_max,
-    matching_value,
-    matching_value_table,
-    solve_exact,
-)
-from .filling import (
-    FillStep,
-    feasible_partition,
-    make_feasible,
-    make_feasible_traced,
-    reinsert_evicted,
-    removal_witness,
-)
+from .exact import solve_exact
 from .generate import GeneratorSpec, generate
-from .lp_oracle import LpOracle, group_lp_value, lp_solution, lp_value
+from .lp_oracle import LpOracle
 from .model import (
     Assignment,
-    FractionalSolution,
     Group,
     Instance,
     Item,
-    Rational,
     assignment_profit,
-    is_almost_feasible,
     is_feasible,
     parse_rational,
     render_rational,
     validate_instance,
 )
 from .pipeline import SolveReport, solve, solve_traced, upper_bound
-from .rounding import SlotGraph, build_slot_graph, complete_matching, round_to_assignment
-from .submodular import (
-    GridCheckReport,
-    GroundElement,
-    OptConfig,
-    certify_ratio_bound,
-    density_greedy,
-    maximize_with_reserve,
-    ratio_lower_bound,
-)
+from .submodular import OptConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "FillStep",
-    "FractionalSolution",
     "GeneratorSpec",
-    "GridCheckReport",
-    "GroundElement",
     "Group",
     "GroupGapError",
     "Instance",
     "Item",
     "LpOracle",
     "OptConfig",
-    "Rational",
-    "SearchLimits",
-    "SlotGraph",
     "SolveReport",
     "ValidationError",
-    "WeightedBipartiteGraph",
     "assignment_profit",
-    "build_slot_graph",
-    "certify_ratio_bound",
-    "complete_matching",
-    "density_greedy",
-    "exhaustive_knapsack_max",
-    "feasible_partition",
     "generate",
-    "group_lp_value",
-    "is_almost_feasible",
     "is_feasible",
-    "lp_solution",
-    "lp_value",
-    "make_feasible",
-    "make_feasible_traced",
-    "matching_value",
-    "matching_value_table",
-    "maximize_with_reserve",
     "parse_rational",
-    "ratio_lower_bound",
-    "reinsert_evicted",
-    "removal_witness",
     "render_rational",
-    "round_to_assignment",
     "solve",
     "solve_exact",
     "solve_traced",

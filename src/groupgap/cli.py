@@ -25,6 +25,20 @@ EXIT_INVALID = 2
 EXIT_CERT_FAILED = 3
 
 
+def _seed_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _grid_step(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 0.125:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1/8], got {value}")
+    return value
+
+
 def _print_table(rows: list[tuple[str, str]]) -> None:
     width = max(len(label) for label, _ in rows)
     for label, value in rows:
@@ -129,16 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the approximation pipeline on an instance file")
     p_solve.add_argument("file")
-    p_solve.add_argument("--k", type=int, default=6, help="seed-set size for group selection")
+    p_solve.add_argument(
+        "--k", type=_seed_size, default=6, help="seed-set size for group selection"
+    )
     p_solve.add_argument(
         "--exact-compare", action="store_true", help="also solve exactly and report the ratio"
     )
     p_solve.add_argument(
         "--trace", action="store_true", help="emit the filling step trace as JSON lines on stderr"
     )
-    fmt = p_solve.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable report")
-    fmt.add_argument("--table", action="store_true", help="human-readable report (default)")
+    p_solve.add_argument("--json", action="store_true", help="machine-readable report")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a deterministic instance file")
@@ -156,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check-lemma4",
         help="grid-certify that the reserved-capacity ratio floor stays above 1/3",
     )
-    p_check.add_argument("--step", type=float, default=1.0 / 64.0)
+    p_check.add_argument("--step", type=_grid_step, default=1.0 / 64.0)
     p_check.set_defaults(func=_cmd_check_lemma4)
 
     p_oracle = sub.add_parser("oracle", help="print the LP value of a set of groups")

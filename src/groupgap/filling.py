@@ -93,19 +93,16 @@ def feasible_partition(
     return frozenset(side_a), frozenset(side_b)
 
 
-def reinsert_evicted(
-    inst: Instance, u: Assignment, evicted: Iterable[int]
-) -> Assignment:
-    """Place evicted items back into bins with room, harvesting profit.
+def _reinsert(
+    inst: Instance, bins: list[set[int]], loads: list[Fraction], items: Iterable[int]
+) -> list[FillStep]:
+    """Place items into bins with room, in place; one REINSERT step per item.
 
     Items go in by descending size (ties by id); each picks the feasible bin
-    maximizing its own profit (ties by lowest bin index). Placement always
-    succeeds when all evicted items are small and the grand total size is at
-    most half the capacity.
+    maximizing its own profit (ties by lowest bin index).
     """
-    bins = [set(b) for b in u.bins]
-    loads = [inst.total_size(b) for b in bins]
-    for i in sorted(evicted, key=lambda i: (-inst.size(i), i)):
+    steps = []
+    for i in sorted(items, key=lambda i: (-inst.size(i), i)):
         size = inst.size(i)
         best_j = None
         best_profit = None
@@ -120,6 +117,21 @@ def reinsert_evicted(
             raise ReinsertionFailed(f"no bin has room for evicted item {i}")
         bins[best_j].add(i)
         loads[best_j] += size
+        steps.append(FillStep(REINSERT, (best_j,), (), ZERO, best_profit))
+    return steps
+
+
+def reinsert_evicted(
+    inst: Instance, u: Assignment, evicted: Iterable[int]
+) -> Assignment:
+    """Place evicted items back into bins with room, harvesting profit.
+
+    Placement follows :func:`_reinsert` and always succeeds when all evicted
+    items are small and the grand total size is at most half the capacity.
+    """
+    bins = [set(b) for b in u.bins]
+    loads = [inst.total_size(b) for b in bins]
+    _reinsert(inst, bins, loads, evicted)
     return Assignment(bins=tuple(frozenset(b) for b in bins))
 
 
@@ -347,30 +359,7 @@ def make_feasible_traced(
             )
         _apply_split_across_vacants(st, over[0], vac[0], vac[1], counts)
 
-    for i in sorted(st.evicted, key=lambda i: (-inst.size(i), i)):
-        size = inst.size(i)
-        best_j = None
-        best_profit = None
-        for j in range(inst.m):
-            if st.loads[j] + size > ONE:
-                continue
-            p = inst.profit(i, j)
-            if best_profit is None or p > best_profit:
-                best_j = j
-                best_profit = p
-        if best_j is None:
-            raise ReinsertionFailed(f"no bin has room for evicted item {i}")
-        st.bins[best_j].add(i)
-        st.loads[best_j] += size
-        st.trace.append(
-            FillStep(
-                kind=REINSERT,
-                bins=(best_j,),
-                evicted=(),
-                profit_before=ZERO,
-                profit_after=best_profit,
-            )
-        )
+    st.trace.extend(_reinsert(inst, st.bins, st.loads, st.evicted))
 
     result = Assignment(bins=tuple(frozenset(b) for b in st.bins))
     assert result.placed_items() == u.placed_items()

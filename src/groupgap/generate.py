@@ -27,7 +27,6 @@ class GeneratorSpec:
     flavor: str = "uniform"
     size_denominator: int = 64
     max_profit: int = 100
-    group_cap: Fraction = Fraction(1, 2)  # group size <= cap * bins
 
 
 def _draw_group_sizes(
@@ -84,7 +83,7 @@ def generate(spec: GeneratorSpec) -> Instance:
     if spec.flavor not in ("uniform", "vod"):
         raise GenerationError(f"unknown flavor {spec.flavor!r}")
     rng = random.Random(spec.seed)
-    budget = spec.group_cap * spec.bins
+    budget = Fraction(spec.bins, 2)  # strict validation: group size <= m/2
 
     if spec.flavor == "vod":
         counts = _vod_counts(rng, spec.n, spec.groups)

@@ -25,8 +25,8 @@ class LpOracle:
     """Memoizing evaluator of the restricted-LP value for one instance.
 
     Values are cached per item-id set, since the submodular search issues
-    many repeated queries. The oracle is read-only after construction;
-    share one per worker when parallelizing.
+    many repeated queries; :meth:`value` writes that memo, so one oracle
+    serves one instance in one thread.
     """
 
     def __init__(self, inst: Instance):

@@ -20,8 +20,6 @@ from .errors import (
     ValidationError,
 )
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -125,7 +123,8 @@ class FractionalSolution:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-bin item sets; ``evicted`` is only populated mid-filling."""
+    """Per-bin item sets. The library never populates ``evicted``; filling
+    rejects an input whose ``evicted`` is non-empty."""
 
     bins: tuple[frozenset[int], ...]
     evicted: frozenset[int] = field(default_factory=frozenset)
@@ -135,10 +134,6 @@ class Assignment:
         for b in self.bins:
             out.update(b)
         return frozenset(out)
-
-
-def empty_assignment(m: int) -> Assignment:
-    return Assignment(bins=tuple(frozenset() for _ in range(m)))
 
 
 def bin_load(inst: Instance, u: Assignment, bin_index: int) -> Fraction:
@@ -168,22 +163,6 @@ def assignment_profit(inst: Instance, u: Assignment) -> Fraction:
         for i in bin_items:
             total += inst.profit(i, j)
     return total
-
-
-def validate_assignment(inst: Instance, u: Assignment) -> None:
-    if len(u.bins) != inst.m:
-        raise ValidationError(f"assignment has {len(u.bins)} bins, instance has {inst.m}")
-    seen: set[int] = set()
-    for j, bin_items in enumerate(u.bins):
-        for i in bin_items:
-            if i not in inst.item_map:
-                raise ValidationError(f"assignment references unknown item {i}")
-            if i in seen:
-                raise ValidationError(f"item {i} appears in two bins")
-            seen.add(i)
-    for i in u.evicted:
-        if i in seen:
-            raise ValidationError(f"item {i} is both placed and evicted")
 
 
 def validate_fractional(inst: Instance, x: FractionalSolution) -> None:

@@ -68,6 +68,8 @@ def solve_traced(
     validate_instance(inst, strict=True)
     cfg = config or OptConfig()
     capacity = Fraction(inst.m)
+    if cfg.capacity not in (None, capacity):
+        raise ValueError(f"OptConfig.capacity {cfg.capacity} differs from bin count {inst.m}")
     cfg = OptConfig(k=cfg.k, capacity=capacity)
     oracle = LpOracle(inst)
 
@@ -92,13 +94,11 @@ def solve_traced(
     t4 = time.perf_counter()
 
     placed = final.placed_items()
-    satisfied = [g for g in inst.groups if set(g.members) <= placed]
-    satisfied_ids = {g.id for g in satisfied}
-    satisfied_profit = ZERO
-    for j, bin_items in enumerate(final.bins):
-        for i in bin_items:
-            if any(i in inst.group_map[gid].members for gid in satisfied_ids):
-                satisfied_profit += inst.profit(i, j)
+    satisfied = inst.group_items(g.id for g in inst.groups if set(g.members) <= placed)
+    satisfied_profit = sum(
+        (inst.profit(i, j) for j, b in enumerate(final.bins) for i in b if i in satisfied),
+        ZERO,
+    )
 
     bound = oracle.value(inst.item_ids)
     certificates = {

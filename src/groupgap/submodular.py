@@ -39,7 +39,7 @@ class OptConfig:
     """Search parameters: seed-set size ``k`` and the knapsack capacity.
 
     ``capacity`` may be left None when the caller derives it from context
-    (the pipeline uses the instance's bin count).
+    (the pipeline uses the instance's bin count and rejects any other value).
     """
 
     k: int = 6

@@ -190,3 +190,12 @@ def test_fill_fuzz_guarantees():
                 assert vacant_count > 2 * over_count
             if step.kind != REINSERT:
                 assert 2 * step.profit_after >= step.profit_before
+        evicted = [i for step in trace if step.kind != REINSERT for i in step.evicted]
+        reinserts = [step for step in trace if step.kind == REINSERT]
+        assert len(reinserts) == len(evicted)
+        for step in reinserts:
+            (j,) = step.bins
+            assert any(
+                i in fixed.bins[j] and inst.profit(i, j) == step.profit_after
+                for i in evicted
+            )

@@ -195,3 +195,19 @@ def test_cli_exact(tmp_path, capsys):
     io.save_instance(worked_example(m=2), path)
     assert main(["exact", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "13"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "inst.json", "--k", "0"],
+        ["solve", "inst.json", "--k", "-2"],
+        ["check-lemma4", "--step", "0.5"],
+        ["check-lemma4", "--step", "0"],
+    ],
+)
+def test_cli_rejects_bad_numeric_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import groupgap
 from groupgap.errors import (
     BadBinIndex,
     BadPartition,
@@ -133,3 +134,23 @@ def test_profit_invariant_under_bin_permutation_when_symmetric():
     for perm in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
         permuted = Assignment(bins=tuple(u.bins[p] for p in perm))
         assert assignment_profit(inst, permuted) == assignment_profit(inst, u)
+
+
+PUBLIC_NAMES = """
+    Assignment GeneratorSpec Group GroupGapError Instance Item LpOracle
+    OptConfig SolveReport ValidationError assignment_profit generate
+    is_feasible parse_rational render_rational solve solve_exact solve_traced
+    upper_bound validate_instance
+""".split()
+
+
+def test_public_surface_is_pinned():
+    assert sorted(groupgap.__all__) == sorted(PUBLIC_NAMES)
+    for name in groupgap.__all__:
+        assert getattr(groupgap, name) is not None
+    # perfbench/run.py reaches these through the package's top level
+    bench_uses = {
+        "GeneratorSpec", "generate", "validate_instance", "solve", "is_feasible",
+        "assignment_profit",
+    }
+    assert bench_uses <= set(groupgap.__all__)

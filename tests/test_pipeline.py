@@ -120,3 +120,11 @@ def test_custom_k_still_certifies():
     with pytest.warns(UserWarning):
         _assignment, report = solve(inst, OptConfig(k=2))
     assert report.final_profit == 13
+
+
+def test_solve_rejects_mismatched_capacity():
+    inst = worked_example(m=3)
+    with pytest.raises(ValueError, match="capacity"):
+        solve(inst, OptConfig(capacity=F(1)))
+    _assignment, report = solve(inst, OptConfig(capacity=F(3)))
+    assert report.final_profit == 13
