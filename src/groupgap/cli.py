@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success with all certificates holding, 2 on validation or
-input errors, 3 when a certificate (or the compared ratio) fails.
+input errors (unreadable or unwritable files included), 3 when a certificate
+(or the compared ratio) fails.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GroupGapError as exc:
+    except (GroupGapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

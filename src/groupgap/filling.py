@@ -288,12 +288,10 @@ def make_feasible_traced(
 ) -> tuple[Assignment, tuple[FillStep, ...]]:
     """Repair an almost feasible assignment; returns the result and a step trace.
 
-    Requires an almost feasible input with no pending evictions whose items
-    total at most half the capacity; outside that regime no profit guarantee
-    exists and the call fails fast.
+    Requires an almost feasible input whose items total at most half the
+    capacity; outside that regime no profit guarantee exists and the call
+    fails fast.
     """
-    if u.evicted:
-        raise PreconditionViolated("input assignment has pending evictions")
     if not is_almost_feasible(inst, u):
         raise PreconditionViolated("input assignment is not almost feasible")
     total = inst.total_size(u.placed_items())

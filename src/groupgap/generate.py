@@ -78,8 +78,8 @@ def generate(spec: GeneratorSpec) -> Instance:
     """Build a strict-valid instance; identical specs yield identical instances."""
     if spec.n < 1 or spec.groups < 1 or spec.bins < 1:
         raise GenerationError("n, groups and bins must all be positive")
-    if spec.size_denominator < 1:
-        raise GenerationError("size_denominator must be positive")
+    if spec.size_denominator < 1 or spec.max_profit < 1:
+        raise GenerationError("size_denominator and max_profit must be positive")
     if spec.flavor not in ("uniform", "vod"):
         raise GenerationError(f"unknown flavor {spec.flavor!r}")
     rng = random.Random(spec.seed)

@@ -110,7 +110,7 @@ def dumps_canonical(doc: Any) -> str:
 def load_instance(path: str | Path) -> Instance:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"document: invalid JSON ({exc})") from None
     return instance_from_dict(doc)
 

@@ -143,14 +143,3 @@ class LpOracle:
                 value += Fraction(units, shat[i]) * inst.profit(i, j)
         return value, y, n_scale
 
-
-def lp_value(inst: Instance, item_ids: Iterable[int]) -> Fraction:
-    return LpOracle(inst).value(item_ids)
-
-
-def group_lp_value(inst: Instance, group_ids: Iterable[int]) -> Fraction:
-    return LpOracle(inst).group_value(group_ids)
-
-
-def lp_solution(inst: Instance, item_ids: Iterable[int]) -> FractionalSolution:
-    return LpOracle(inst).solution(item_ids)

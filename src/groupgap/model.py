@@ -6,7 +6,7 @@ no solver path ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -123,11 +123,9 @@ class FractionalSolution:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-bin item sets. The library never populates ``evicted``; filling
-    rejects an input whose ``evicted`` is non-empty."""
+    """Per-bin item sets; an item in no bin is unassigned."""
 
     bins: tuple[frozenset[int], ...]
-    evicted: frozenset[int] = field(default_factory=frozenset)
 
     def placed_items(self) -> frozenset[int]:
         out: set[int] = set()
@@ -157,7 +155,7 @@ def is_almost_feasible(inst: Instance, u: Assignment) -> bool:
 
 
 def assignment_profit(inst: Instance, u: Assignment) -> Fraction:
-    """Exact total profit of placed items; evicted items contribute 0."""
+    """Exact total profit of placed items; unassigned items contribute 0."""
     total = ZERO
     for j, bin_items in enumerate(u.bins):
         for i in bin_items:

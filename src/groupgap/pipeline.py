@@ -66,17 +66,12 @@ def solve_traced(
 ) -> tuple[Assignment, SolveReport, tuple[FillStep, ...]]:
     """Run the full pipeline; also returns the filling step trace."""
     validate_instance(inst, strict=True)
-    cfg = config or OptConfig()
-    capacity = Fraction(inst.m)
-    if cfg.capacity not in (None, capacity):
-        raise ValueError(f"OptConfig.capacity {cfg.capacity} differs from bin count {inst.m}")
-    cfg = OptConfig(k=cfg.k, capacity=capacity)
     oracle = LpOracle(inst)
 
     t0 = time.perf_counter()
     ground = [GroundElement(g.id, inst.group_size(g.id)) for g in inst.groups]
     selected = maximize_with_reserve(
-        lambda gids: oracle.group_value(gids), ground, cfg
+        oracle.group_value, ground, Fraction(inst.m), config or OptConfig()
     )
     t1 = time.perf_counter()
 

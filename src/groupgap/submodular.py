@@ -8,6 +8,11 @@ found is worth at least a third of the optimum over the *full* capacity,
 while occupying at most half of it. The other half stays reserved for the
 downstream rounding and filling stages.
 
+The greedy filters, then takes: each round it drops the elements that no
+longer fit and takes the densest of the rest. Room only shrinks, so this
+picks exactly what the skip-but-remove greedy of the analysis picks, without
+evaluating elements that could never join.
+
 A numeric verifier for the closed-form bound behind that guarantee lives
 here as well (:func:`ratio_lower_bound`, :func:`certify_ratio_bound`).
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import exp
 from typing import Callable, Sequence
@@ -36,33 +42,18 @@ class GroundElement:
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Search parameters: seed-set size ``k`` and the knapsack capacity.
+    """Search parameters: the seed-set size ``k``.
 
-    ``capacity`` may be left None when the caller derives it from context
-    (the pipeline uses the instance's bin count and rejects any other value).
+    The knapsack capacity is not a parameter: it is an argument of
+    :func:`maximize_with_reserve`, and the pipeline passes the bin count.
     """
 
     k: int = 6
-    capacity: Fraction | None = None
 
 
-class _MaskOracle:
-    """Bitmask view of a set-function oracle with per-run memoization."""
-
-    def __init__(self, f: Oracle, ids: Sequence[int]):
-        self._f = f
-        self._ids = ids
-        self._memo: dict[int, Fraction] = {}
-
-    def value(self, mask: int) -> Fraction:
-        cached = self._memo.get(mask)
-        if cached is None:
-            members = frozenset(
-                self._ids[b] for b in range(len(self._ids)) if mask >> b & 1
-            )
-            cached = self._f(members)
-            self._memo[mask] = cached
-        return cached
+def _mask_oracle(f: Oracle, ids: Sequence[int]) -> Callable[[int], Fraction]:
+    """Memoized view of ``f`` on bitmasks; bit ``b`` stands for ``ids[b]``."""
+    return cache(lambda mask: f(frozenset(i for b, i in enumerate(ids) if mask >> b & 1)))
 
 
 def _check_elements(elements: Sequence[GroundElement]) -> list[GroundElement]:
@@ -77,35 +68,31 @@ def _check_elements(elements: Sequence[GroundElement]) -> list[GroundElement]:
 
 
 def _greedy_mask(
-    oracle: _MaskOracle,
+    value: Callable[[int], Fraction],
     sizes: Sequence[Fraction],
-    n: int,
     base_mask: int,
-    cap: Fraction,
+    room: Fraction,
 ) -> int:
-    """Density greedy with skip-but-remove semantics, on top of ``base_mask``.
+    """Density greedy on top of ``base_mask``, within ``room``: filter, then take.
 
-    Each round the element of highest marginal density is removed from the
-    candidate pool whether or not it fits; it joins the solution only if it
-    does. Ties break toward the lowest element id.
+    Each round keeps only the elements that still fit and takes the one of
+    highest marginal density, ties going to the lowest element id. This is
+    the skip-but-remove greedy (take the densest remaining element, keep it
+    only if it fits) with its skips left out: room only shrinks, so an
+    element that does not fit now never will, and skipping it changes
+    neither the chosen set nor any other density.
     """
-    remaining = list(range(n))
     chosen = 0
-    chosen_size = Fraction(0)
-    while remaining:
-        base_val = oracle.value(base_mask | chosen)
-        best = None
-        best_density = None
-        for b in remaining:
-            gain = oracle.value(base_mask | chosen | (1 << b)) - base_val
-            density = gain / sizes[b]
-            if best_density is None or density > best_density:
-                best = b
-                best_density = density
-        remaining.remove(best)
-        if chosen_size + sizes[best] <= cap:
-            chosen |= 1 << best
-            chosen_size += sizes[best]
+    pool = [b for b in range(len(sizes)) if sizes[b] <= room]
+    while pool:
+        base_val = value(base_mask | chosen)
+        best = max(
+            pool,
+            key=lambda b: ((value(base_mask | chosen | 1 << b) - base_val) / sizes[b], -b),
+        )
+        chosen |= 1 << best
+        room -= sizes[best]
+        pool = [b for b in pool if b != best and sizes[b] <= room]
     return chosen
 
 
@@ -118,15 +105,17 @@ def density_greedy(
         raise ValueError(f"capacity must be non-negative, got {cap}")
     ids = [e.id for e in ordered]
     sizes = [e.size for e in ordered]
-    oracle = _MaskOracle(f, ids)
-    mask = _greedy_mask(oracle, sizes, len(ids), 0, cap)
+    mask = _greedy_mask(_mask_oracle(f, ids), sizes, 0, cap)
     return frozenset(ids[b] for b in range(len(ids)) if mask >> b & 1)
 
 
 def maximize_with_reserve(
-    f: Oracle, elements: Sequence[GroundElement], config: OptConfig = OptConfig()
+    f: Oracle,
+    elements: Sequence[GroundElement],
+    capacity: Fraction,
+    config: OptConfig = OptConfig(),
 ) -> frozenset[int]:
-    """Best found set of size at most capacity/2 under a monotone oracle.
+    """Best found set of size at most ``capacity``/2 under a monotone oracle.
 
     Guarantees (certified by the test suite rather than checked at runtime):
     the returned set R satisfies s(R) <= capacity/2 and
@@ -136,8 +125,6 @@ def maximize_with_reserve(
     by (cardinality, lexicographic ids) and a candidate replaces the
     incumbent whenever its value is >= the incumbent's.
     """
-    if config.capacity is None:
-        raise ValueError("OptConfig.capacity is required")
     if config.k < 1:
         raise ValueError(f"k must be >= 1, got {config.k}")
     if config.k < 6:
@@ -145,7 +132,7 @@ def maximize_with_reserve(
             f"k={config.k} < 6 weakens the 1/3 guarantee; use k>=6 for certified runs",
             stacklevel=2,
         )
-    half = config.capacity / 2
+    half = capacity / 2
     ordered = _check_elements(elements)
     for e in ordered:
         if e.size > half:
@@ -153,10 +140,10 @@ def maximize_with_reserve(
     ids = [e.id for e in ordered]
     sizes = [e.size for e in ordered]
     n = len(ids)
-    oracle = _MaskOracle(f, ids)
+    value = _mask_oracle(f, ids)
 
     best_mask = 0
-    best_val = oracle.value(0)
+    best_val = value(0)
     for seed_card in range(min(config.k, n) + 1):
         for seed in combinations(range(n), seed_card):
             seed_mask = 0
@@ -171,11 +158,9 @@ def maximize_with_reserve(
                         part_size += sizes[b]
                     if part_size > half:
                         continue
-                    grown = _greedy_mask(
-                        oracle, sizes, n, seed_mask, half - part_size
-                    )
+                    grown = _greedy_mask(value, sizes, seed_mask, half - part_size)
                     candidate = part_mask | grown
-                    val = oracle.value(candidate)
+                    val = value(candidate)
                     if val >= best_val:
                         best_mask = candidate
                         best_val = val

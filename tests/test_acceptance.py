@@ -19,15 +19,11 @@ from groupgap.exact import (
     solve_exact,
 )
 from groupgap.filling import REINSERT, SPLIT_ACROSS_VACANTS, make_feasible_traced
-from groupgap.lp_oracle import LpOracle, lp_value
+from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_almost_feasible, is_feasible
 from groupgap.pipeline import solve
 from groupgap.rounding import round_to_assignment
-from groupgap.submodular import (
-    OptConfig,
-    certify_ratio_bound,
-    maximize_with_reserve,
-)
+from groupgap.submodular import certify_ratio_bound, maximize_with_reserve
 
 from conftest import (
     F,
@@ -98,7 +94,7 @@ def test_criterion_2_reserved_capacity_guarantee(announce):
     for trial in range(100):
         elements, cap = random_ground(rng, n_max=8)
         f = (modular_oracle if trial % 2 == 0 else coverage_oracle)(rng, elements)
-        picked = maximize_with_reserve(f, elements, OptConfig(capacity=cap))
+        picked = maximize_with_reserve(f, elements, cap)
         used = sum((e.size for e in elements if e.id in picked), F(0))
         assert used <= cap / 2
         optimum = exhaustive_knapsack_max(f, elements, cap)
@@ -226,7 +222,7 @@ def test_criterion_7_lp_value_matches_integral_matching(announce):
         subsets = [ids, [i for i in ids if rng.random() < 0.5]]
         for subset in subsets:
             graph = scaled_matching_graph(inst, subset)
-            assert lp_value(inst, subset) == matching_value(graph, range(graph.left))
+            assert LpOracle(inst).value(subset) == matching_value(graph, range(graph.left))
             checks += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60

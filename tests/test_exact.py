@@ -11,7 +11,7 @@ from groupgap.exact import (
     matching_value_table,
     solve_exact,
 )
-from groupgap.lp_oracle import lp_value
+from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
 from groupgap.submodular import GroundElement
 
@@ -54,7 +54,7 @@ def test_witness_rescored_and_feasible():
         value, witness = solve_exact(inst)
         assert is_feasible(inst, witness)
         assert assignment_profit(inst, witness) == value
-        assert value <= lp_value(inst, inst.item_ids)
+        assert value <= LpOracle(inst).value(inst.item_ids)
 
 
 def test_pruning_never_changes_the_optimum():

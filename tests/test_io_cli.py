@@ -211,3 +211,37 @@ def test_cli_rejects_bad_numeric_arguments(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+GEN = ["gen", "--seed", "1", "--n", "4", "--groups", "2", "--bins", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*GEN, "--max-profit", "0", "-o", "{tmp}/x.json"],
+        [*GEN, "--max-profit", "-3", "-o", "{tmp}/x.json"],
+        [*GEN, "-o", "{tmp}/no/such/dir/x.json"],
+        [*GEN, "-o", "{tmp}"],
+        ["solve", "{tmp}/missing.json"],
+        ["solve", "{tmp}"],
+        ["solve", "{tmp}/latin1.json"],
+        ["oracle", "{tmp}/missing.json", "--groups", "1"],
+    ],
+    ids=[
+        "gen-zero-profit",
+        "gen-negative-profit",
+        "gen-missing-dir",
+        "gen-onto-dir",
+        "solve-missing",
+        "solve-dir",
+        "solve-non-utf8",
+        "oracle-missing",
+    ],
+)
+def test_cli_rejects_bad_files_and_specs(tmp_path, argv, capsys):
+    # each case must reach main()'s handler as a GroupGapError or an OSError,
+    # not escape as a traceback
+    (tmp_path / "latin1.json").write_bytes('{"m": "é"}'.encode("latin-1"))
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

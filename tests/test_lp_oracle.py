@@ -4,7 +4,7 @@ import pytest
 
 from groupgap.errors import InsufficientCapacity
 from groupgap.exact import matching_value
-from groupgap.lp_oracle import LpOracle, group_lp_value, lp_solution, lp_value
+from groupgap.lp_oracle import LpOracle
 from groupgap.model import validate_fractional
 
 from conftest import F, make_instance, random_instance
@@ -37,18 +37,18 @@ def two_item_one_bin():
 
 
 def test_lp_value_empty_subset(two_item_one_bin):
-    assert lp_value(two_item_one_bin, []) == 0
+    assert LpOracle(two_item_one_bin).value([]) == 0
 
 
 def test_lp_value_single_item_fits():
     inst = make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(5)})
-    assert lp_value(inst, [1]) == 5
+    assert LpOracle(inst).value([1]) == 5
 
 
 def test_lp_value_fractional_mix(two_item_one_bin):
     expected = single_bin_optimum(two_item_one_bin, [1, 2])
     assert expected == F(17, 3)
-    assert lp_value(two_item_one_bin, [1, 2]) == F(17, 3)
+    assert LpOracle(two_item_one_bin).value([1, 2]) == F(17, 3)
 
 
 def test_lp_value_agrees_with_density_oracle_on_single_bin():
@@ -57,21 +57,21 @@ def test_lp_value_agrees_with_density_oracle_on_single_bin():
         inst = random_instance(rng, n_max=6, m_max=1)
         ids = sorted(inst.item_ids)
         subset = [i for i in ids if rng.random() < 0.7]
-        assert lp_value(inst, subset) == single_bin_optimum(inst, subset)
+        assert LpOracle(inst).value(subset) == single_bin_optimum(inst, subset)
 
 
 def test_group_lp_value_delegates(two_item_one_bin):
-    assert group_lp_value(two_item_one_bin, []) == 0
+    assert LpOracle(two_item_one_bin).group_value([]) == 0
     inst = make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(5)})
-    assert group_lp_value(inst, [0]) == 5
-    assert group_lp_value(two_item_one_bin, [0, 1]) == F(17, 3)
+    assert LpOracle(inst).group_value([0]) == 5
+    assert LpOracle(two_item_one_bin).group_value([0, 1]) == F(17, 3)
 
 
 def test_solution_single_item_top_bin():
     inst = make_instance(
         2, {1: F(1, 2)}, [[1]], {(1, 0): F(2), (1, 1): F(7)}
     )
-    x = lp_solution(inst, [1])
+    x = LpOracle(inst).solution([1])
     assert dict(x.entries) == {(1, 1): F(1)}
     assert x.value == 7
 
@@ -83,7 +83,7 @@ def test_solution_saturates_across_bins():
         [[1, 2]],
         {(1, 0): F(10), (2, 0): F(6), (2, 1): F(3)},
     )
-    x = lp_solution(inst, [1, 2])
+    x = LpOracle(inst).solution([1, 2])
     assert dict(x.entries) == {(1, 0): F(1), (2, 0): F(2, 3), (2, 1): F(1, 3)}
     assert x.value == 15
     validate_fractional(inst, x)
@@ -97,9 +97,9 @@ def test_solution_value_matches_lp_value_and_saturates():
         subset = [i for i in ids if rng.random() < 0.6]
         if inst.total_size(subset) > inst.m:
             continue
-        x = lp_solution(inst, subset)
+        x = LpOracle(inst).solution(subset)
         validate_fractional(inst, x)
-        assert x.value == lp_value(inst, subset)
+        assert x.value == LpOracle(inst).value(subset)
         assert x.support_items() == frozenset(subset)
         for i in subset:
             assert x.item_total(i) == 1
@@ -108,12 +108,12 @@ def test_solution_value_matches_lp_value_and_saturates():
 def test_solution_insufficient_capacity():
     inst = make_instance(1, {1: F(1), 2: F(1, 2)}, [[1, 2]], {})
     with pytest.raises(InsufficientCapacity):
-        lp_solution(inst, [1, 2])
+        LpOracle(inst).solution([1, 2])
 
 
 def test_zero_profit_items_still_saturate():
     inst = make_instance(1, {1: F(1, 4)}, [[1]], {})
-    x = lp_solution(inst, [1])
+    x = LpOracle(inst).solution([1])
     assert dict(x.entries) == {(1, 0): F(1)}
     assert x.value == 0
 
@@ -169,4 +169,4 @@ def test_lp_value_equals_unit_expansion_matching():
     )
     graph = scaled_matching_graph(inst, [1, 2, 3])
     expected = matching_value(graph, range(graph.left))
-    assert lp_value(inst, [1, 2, 3]) == expected
+    assert LpOracle(inst).value([1, 2, 3]) == expected

@@ -87,12 +87,6 @@ def test_assignment_profit_examples():
     assert assignment_profit(inst, both) == 13
 
 
-def test_evicted_items_contribute_nothing():
-    inst = make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(5)})
-    u = Assignment(bins=(frozenset(),), evicted=frozenset({1}))
-    assert assignment_profit(inst, u) == 0
-
-
 def test_feasible_implies_almost_feasible():
     rng = random.Random(7)
     for _ in range(50):

@@ -25,6 +25,20 @@ def modular(values):
     return f
 
 
+def skip_but_remove_greedy(f, elements, cap):
+    """Reference density greedy: take the densest remaining element (ties to
+    the lowest id), keep it if it fits, and never offer it again."""
+    remaining = list(elements)
+    chosen, used = frozenset(), F(0)
+    while remaining:
+        base = f(chosen)
+        best = max(remaining, key=lambda e: ((f(chosen | {e.id}) - base) / e.size, -e.id))
+        remaining.remove(best)
+        if used + best.size <= cap:
+            chosen, used = chosen | {best.id}, used + best.size
+    return chosen
+
+
 def brute_force_best(f, elements, cap):
     best = f(frozenset())
     for r in range(1, len(elements) + 1):
@@ -75,6 +89,21 @@ def test_greedy_respects_capacity():
         budget = cap * F(rng.randint(1, 4), 8)
         picked = density_greedy(f, elements, budget)
         assert sum((e.size for e in elements if e.id in picked), F(0)) <= budget
+        assert picked == skip_but_remove_greedy(f, elements, budget)
+
+
+def test_greedy_never_queries_elements_that_no_longer_fit():
+    # element 3 never fits in 2; once 1 is taken, 2 (size 3/2) no longer fits
+    elements = [GroundElement(1, F(1)), GroundElement(2, F(3, 2)), GroundElement(3, F(3))]
+    values = modular({1: F(5), 2: F(6), 3: F(30)})
+    asked = []
+
+    def f(subset):
+        asked.append(subset)
+        return values(subset)
+
+    assert density_greedy(f, elements, F(2)) == {1}
+    assert set(asked) == {frozenset(), frozenset({1}), frozenset({2})}
 
 
 def test_greedy_partial_coverage_bound():
@@ -102,13 +131,13 @@ def test_greedy_partial_coverage_bound():
 def test_maximize_single_element():
     elements = [GroundElement(7, F(1))]
     f = modular({7: F(4)})
-    assert maximize_with_reserve(f, elements, OptConfig(capacity=F(2))) == {7}
+    assert maximize_with_reserve(f, elements, F(2)) == {7}
 
 
 def test_maximize_two_unit_elements_takes_one():
     elements = [GroundElement(1, F(1)), GroundElement(2, F(1))]
     f = modular({1: F(1), 2: F(1)})
-    picked = maximize_with_reserve(f, elements, OptConfig(capacity=F(2)))
+    picked = maximize_with_reserve(f, elements, F(2))
     assert len(picked) == 1
     assert f(picked) == 1
     opt = exhaustive_knapsack_max(f, elements, F(2))
@@ -121,7 +150,7 @@ def test_maximize_ratio_and_size_on_random_oracles():
     for _ in range(30):
         elements, cap = random_ground(rng, n_max=7)
         f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, elements)
-        picked = maximize_with_reserve(f, elements, OptConfig(capacity=cap))
+        picked = maximize_with_reserve(f, elements, cap)
         assert sum((e.size for e in elements if e.id in picked), F(0)) <= cap / 2
         opt = exhaustive_knapsack_max(f, elements, cap)
         assert 3 * f(picked) >= opt
@@ -131,26 +160,24 @@ def test_maximize_deterministic():
     rng = random.Random(37)
     elements, cap = random_ground(rng, n_max=6)
     f = coverage_oracle(rng, elements)
-    first = maximize_with_reserve(f, elements, OptConfig(capacity=cap))
-    second = maximize_with_reserve(f, elements, OptConfig(capacity=cap))
+    first = maximize_with_reserve(f, elements, cap)
+    second = maximize_with_reserve(f, elements, cap)
     assert first == second
 
 
 def test_maximize_rejects_oversized_element():
     elements = [GroundElement(1, F(3, 2))]
     with pytest.raises(ElementTooLarge):
-        maximize_with_reserve(modular({1: F(1)}), elements, OptConfig(capacity=F(2)))
+        maximize_with_reserve(modular({1: F(1)}), elements, F(2))
 
 
 def test_maximize_requires_capacity_and_valid_k():
     elements = [GroundElement(1, F(1, 2))]
     f = modular({1: F(1)})
     with pytest.raises(ValueError):
-        maximize_with_reserve(f, elements, OptConfig())
-    with pytest.raises(ValueError):
-        maximize_with_reserve(f, elements, OptConfig(k=0, capacity=F(2)))
+        maximize_with_reserve(f, elements, F(2), OptConfig(k=0))
     with pytest.warns(UserWarning):
-        maximize_with_reserve(f, elements, OptConfig(k=2, capacity=F(2)))
+        maximize_with_reserve(f, elements, F(2), OptConfig(k=2))
 
 
 def test_ratio_lower_bound_at_origin():
