@@ -6,6 +6,16 @@ optimum maps back to an exact rational. Augmenting paths are found with
 Bellman-Ford over the residual graph; starting from the zero flow and
 always augmenting along a cheapest path keeps the residual graph free of
 negative cycles, so Bellman-Ford stays valid throughout.
+
+Each Bellman-Ford pass visits nodes in index order but scans the out-edges
+only of "dirty" nodes, whose distance dropped since they were last scanned
+(initially just the source). A node whose distance is unchanged since its
+last scan cannot strictly improve any neighbour: every residual edge out of
+it already satisfied ``dist[v] <= dist[u] + cost``, distances only fall, and
+residual capacities are fixed during the search. Skipping it therefore
+leaves every strict ``<`` comparison that could succeed in place, so
+``dist``, ``parent`` and the number of passes are exactly those of the full
+scan, and so are the augmenting paths and the final flows.
 """
 
 from __future__ import annotations
@@ -36,24 +46,30 @@ class FlowNetwork:
         return self.cap[idx ^ 1]
 
     def _shortest_path(self, s: int):
-        dist: list[int | None] = [None] * self.n
-        parent = [-1] * self.n
+        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        n = self.n
+        dist: list[int | None] = [None] * n
+        parent = [-1] * n
+        dirty = [False] * n  # dist dropped since the node was last scanned
         dist[s] = 0
-        for _ in range(self.n):
+        dirty[s] = True
+        for _ in range(n):
             changed = False
-            for u in range(self.n):
-                du = dist[u]
-                if du is None:
+            for u in range(n):
+                if not dirty[u]:
                     continue
-                for e in self.adj[u]:
-                    if self.cap[e] <= 0:
+                dirty[u] = False
+                du = dist[u]
+                for e in adj[u]:
+                    if cap[e] <= 0:
                         continue
-                    v = self.to[e]
-                    nd = du + self.cost[e]
+                    v = to[e]
+                    nd = du + cost[e]
                     dv = dist[v]
                     if dv is None or nd < dv:
                         dist[v] = nd
                         parent[v] = e
+                        dirty[v] = True
                         changed = True
             if not changed:
                 break

@@ -27,11 +27,35 @@ class LpOracle:
     Values are cached per item-id set, since the submodular search issues
     many repeated queries; :meth:`value` writes that memo, so one oracle
     serves one instance in one thread.
+
+    The integer tables of the transportation network are built once per
+    instance: ``scale`` is the lcm of every item-size denominator, item i
+    supplies ``shat[i] = s_i * scale`` units, and each arc (i, j) with
+    p_ij > 0 costs ``-(p_ij / shat[i]) * cost_den``, where ``cost_den`` is
+    the lcm of the denominators of all those unit profits. A query then only
+    filters and copies ints. Against a table built for the queried subset
+    alone, every capacity and every cost is multiplied by one positive
+    constant each, so Bellman-Ford's strict comparisons pick the same paths
+    and the flows and values come out the same.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._memo: dict[frozenset[int], Fraction] = {}
+        scale = lcm(*(it.size.denominator for it in inst.items))
+        shat = {it.id: int(it.size * scale) for it in inst.items}
+        units = {
+            i: [(j, inst.profit(i, j) / supply) for j in range(inst.m) if inst.profit(i, j) > ZERO]
+            for i, supply in shat.items()
+        }
+        cost_den = lcm(*(unit.denominator for row in units.values() for _j, unit in row))
+        self._scale = scale
+        self._shat = shat
+        self._cost_den = cost_den
+        # Per item, (bin, integer arc cost) in ascending bin order.
+        self._arcs = {
+            i: [(j, -int(unit * cost_den)) for j, unit in row] for i, row in units.items()
+        }
 
     def value(self, item_ids: Iterable[int]) -> Fraction:
         """Optimal LP value with all items outside the subset forced to 0."""
@@ -47,8 +71,17 @@ class LpOracle:
         return self.value(self.inst.group_items(group_ids))
 
     def value_with_capacities(self, item_ids: Iterable[int], caps: Sequence[Fraction]) -> Fraction:
-        """LP value with per-bin residual capacities; used as a search bound."""
-        val, _y, _n = self._transport(sorted(set(item_ids)), list(caps))
+        """LP value with per-bin residual capacities; used as a search bound.
+
+        ``caps`` holds one capacity >= 0 per bin; any other shape raises
+        ``ValueError``.
+        """
+        caps = list(caps)
+        if len(caps) != self.inst.m or any(cap < ZERO for cap in caps):
+            raise ValueError(
+                f"expected {self.inst.m} bin capacities, each >= 0; got {caps}"
+            )
+        val, _y, _n = self._transport(sorted(set(item_ids)), caps)
         return val
 
     def solution(self, item_ids: Iterable[int]) -> FractionalSolution:
@@ -97,49 +130,41 @@ class LpOracle:
         """Solve the transportation problem; returns (value, flows, scale).
 
         Flows are keyed (item id, bin index) in units of 1/scale bin capacity.
+        The network comes from the per-instance tables: when ``caps`` has
+        denominators that ``scale`` lacks, every capacity (item supplies
+        included) is multiplied by ``c = lcm(scale, cap denominators) //
+        scale`` and the flows are in units of 1/(scale * c). The value is
+        read off the integer flow cost, which is ``-value * cost_den * c``.
+        Arcs are added items ascending, then bins ascending, the order that
+        Bellman-Ford's tie-breaks depend on.
         """
-        inst = self.inst
         if not items:
             return ZERO, {}, 1
-        n_scale = 1
-        for i in items:
-            n_scale = lcm(n_scale, inst.size(i).denominator)
-        for c in caps:
-            n_scale = lcm(n_scale, c.denominator)
-        shat = {i: int(inst.size(i) * n_scale) for i in items}
+        c = lcm(self._scale, *(cap.denominator for cap in caps)) // self._scale
+        n_scale = self._scale * c
+        live = [cap > ZERO for cap in caps]
+        shat, arcs = self._shat, self._arcs
 
-        support = []
-        cost_den = 1
-        for i in items:
-            for j in range(inst.m):
-                p = inst.profit(i, j)
-                if p > ZERO and caps[j] > ZERO:
-                    unit = p / shat[i]
-                    support.append((i, j, unit))
-                    cost_den = lcm(cost_den, unit.denominator)
-
-        n_items = len(items)
-        idx = {i: 1 + k for k, i in enumerate(items)}
+        m = self.inst.m
         src = 0
-        bin_node = 1 + n_items
-        sink = bin_node + inst.m
+        bin_node = 1 + len(items)
+        sink = bin_node + m
         net = FlowNetwork(sink + 1)
-        for i in items:
-            net.add_edge(src, idx[i], shat[i], 0)
+        for node, i in enumerate(items, 1):
+            net.add_edge(src, node, shat[i] * c, 0)
         edge_ids: dict[tuple[int, int], int] = {}
-        for i, j, unit in support:
-            cost = -int(unit * cost_den)
-            edge_ids[(i, j)] = net.add_edge(idx[i], bin_node + j, shat[i], cost)
-        for j in range(inst.m):
+        for node, i in enumerate(items, 1):
+            supply = shat[i] * c
+            for j, cost in arcs[i]:
+                if live[j]:
+                    edge_ids[(i, j)] = net.add_edge(node, bin_node + j, supply, cost)
+        for j in range(m):
             net.add_edge(bin_node + j, sink, int(caps[j] * n_scale), 0)
-        net.run(src, sink, stop_on_nonnegative=True)
+        _flow, cost = net.run(src, sink, stop_on_nonnegative=True)
 
         y: dict[tuple[int, int], int] = {}
-        value = ZERO
-        for (i, j), e in edge_ids.items():
+        for key, e in edge_ids.items():
             units = net.flow_on(e)
             if units > 0:
-                y[(i, j)] = units
-                value += Fraction(units, shat[i]) * inst.profit(i, j)
-        return value, y, n_scale
-
+                y[key] = units
+        return Fraction(-cost, self._cost_den * c), y, n_scale

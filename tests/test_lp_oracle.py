@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
+from math import lcm
 
 import pytest
 
 from groupgap.errors import InsufficientCapacity
 from groupgap.exact import matching_value
 from groupgap.lp_oracle import LpOracle
-from groupgap.model import validate_fractional
+from groupgap.model import Group, Instance, Item, validate_fractional
 
 from conftest import F, make_instance, random_instance
 
@@ -170,3 +172,86 @@ def test_lp_value_equals_unit_expansion_matching():
     graph = scaled_matching_graph(inst, [1, 2, 3])
     expected = matching_value(graph, range(graph.left))
     assert LpOracle(inst).value([1, 2, 3]) == expected
+
+
+def test_value_with_capacities_rejects_wrong_shape():
+    inst = make_instance(2, {1: F(1, 2)}, [[1]], {(1, 0): F(2), (1, 1): F(3)})
+    oracle = LpOracle(inst)
+    for caps in ([F(1)], [F(1), F(1), F(1)], [F(-1), F(1)]):
+        with pytest.raises(ValueError):
+            oracle.value_with_capacities([1], caps)
+    assert oracle.value_with_capacities([1], [F(0), F(1)]) == 3
+
+
+def test_answers_do_not_depend_on_instance_scale():
+    """An item with an odd size denominator changes the oracle's instance-wide
+    scale; answers on subsets without it must not change."""
+    rng = random.Random(19)
+    for _ in range(12):
+        inst = random_instance(rng, n_max=6, m_max=3)
+        odd = max(inst.item_ids) + 1
+        wider = Instance(
+            m=inst.m,
+            items=inst.items + (Item(id=odd, size=F(1, 97)),),
+            groups=inst.groups + (Group(id=len(inst.groups), members=(odd,)),),
+            profits={
+                **inst.profits,
+                **{(odd, j): F(rng.randint(1, 9), 7) for j in range(inst.m)},
+            },
+        )
+        base, other = LpOracle(inst), LpOracle(wider)
+        caps = [F(rng.randint(0, 6), rng.choice([1, 2, 3, 5])) for _ in range(inst.m)]
+        ids = sorted(inst.item_ids)
+        for subset in (set(c) for r in range(len(ids) + 1) for c in combinations(ids, r)):
+            assert other.value(subset) == base.value(subset)
+            assert other.value_with_capacities(subset, caps) == base.value_with_capacities(
+                subset, caps
+            )
+            if inst.total_size(subset) <= inst.m:
+                assert other.solution(subset).entries == base.solution(subset).entries
+
+
+def networkx_transport_value(nx, inst, items, caps):
+    """LP value as a min-cost max-flow solved by networkx's network simplex.
+
+    Same transportation network, built independently: item i supplies
+    s_i * scale units, bin j takes caps[j] * scale, a unit of i in j is worth
+    p_ij / (s_i * scale), and a free item-to-sink arc lets any supply go
+    unassigned, so a max flow of least cost is an optimal transport.
+    """
+    scale = lcm(*(inst.size(i).denominator for i in items), *(c.denominator for c in caps))
+    supply = {i: int(inst.size(i) * scale) for i in items}
+    unit = {
+        (i, j): inst.profit(i, j) / supply[i]
+        for i in items
+        for j in range(inst.m)
+        if inst.profit(i, j) > 0
+    }
+    cost_den = lcm(1, *(u.denominator for u in unit.values()))
+    graph = nx.DiGraph()
+    for i in items:
+        graph.add_edge("s", ("item", i), capacity=supply[i], weight=0)
+        graph.add_edge(("item", i), "t", capacity=supply[i], weight=0)
+    for (i, j), u in unit.items():
+        graph.add_edge(("item", i), ("bin", j), capacity=supply[i], weight=-int(u * cost_den))
+    for j in range(inst.m):
+        graph.add_edge(("bin", j), "t", capacity=int(caps[j] * scale), weight=0)
+    cost = nx.cost_of_flow(graph, nx.max_flow_min_cost(graph, "s", "t"))
+    return F(-cost, cost_den)
+
+
+def test_value_matches_networkx_min_cost_flow():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    for _ in range(50):
+        inst = random_instance(rng, n_max=7, m_max=4)
+        oracle = LpOracle(inst)
+        subset = [i for i in sorted(inst.item_ids) if rng.random() < 0.7] or [
+            min(inst.item_ids)
+        ]
+        full = [F(1)] * inst.m
+        assert oracle.value(subset) == networkx_transport_value(nx, inst, subset, full)
+        caps = [F(rng.randint(0, 6), rng.choice([1, 2, 3, 5])) for _ in range(inst.m)]
+        assert oracle.value_with_capacities(subset, caps) == networkx_transport_value(
+            nx, inst, subset, caps
+        )
