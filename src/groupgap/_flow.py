@@ -16,34 +16,41 @@ residual capacities are fixed during the search. Skipping it therefore
 leaves every strict ``<`` comparison that could succeed in place, so
 ``dist``, ``parent`` and the number of passes are exactly those of the full
 scan, and so are the augmenting paths and the final flows.
+
+:func:`transport` lays out the bipartite network of both callers, items to
+bins for the LP value and items to slots for the rounding matching: node 0
+is the source, then come the left nodes, the right nodes and the sink, and
+the edges run from the source, along the arcs, then into the sink, each in
+the order given. Bellman-Ford breaks ties between equal-cost paths by node
+and edge order, so this layout decides which optimal flow comes out.
 """
 
 from __future__ import annotations
 
 
 class FlowNetwork:
-    def __init__(self, n: int):
+    """Residual graph built in one pass from ``(u, v, cap, cost)`` edges.
+
+    Edge k is stored at index ``2k`` and its twin (capacity 0, cost
+    ``-cost``) at ``2k + 1``, so the flow on edge k is ``cap[2k + 1]``.
+    ``adj[u]`` gets ``2k`` and ``adj[v]`` gets ``2k + 1`` in edge order,
+    which is Bellman-Ford's scan order.
+    """
+
+    def __init__(self, n: int, edges: list[tuple[int, int, int, int]]):
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
-        """Add a directed edge; returns its index (twin is index ^ 1)."""
-        idx = len(self.to)
-        self.adj[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return idx
-
-    def flow_on(self, idx: int) -> int:
-        return self.cap[idx ^ 1]
+        self.to, self.cap, self.cost = [], [], []
+        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        for u, v, c, w in edges:
+            adj[u].append(len(to))
+            to.append(v)
+            cap.append(c)
+            cost.append(w)
+            adj[v].append(len(to))
+            to.append(u)
+            cap.append(0)
+            cost.append(-w)
 
     def _shortest_path(self, s: int):
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
@@ -114,3 +121,27 @@ class FlowNetwork:
             total_flow += push
             total_cost += push * dist[t]
         return total_flow, total_cost
+
+
+def transport(
+    supply: list[int],
+    demand: list[int],
+    arcs: list[tuple[int, int, int]],
+    max_flow: int | None = None,
+    stop_on_nonnegative: bool = False,
+) -> tuple[int, int, list[int]]:
+    """Min-cost flow from left nodes with ``supply`` to right nodes with ``demand``.
+
+    ``arcs`` holds ``(left, right, cost)``, indices into ``supply`` and
+    ``demand``; an arc's capacity is its left node's supply. Returns the
+    flow, its cost and the flow on each arc.
+    """
+    right = 1 + len(supply)
+    sink = right + len(demand)
+    edges = [(0, 1 + i, units, 0) for i, units in enumerate(supply)]
+    edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
+    edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
+    net = FlowNetwork(sink + 1, edges)
+    flow, cost = net.run(0, sink, max_flow=max_flow, stop_on_nonnegative=stop_on_nonnegative)
+    first = 2 * len(supply)  # index of the first arc; its twin holds its flow
+    return flow, cost, net.cap[first + 1 : first + 2 * len(arcs) : 2]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success with all certificates holding, 2 on validation or
 input errors (unreadable or unwritable files included), 3 when a certificate
-(or the compared ratio) fails.
+(or the compared ratio) fails, 4 on an internal error (a step that cannot
+fail on valid input failed: a bug, not a bad instance).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import io
-from .errors import GroupGapError, ValidationError
+from .errors import GroupGapError, InternalError, ValidationError
 from .exact import SearchLimits, solve_exact
 from .generate import GeneratorSpec, generate
 from .lp_oracle import LpOracle
@@ -24,6 +25,7 @@ from .submodular import OptConfig, certify_ratio_bound
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CERT_FAILED = 3
+EXIT_INTERNAL = 4
 
 
 def _seed_size(text: str) -> int:
@@ -191,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (GroupGapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -55,7 +55,11 @@ class UnsaturatedInput(GroupGapError):
         self.item_id = item_id
 
 
-class NoCompleteMatching(GroupGapError):
+class InternalError(GroupGapError):
+    """A step that cannot fail on valid input failed; indicates an internal bug."""
+
+
+class NoCompleteMatching(InternalError):
     """No slot matching covers every selected item; indicates an internal bug."""
 
 
@@ -67,11 +71,11 @@ class PreconditionViolated(GroupGapError):
     """Input to the filling phase is outside the supported regime."""
 
 
-class InternalStuck(GroupGapError):
+class InternalStuck(InternalError):
     """No resolution step applies while an overfull bin remains; internal bug."""
 
 
-class ReinsertionFailed(GroupGapError):
+class ReinsertionFailed(InternalError):
     """An evicted item fits in no bin; impossible when preconditions hold."""
 
 

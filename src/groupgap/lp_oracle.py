@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from ._flow import FlowNetwork
+from ._flow import transport
 from .errors import InsufficientCapacity
 from .model import ONE, ZERO, FractionalSolution, Instance
 
@@ -62,13 +62,19 @@ class LpOracle:
         key = frozenset(item_ids)
         cached = self._memo.get(key)
         if cached is None:
-            cached, _y, _n = self._transport(sorted(key), [ONE] * self.inst.m)
+            cached, _y = self._transport(self._known(key), [ONE] * self.inst.m)
             self._memo[key] = cached
         return cached
 
     def group_value(self, group_ids: Iterable[int]) -> Fraction:
         """LP value of the union of the given groups' items."""
-        return self.value(self.inst.group_items(group_ids))
+        group_ids = tuple(group_ids)
+        try:
+            items = self.inst.group_items(group_ids)
+        except KeyError:
+            unknown = sorted(set(group_ids) - self.inst.group_map.keys())
+            raise ValueError(f"unknown group ids: {unknown}") from None
+        return self.value(items)
 
     def value_with_capacities(self, item_ids: Iterable[int], caps: Sequence[Fraction]) -> Fraction:
         """LP value with per-bin residual capacities; used as a search bound.
@@ -81,7 +87,7 @@ class LpOracle:
             raise ValueError(
                 f"expected {self.inst.m} bin capacities, each >= 0; got {caps}"
             )
-        val, _y, _n = self._transport(sorted(set(item_ids)), caps)
+        val, _y = self._transport(self._known(item_ids), caps)
         return val
 
     def solution(self, item_ids: Iterable[int]) -> FractionalSolution:
@@ -92,14 +98,16 @@ class LpOracle:
         capacity (items by ascending id, bins by ascending index). Such flow
         is always profit-neutral at an optimum, so the value is preserved.
         """
-        items = sorted(set(item_ids))
+        items = self._known(item_ids)
         total = sum((self.inst.size(i) for i in items), ZERO)
         if total > self.inst.m:
             raise InsufficientCapacity(
                 f"selected items have total size {total} > total capacity {self.inst.m}"
             )
-        value, y, n_scale = self._transport(items, [ONE] * self.inst.m)
-        shat = {i: int(self.inst.size(i) * n_scale) for i in items}
+        # Every cap is 1, so the flows are in units of 1/scale and item i
+        # supplies shat[i] of them.
+        value, y = self._transport(items, [ONE] * self.inst.m)
+        scale, shat = self._scale, self._shat
         used = [0] * self.inst.m
         assigned = {i: 0 for i in items}
         for (i, j), units in y.items():
@@ -110,61 +118,46 @@ class LpOracle:
             for j in range(self.inst.m):
                 if rem == 0:
                     break
-                avail = n_scale - used[j]
-                take = min(rem, avail)
+                take = min(rem, scale - used[j])
                 if take > 0:
                     y[(i, j)] = y.get((i, j), 0) + take
                     used[j] += take
                     rem -= take
             assert rem == 0, "saturation must succeed when total size <= m"
-        entries = {
-            (i, j): Fraction(units, shat[i]) for (i, j), units in y.items() if units > 0
-        }
-        saturated_value = sum(
-            (f * self.inst.profit(i, j) for (i, j), f in entries.items()), ZERO
+        x = FractionalSolution(
+            entries={(i, j): Fraction(units, shat[i]) for (i, j), units in y.items() if units > 0},
+            value=value,
         )
-        assert saturated_value == value, "saturation pass must be profit-neutral"
-        return FractionalSolution(entries=entries, value=value)
+        assert x.recompute_value(self.inst) == value, "saturation pass must be profit-neutral"
+        return x
+
+    def _known(self, item_ids: Iterable[int]) -> list[int]:
+        """The distinct ids in ascending order; ``ValueError`` names any unknown one."""
+        items = sorted(set(item_ids))
+        unknown = [i for i in items if i not in self._shat]
+        if unknown:
+            raise ValueError(f"unknown item ids: {unknown}")
+        return items
 
     def _transport(self, items: list[int], caps: list[Fraction]):
-        """Solve the transportation problem; returns (value, flows, scale).
+        """Solve the transportation problem; returns (value, flows).
 
-        Flows are keyed (item id, bin index) in units of 1/scale bin capacity.
-        The network comes from the per-instance tables: when ``caps`` has
-        denominators that ``scale`` lacks, every capacity (item supplies
-        included) is multiplied by ``c = lcm(scale, cap denominators) //
-        scale`` and the flows are in units of 1/(scale * c). The value is
-        read off the integer flow cost, which is ``-value * cost_den * c``.
-        Arcs are added items ascending, then bins ascending, the order that
-        Bellman-Ford's tie-breaks depend on.
+        Flows are keyed (item id, bin index) in units of 1/(scale * c) bin
+        capacity. The network comes from the per-instance tables: item i
+        supplies ``shat[i] * c`` units and bin j accepts ``caps[j] * scale *
+        c``, where ``c = lcm(scale, cap denominators) // scale`` is 1 unless
+        ``caps`` has denominators that ``scale`` lacks. The value is read off
+        the integer flow cost, which is ``-value * cost_den * c``. Arcs run
+        to the bins with a positive cap, items ascending, then bins
+        ascending: the order that Bellman-Ford's tie-breaks depend on.
         """
         if not items:
-            return ZERO, {}, 1
+            return ZERO, {}
         c = lcm(self._scale, *(cap.denominator for cap in caps)) // self._scale
-        n_scale = self._scale * c
         live = [cap > ZERO for cap in caps]
-        shat, arcs = self._shat, self._arcs
-
-        m = self.inst.m
-        src = 0
-        bin_node = 1 + len(items)
-        sink = bin_node + m
-        net = FlowNetwork(sink + 1)
-        for node, i in enumerate(items, 1):
-            net.add_edge(src, node, shat[i] * c, 0)
-        edge_ids: dict[tuple[int, int], int] = {}
-        for node, i in enumerate(items, 1):
-            supply = shat[i] * c
-            for j, cost in arcs[i]:
-                if live[j]:
-                    edge_ids[(i, j)] = net.add_edge(node, bin_node + j, supply, cost)
-        for j in range(m):
-            net.add_edge(bin_node + j, sink, int(caps[j] * n_scale), 0)
-        _flow, cost = net.run(src, sink, stop_on_nonnegative=True)
-
-        y: dict[tuple[int, int], int] = {}
-        for key, e in edge_ids.items():
-            units = net.flow_on(e)
-            if units > 0:
-                y[key] = units
-        return Fraction(-cost, self._cost_den * c), y, n_scale
+        arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i] if live[j]]
+        supply = [self._shat[i] * c for i in items]
+        demand = [int(cap * self._scale * c) for cap in caps]
+        _flow, cost, flows = transport(supply, demand, arcs, stop_on_nonnegative=True)
+        y = {(items[k], j): units for (k, j, _cost), units in zip(arcs, flows) if units > 0}
+        return Fraction(-cost, self._cost_den * c), y

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._flow import FlowNetwork
+from ._flow import transport
 from .errors import NoCompleteMatching, UnsaturatedInput
 from .model import ONE, ZERO, Assignment, FractionalSolution, Instance
 
@@ -94,36 +94,22 @@ def build_slot_graph(inst: Instance, x: FractionalSolution) -> SlotGraph:
 def complete_matching(g: SlotGraph) -> dict[int, Slot]:
     """Max-weight matching of slots that covers every item.
 
-    Solved as a min-cost flow of exactly |items| units over the slot edges,
-    with costs equal to negated weights scaled to integers.
+    Solved by :func:`~groupgap._flow.transport` as a min-cost flow of
+    exactly |items| units: every item supplies and every slot accepts one
+    unit, and each slot edge, in ``g.edges`` order, is an arc whose cost is
+    its weight negated and scaled to an integer.
     """
-    if not g.items:
+    n = len(g.items)
+    if n == 0:
         return {}
-    item_idx = {i: 1 + k for k, i in enumerate(g.items)}
-    slot_idx = {s: 1 + len(g.items) + k for k, s in enumerate(g.slots)}
-    sink = 1 + len(g.items) + len(g.slots)
-    den = 1
-    for e in g.edges:
-        den = lcm(den, e.weight.denominator)
-    net = FlowNetwork(sink + 1)
-    for i in g.items:
-        net.add_edge(0, item_idx[i], 1, 0)
-    edge_ids = []
-    for e in g.edges:
-        cost = -int(e.weight * den)
-        edge_ids.append((e, net.add_edge(item_idx[e.item], slot_idx[e.slot], 1, cost)))
-    for s in g.slots:
-        net.add_edge(slot_idx[s], sink, 1, 0)
-    flow, _cost = net.run(0, sink, max_flow=len(g.items))
-    if flow != len(g.items):
-        raise NoCompleteMatching(
-            f"matched only {flow} of {len(g.items)} items; slot graph invariant broken"
-        )
-    matching: dict[int, Slot] = {}
-    for e, idx in edge_ids:
-        if net.flow_on(idx) > 0:
-            matching[e.item] = e.slot
-    return matching
+    den = lcm(*(e.weight.denominator for e in g.edges))
+    item_pos = {i: k for k, i in enumerate(g.items)}
+    slot_pos = {s: k for k, s in enumerate(g.slots)}
+    arcs = [(item_pos[e.item], slot_pos[e.slot], -int(e.weight * den)) for e in g.edges]
+    flow, _cost, flows = transport([1] * n, [1] * len(g.slots), arcs, max_flow=n)
+    if flow != n:
+        raise NoCompleteMatching(f"matched only {flow} of {n} items; slot graph invariant broken")
+    return {e.item: e.slot for e, units in zip(g.edges, flows) if units > 0}
 
 
 def round_to_assignment(inst: Instance, x: FractionalSolution) -> Assignment:

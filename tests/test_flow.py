@@ -1,10 +1,10 @@
-"""FlowNetwork against a full-scan reference and an independent exact solver."""
+"""FlowNetwork and transport against full-scan references and an independent exact solver."""
 
 import random
 
 import pytest
 
-from groupgap._flow import FlowNetwork
+from groupgap._flow import FlowNetwork, transport
 
 
 def full_scan_shortest_path(net, s):
@@ -83,11 +83,21 @@ def random_edges(rng):
     return n, edges
 
 
-def build(n, edges):
-    net = FlowNetwork(n)
-    for u, v, cap, cost in edges:
-        net.add_edge(u, v, cap, cost)
-    return net
+def test_edge_list_layout_matches_edge_by_edge_build():
+    """Edge k at 2k, its twin at 2k + 1, adjacency in edge order: the layout an
+    edge-by-edge build gives, which Bellman-Ford's tie-breaks depend on."""
+    rng = random.Random(37)
+    for _ in range(100):
+        n, edges = random_edges(rng)
+        adj, to, cap, cost = [[] for _ in range(n)], [], [], []
+        for u, v, c, w in edges:
+            adj[u].append(len(to))
+            adj[v].append(len(to) + 1)
+            to += [v, u]
+            cap += [c, 0]
+            cost += [w, -w]
+        net = FlowNetwork(n, edges)
+        assert (net.adj, net.to, net.cap, net.cost) == (adj, to, cap, cost)
 
 
 def test_dirty_scan_matches_full_scan_on_fresh_and_residual_graphs():
@@ -95,7 +105,7 @@ def test_dirty_scan_matches_full_scan_on_fresh_and_residual_graphs():
     residual_checks = 0
     for _ in range(200):
         n, edges = random_edges(rng)
-        net = build(n, edges)
+        net = FlowNetwork(n, edges)
         for step in range(4):
             expected = full_scan_shortest_path(net, 0)
             assert net._shortest_path(0) == expected
@@ -117,7 +127,7 @@ def test_run_leaves_reference_flows(mode):
             if mode == "profit"
             else {"max_flow": rng.randint(1, 8)}
         )
-        ref, net = build(n, edges), build(n, edges)
+        ref, net = FlowNetwork(n, edges), FlowNetwork(n, edges)
         assert net.run(0, n - 1, **kwargs) == reference_run(ref, 0, n - 1, **kwargs)
         assert net.cap == ref.cap
 
@@ -129,14 +139,68 @@ def test_max_flow_cost_matches_networkx():
         n = rng.randint(3, 9)
         graph = nx.DiGraph()
         graph.add_nodes_from(range(n))
-        net = FlowNetwork(n)
+        edges = []
         for _ in range(3 * n):
             u, v = sorted(rng.sample(range(n), 2))  # a DAG: no negative cycle
             if graph.has_edge(u, v):
                 continue
             cap, cost = rng.randint(1, 5), rng.randint(-6, 6)
             graph.add_edge(u, v, capacity=cap, weight=cost)
-            net.add_edge(u, v, cap, cost)
+            edges.append((u, v, cap, cost))
+        net = FlowNetwork(n, edges)
         flow_value = nx.maximum_flow_value(graph, 0, n - 1)
         expected_cost = nx.cost_of_flow(graph, nx.max_flow_min_cost(graph, 0, n - 1))
         assert net.run(0, n - 1, max_flow=flow_value) == (flow_value, expected_cost)
+
+
+def random_bipartite(rng):
+    """Supplies, demands and distinct (left, right, cost) arcs in random order."""
+    supply = [rng.randint(0, 5) for _ in range(rng.randint(1, 5))]
+    demand = [rng.randint(0, 5) for _ in range(rng.randint(1, 5))]
+    pairs = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+    arcs = [(i, j, rng.randint(-6, 3)) for i, j in rng.sample(pairs, rng.randint(0, len(pairs)))]
+    return supply, demand, arcs
+
+
+@pytest.mark.parametrize("mode", ["profit", "max_flow"])
+def test_transport_arc_flows_respect_supplies_and_demands(mode):
+    rng = random.Random(59 if mode == "profit" else 61)
+    for _ in range(100):
+        supply, demand, arcs = random_bipartite(rng)
+        kwargs = (
+            {"stop_on_nonnegative": True}
+            if mode == "profit"
+            else {"max_flow": rng.randint(1, sum(supply) + 1)}
+        )
+        flow, cost, flows = transport(supply, demand, arcs, **kwargs)
+        assert len(flows) == len(arcs)
+        sent, received = [0] * len(supply), [0] * len(demand)
+        for (i, j, _cost), units in zip(arcs, flows):
+            assert 0 <= units <= supply[i]
+            sent[i] += units
+            received[j] += units
+        assert all(out <= cap for out, cap in zip(sent, supply))
+        assert all(into <= cap for into, cap in zip(received, demand))
+        assert sum(flows) == flow
+        assert sum(c * units for (_i, _j, c), units in zip(arcs, flows)) == cost
+        if mode == "max_flow":
+            assert flow <= kwargs["max_flow"]
+
+
+def test_transport_max_flow_cost_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(67)
+    for _ in range(100):
+        supply, demand, arcs = random_bipartite(rng)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(["s", "t"])
+        for i, units in enumerate(supply):
+            graph.add_edge("s", ("left", i), capacity=units, weight=0)
+        for i, j, cost in arcs:
+            graph.add_edge(("left", i), ("right", j), capacity=supply[i], weight=cost)
+        for j, units in enumerate(demand):
+            graph.add_edge(("right", j), "t", capacity=units, weight=0)
+        expected = nx.max_flow_min_cost(graph, "s", "t")
+        flow, cost, _flows = transport(supply, demand, arcs, max_flow=sum(supply) + 1)
+        assert flow == nx.maximum_flow_value(graph, "s", "t")
+        assert cost == nx.cost_of_flow(graph, expected)

@@ -5,7 +5,7 @@ import pytest
 
 from groupgap import io
 from groupgap.cli import main
-from groupgap.errors import GenerationError, InstanceFormatError
+from groupgap.errors import GenerationError, InstanceFormatError, InternalStuck
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.model import validate_instance
 from groupgap.pipeline import solve
@@ -95,6 +95,17 @@ def test_cli_solve_trace_on_stderr(tmp_path, capsys):
     lines = [json.loads(line) for line in captured.err.strip().splitlines()]
     assert lines and lines[0]["kind"] == "move-big-to-vacant"
     json.loads(captured.out)  # stdout stays pure JSON
+
+
+def test_cli_solve_reports_internal_errors_apart(tmp_path, capsys, monkeypatch):
+    def stuck(*_args, **_kwargs):
+        raise InternalStuck("no move fired")
+
+    monkeypatch.setattr("groupgap.pipeline.make_feasible_traced", stuck)
+    path = tmp_path / "inst.json"
+    io.save_instance(worked_example(m=3), path)
+    assert main(["solve", str(path)]) == 4
+    assert capsys.readouterr().err == "internal error: no move fired\n"
 
 
 def test_cli_solve_rejects_oversized(tmp_path, capsys):

@@ -183,6 +183,28 @@ def test_value_with_capacities_rejects_wrong_shape():
     assert oracle.value_with_capacities([1], [F(0), F(1)]) == 3
 
 
+def test_unknown_ids_raise_value_error():
+    inst = make_instance(
+        2,
+        {i: F(1, 4) for i in range(1, 7)},
+        [[1, 2, 3], [4, 5, 6]],
+        {(i, i % 2): F(i) for i in range(1, 7)},
+    )
+    oracle = LpOracle(inst)
+    calls = [
+        lambda: oracle.value([999]),
+        lambda: oracle.solution([999]),
+        lambda: oracle.value_with_capacities([999], [F(1), F(1)]),
+        lambda: oracle.group_value([7]),
+    ]
+    for call, unknown in zip(calls, ["999", "999", "999", "7"]):
+        with pytest.raises(ValueError, match=rf"unknown .* ids: \[{unknown}\]"):
+            call()
+    with pytest.raises(ValueError, match=r"\[998, 999\]"):
+        oracle.value([1, 999, 998])
+    assert oracle.group_value([0, 1]) == oracle.value(range(1, 7))
+
+
 def test_answers_do_not_depend_on_instance_scale():
     """An item with an odd size denominator changes the oracle's instance-wide
     scale; answers on subsets without it must not change."""
