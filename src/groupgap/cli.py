@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the approximation pipeline on an instance file")
     p_solve.add_argument("file")
     p_solve.add_argument(
-        "--k", type=_seed_size, default=6, help="seed-set size for group selection"
+        "--k", type=_seed_size, default=6, help="seed-set size of the fallback guess-greedy"
     )
     p_solve.add_argument(
         "--exact-compare", action="store_true", help="also solve exactly and report the ratio"

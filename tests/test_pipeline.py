@@ -4,6 +4,7 @@ import pytest
 
 from groupgap.errors import OversizedGroup
 from groupgap.exact import solve_exact
+from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
 from groupgap.pipeline import solve, solve_traced, upper_bound
@@ -120,3 +121,21 @@ def test_custom_k_still_certifies():
     with pytest.warns(UserWarning):
         _assignment, report = solve(inst, OptConfig(k=2))
     assert report.final_profit == 13
+
+
+def test_selection_solve_count_at_scale(monkeypatch):
+    # The branch-and-bound needs 143 transport solves here, the pipeline's
+    # own included; the guess-greedy alone needs 40,303.
+    solves = 0
+    transport = LpOracle._transport
+
+    def counting(self, *args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return transport(self, *args, **kwargs)
+
+    monkeypatch.setattr(LpOracle, "_transport", counting)
+    inst = generate(GeneratorSpec(seed=1, n=60, groups=16, bins=10, flavor="uniform"))
+    _assignment, report = solve(inst)
+    assert report.all_certified()
+    assert solves < 300

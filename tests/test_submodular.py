@@ -4,11 +4,14 @@ from itertools import combinations
 
 import pytest
 
+from groupgap import submodular
 from groupgap.errors import DegenerateDenominator, ElementTooLarge
 from groupgap.exact import exhaustive_knapsack_max
 from groupgap.submodular import (
     GroundElement,
     OptConfig,
+    _guess_greedy,
+    _mask_oracle,
     certify_ratio_bound,
     density_greedy,
     maximize_with_reserve,
@@ -37,6 +40,14 @@ def skip_but_remove_greedy(f, elements, cap):
         if used + best.size <= cap:
             chosen, used = chosen | {best.id}, used + best.size
     return chosen
+
+
+def guess_greedy(f, elements, cap, k=6):
+    """The fallback guess-greedy alone, started from the empty set."""
+    ordered = sorted(elements, key=lambda e: e.id)
+    value = _mask_oracle(f, [e.id for e in ordered])
+    mask = _guess_greedy(value, [e.size for e in ordered], cap / 2, k, 0, value(0))
+    return frozenset(e.id for b, e in enumerate(ordered) if mask >> b & 1)
 
 
 def brute_force_best(f, elements, cap):
@@ -178,6 +189,59 @@ def test_maximize_requires_capacity_and_valid_k():
         maximize_with_reserve(f, elements, F(2), OptConfig(k=0))
     with pytest.warns(UserWarning):
         maximize_with_reserve(f, elements, F(2), OptConfig(k=2))
+
+
+def test_search_is_exact_and_never_below_guess_greedy():
+    rng = random.Random(41)
+    small_seed_cases = 0
+    for _ in range(240):
+        elements, cap = random_ground(rng)
+        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, elements)
+        value = f(maximize_with_reserve(f, elements, cap))
+        assert value == exhaustive_knapsack_max(f, elements, cap / 2)
+        # k=2 keeps the guess-greedy cheap; the budget test below compares
+        # against k=6
+        fallback = f(guess_greedy(f, elements, cap, k=2))
+        assert value >= fallback
+        # when no set within cap/2 has more than k elements, every such set
+        # is its own seed and part, so the guess-greedy is exact as well
+        most = max(
+            r
+            for r in range(len(elements) + 1)
+            for combo in combinations(elements, r)
+            if sum((e.size for e in combo), F(0)) <= cap / 2
+        )
+        if most <= 2:
+            assert fallback == value
+            small_seed_cases += 1
+    assert small_seed_cases >= 50
+
+
+def test_search_keeps_the_first_strictly_better_set():
+    # {1, 2} and {2, 3} both fit and are both worth 6. Element 2 is the
+    # densest, so the search visits {2} first and evaluates its candidates
+    # in density order: {2, 3} first, then the equal {1, 2}, which does not
+    # replace it even though its mask is lower.
+    elements = [GroundElement(1, F(3)), GroundElement(2, F(1)), GroundElement(3, F(2))]
+    f = modular({1: F(3), 2: F(3), 3: F(3)})
+    assert maximize_with_reserve(f, elements, F(8)) == {2, 3}
+
+
+@pytest.mark.parametrize("budget", [0, 3])
+def test_spent_budget_falls_back_to_guess_greedy(monkeypatch, budget):
+    monkeypatch.setattr(submodular, "_SOLVE_BUDGET", budget)
+    rng = random.Random(43)
+    for _ in range(40):
+        elements, cap = random_ground(rng)
+        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, elements)
+        picked = maximize_with_reserve(f, elements, cap)
+        assert sum((e.size for e in elements if e.id in picked), F(0)) <= cap / 2
+        fallback = guess_greedy(f, elements, cap)
+        assert f(picked) >= f(fallback)
+        if budget == 0:
+            # the search stops before its first gain, at the empty set
+            assert picked == fallback
+        assert 3 * f(picked) >= exhaustive_knapsack_max(f, elements, cap)
 
 
 def test_ratio_lower_bound_at_origin():
