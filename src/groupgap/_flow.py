@@ -23,9 +23,37 @@ is the source, then come the left nodes, the right nodes and the sink, and
 the edges run from the source, along the arcs, then into the sink, each in
 the order given. Bellman-Ford breaks ties between equal-cost paths by node
 and edge order, so this layout decides which optimal flow comes out.
+
+:func:`reoptimize` re-solves the profit-maximising transport from a start
+flow instead of from zero: in practice a subset's optimum, to which more
+supplied left nodes are added. It preloads the start flow on the same
+layout (``FlowNetwork``'s ``flows``), moves the source that feeds the
+start flow's left nodes to a new last node, adds a zero-cost return arc
+from the sink to it, and feeds the left nodes without start flow from
+node 0. Successive shortest paths then run from node 0 to the moved
+source, each path closing a cycle through the two sources, which the
+original network merges into one. Bellman-Ford stays valid:
+
+- The start residual has no negative cycle. The start flow is optimal for
+  its own left nodes, so its residual circulation (return arc included)
+  has none, and node 0 has no incoming residual arc yet, so no cycle
+  reaches the new left nodes.
+- Augmenting along a cheapest path keeps the residual free of negative
+  cycles, exactly as in the cold run.
+- When the cheapest path costs >= 0, the merged network has no negative
+  cycle left. Such a cycle would have to pass the sources, as a path
+  from node 0 to the moved source (none is negative now) or back from
+  the moved source to node 0. The latter undoes a unit of the added
+  flow, which is the cheapest flow of its amount, so it costs at least
+  minus the last augmenting path's cost: more than 0.
+
+So the flow is optimal for every left node, and the run's cost is the
+optimum's cost minus the start flow's.
 """
 
 from __future__ import annotations
+
+from .errors import InvariantViolated
 
 
 class FlowNetwork:
@@ -34,10 +62,16 @@ class FlowNetwork:
     Edge k is stored at index ``2k`` and its twin (capacity 0, cost
     ``-cost``) at ``2k + 1``, so the flow on edge k is ``cap[2k + 1]``.
     ``adj[u]`` gets ``2k`` and ``adj[v]`` gets ``2k + 1`` in edge order,
-    which is Bellman-Ford's scan order.
+    which is Bellman-Ford's scan order. ``flows``, one per edge, preloads
+    that much flow on each edge; by default every edge starts empty.
     """
 
-    def __init__(self, n: int, edges: list[tuple[int, int, int, int]]):
+    def __init__(
+        self,
+        n: int,
+        edges: list[tuple[int, int, int, int]],
+        flows: list[int] | None = None,
+    ):
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to, self.cap, self.cost = [], [], []
@@ -51,6 +85,12 @@ class FlowNetwork:
             to.append(u)
             cap.append(0)
             cost.append(-w)
+        for k, units in enumerate(flows or ()):
+            if units:
+                if not 0 < units <= cap[2 * k]:
+                    raise ValueError(f"edge {k} cannot carry a flow of {units}")
+                cap[2 * k] -= units
+                cap[2 * k + 1] = units
 
     def _shortest_path(self, s: int):
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
@@ -80,6 +120,8 @@ class FlowNetwork:
                         changed = True
             if not changed:
                 break
+        else:  # a pass still relaxed after n - 1: the residual has a negative cycle
+            raise InvariantViolated("negative cycle in the residual graph")
         return dist, parent
 
     def run(
@@ -109,7 +151,8 @@ class FlowNetwork:
                 e = parent[v]
                 push = self.cap[e] if push is None else min(push, self.cap[e])
                 v = self.to[e ^ 1]
-            assert push is not None and push > 0
+            if push is None or push <= 0:
+                raise InvariantViolated(f"augmenting path can push {push} units")
             if max_flow is not None:
                 push = min(push, max_flow - total_flow)
             v = t
@@ -136,12 +179,52 @@ def transport(
     ``demand``; an arc's capacity is its left node's supply. Returns the
     flow, its cost and the flow on each arc.
     """
+    sink = 1 + len(supply) + len(demand)
+    net = FlowNetwork(sink + 1, _edges(supply, demand, arcs, [0] * len(supply)))
+    flow, cost = net.run(0, sink, max_flow=max_flow, stop_on_nonnegative=stop_on_nonnegative)
+    return flow, cost, _arc_flows(net, supply, arcs)
+
+
+def reoptimize(
+    supply: list[int],
+    demand: list[int],
+    arcs: list[tuple[int, int, int]],
+    start: list[int],
+) -> tuple[int, int, list[int]]:
+    """Profit-maximising :func:`transport`, re-optimised from a start flow.
+
+    ``start`` holds one flow per arc and must be optimal once the supply of
+    every left node without start flow is set to 0, as the flow that
+    ``transport(..., stop_on_nonnegative=True)`` returns for those supplies
+    is. Otherwise the residual may hold a negative cycle, and one that the
+    search reaches raises ``InvariantViolated``.
+    Returns the extra flow, its cost (<= 0: the optimum's cost minus the
+    start flow's) and the flow on each arc.
+    """
+    sink = 1 + len(supply) + len(demand)
+    source = sink + 1  # node 0 is the second source
+    out = [0] * len(supply)
+    into = [0] * len(demand)
+    for (i, j, _cost), units in zip(arcs, start):
+        out[i] += units
+        into[j] += units
+    edges = _edges(supply, demand, arcs, [source if units else 0 for units in out])
+    edges.append((sink, source, sum(supply), 0))
+    net = FlowNetwork(source + 1, edges, out + start + into + [sum(out)])
+    flow, cost = net.run(0, source, stop_on_nonnegative=True)
+    return flow, cost, _arc_flows(net, supply, arcs)
+
+
+def _edges(supply, demand, arcs, feed):
+    """The bipartite layout; left node i is fed from node ``feed[i]``."""
     right = 1 + len(supply)
     sink = right + len(demand)
-    edges = [(0, 1 + i, units, 0) for i, units in enumerate(supply)]
+    edges = [(feed[i], 1 + i, units, 0) for i, units in enumerate(supply)]
     edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
     edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
-    net = FlowNetwork(sink + 1, edges)
-    flow, cost = net.run(0, sink, max_flow=max_flow, stop_on_nonnegative=stop_on_nonnegative)
+    return edges
+
+
+def _arc_flows(net, supply, arcs):
     first = 2 * len(supply)  # index of the first arc; its twin holds its flow
-    return flow, cost, net.cap[first + 1 : first + 2 * len(arcs) : 2]
+    return net.cap[first + 1 : first + 2 * len(arcs) : 2]

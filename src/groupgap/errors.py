@@ -59,6 +59,14 @@ class InternalError(GroupGapError):
     """A step that cannot fail on valid input failed; indicates an internal bug."""
 
 
+class InvariantViolated(InternalError):
+    """A checked invariant of the solver chain does not hold; internal bug.
+
+    Raised explicitly rather than by ``assert``, so the check stays live
+    under ``python -O``.
+    """
+
+
 class NoCompleteMatching(InternalError):
     """No slot matching covers every selected item; indicates an internal bug."""
 

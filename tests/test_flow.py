@@ -1,10 +1,12 @@
-"""FlowNetwork and transport against full-scan references and an independent exact solver."""
+"""FlowNetwork, transport and reoptimize against full-scan references, cold
+solves and an independent exact solver."""
 
 import random
 
 import pytest
 
-from groupgap._flow import FlowNetwork, transport
+from groupgap._flow import FlowNetwork, reoptimize, transport
+from groupgap.errors import InvariantViolated
 
 
 def full_scan_shortest_path(net, s):
@@ -204,3 +206,54 @@ def test_transport_max_flow_cost_matches_networkx():
         flow, cost, _flows = transport(supply, demand, arcs, max_flow=sum(supply) + 1)
         assert flow == nx.maximum_flow_value(graph, "s", "t")
         assert cost == nx.cost_of_flow(graph, expected)
+
+
+def test_preloaded_flows_fill_the_twins():
+    rng = random.Random(71)
+    for _ in range(100):
+        n, edges = random_edges(rng)
+        flows = [rng.randint(0, cap) for _u, _v, cap, _cost in edges]
+        net, empty = FlowNetwork(n, edges, flows), FlowNetwork(n, edges)
+        assert net.cap[0::2] == [cap - units for (_u, _v, cap, _w), units in zip(edges, flows)]
+        assert net.cap[1::2] == flows
+        assert (net.adj, net.to, net.cost) == (empty.adj, empty.to, empty.cost)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            FlowNetwork(2, [(0, 1, 2, 0)], [bad])
+
+
+def test_reoptimize_reaches_the_cold_optimum():
+    """Start from the optimum with some left nodes unsupplied, then supply
+    them all: the start cost plus the re-optimisation's equals the cold cost."""
+    rng = random.Random(73)
+    warm_pushes = 0
+    for _ in range(300):
+        supply, demand, arcs = random_bipartite(rng)
+        old = [units if rng.random() < 0.6 else 0 for units in supply]
+        _flow, start_cost, start = transport(old, demand, arcs, stop_on_nonnegative=True)
+        _flow, cold_cost, _flows = transport(supply, demand, arcs, stop_on_nonnegative=True)
+        flow, cost, flows = reoptimize(supply, demand, arcs, start)
+        assert cost <= 0
+        assert start_cost + cost == cold_cost
+        warm_pushes += flow > 0
+        sent, received = [0] * len(supply), [0] * len(demand)
+        for (i, j, _cost), units in zip(arcs, flows):
+            assert 0 <= units <= supply[i]
+            sent[i] += units
+            received[j] += units
+        assert all(out <= cap for out, cap in zip(sent, supply))
+        assert all(into <= cap for into, cap in zip(received, demand))
+        assert sum(c * units for (_i, _j, c), units in zip(arcs, flows)) == cold_cost
+    assert warm_pushes > 50
+
+
+def test_negative_cycle_raises_instead_of_looping():
+    """A start flow that is not optimal leaves a negative residual cycle, on
+    which successive shortest paths would never end."""
+    net = FlowNetwork(3, [(0, 1, 1, 0), (1, 2, 1, -1), (2, 1, 1, -1)])
+    with pytest.raises(InvariantViolated, match="negative cycle"):
+        net.run(0, 2, stop_on_nonnegative=True)
+    # Left node 0 starts in right node 0 although right node 1 pays more.
+    supply, demand, arcs = [2, 1], [2, 2], [(0, 0, -1), (0, 1, -3), (1, 0, -1)]
+    with pytest.raises(InvariantViolated, match="negative cycle"):
+        reoptimize(supply, demand, arcs, [2, 0, 0])

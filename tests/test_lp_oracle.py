@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+import groupgap
+from groupgap import lp_oracle
 from groupgap.errors import InsufficientCapacity
 from groupgap.exact import matching_value
 from groupgap.lp_oracle import LpOracle
@@ -277,3 +283,226 @@ def test_value_matches_networkx_min_cost_flow():
         assert oracle.value_with_capacities(subset, caps) == networkx_transport_value(
             nx, inst, subset, caps
         )
+
+
+def cold_value(inst, subset):
+    """A fresh oracle's cold transport value, bypassing every memo."""
+    return LpOracle(inst)._transport(sorted(set(subset)), [F(1)] * inst.m)[0]
+
+
+@pytest.fixture
+def warm_starts(monkeypatch):
+    """Records, per ``_transport`` call, the start flows it got (None if cold)."""
+    starts = []
+    transport = LpOracle._transport
+
+    def recording(self, items, caps, start=None):
+        starts.append(start)
+        return transport(self, items, caps, start=start)
+
+    monkeypatch.setattr(LpOracle, "_transport", recording)
+    return starts
+
+
+def random_history(rng, ids, length):
+    """Queries mixing growing chains, random subsets, the empty set and repeats."""
+    history, last = [], frozenset()
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.4 and len(last) < len(ids):
+            grow = [i for i in ids if i not in last]
+            last = last | set(rng.sample(grow, rng.randint(1, min(3, len(grow)))))
+        elif roll < 0.75:
+            last = frozenset(i for i in ids if rng.random() < 0.5)
+        elif roll < 0.85:
+            last = frozenset()
+        elif history:
+            last = rng.choice(history)
+        history.append(last)
+    return history
+
+
+def test_warm_values_equal_cold_values_over_random_histories(warm_starts):
+    rng = random.Random(29)
+    queries = 0
+    for _ in range(60):
+        inst = random_instance(rng, n_max=10, m_max=4)
+        oracle = LpOracle(inst)
+        for subset in random_history(rng, sorted(inst.item_ids), 12):
+            assert oracle.value(subset) == cold_value(inst, subset)
+            queries += 1
+    warm = sum(start is not None for start in warm_starts)
+    assert queries == 720 and warm > 100
+
+
+def test_half_rule_picks_the_largest_qualifying_base(warm_starts):
+    inst = make_instance(
+        2,
+        {i: F(1, 8) for i in range(1, 7)},
+        [[1, 2, 3], [4, 5, 6]],
+        {(i, i % 2): F(i) for i in range(1, 7)},
+    )
+    oracle = LpOracle(inst)
+    oracle.value([1])
+    oracle.value([1, 2])
+    oracle.value([1, 2, 3, 4])  # base {1, 2}: exactly half
+    assert warm_starts[-1] is oracle._flows[frozenset({1, 2})].units
+    oracle.value([1, 2, 3, 4, 5])  # largest base {1, 2, 3, 4}
+    assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3, 4})].units
+    oracle.value([5, 6])
+    oracle.value([1, 5, 6])  # base {5, 6}; {1} is smaller
+    assert warm_starts[-1] is oracle._flows[frozenset({5, 6})].units
+    oracle.value([5, 4, 3, 2, 1])  # repeated key: no solve
+    assert len(warm_starts) == 6
+    oracle.value([1, 3, 4, 6])  # only {1} is a subset: 1 item of 4, under half
+    oracle.value([2, 3, 4, 5, 6])  # {5, 6}: 2 of 5, under half
+    assert warm_starts[-2:] == [None, None]
+    oracle.value([1, 2, 3, 4, 6])  # {1, 2, 3, 4} and {1, 3, 4, 6}: the first solved
+    assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3, 4})].units
+    oracle.value([1, 2, 3, 4, 5, 6])  # largest {1, 2, 3, 4, 5}, not a later smaller one
+    assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3, 4, 5})].units
+    for key, value in oracle._memo.items():
+        assert value == cold_value(inst, key)
+        cold = len(key) < 2 or key in ({5, 6}, {1, 3, 4, 6}, {2, 3, 4, 5, 6})
+        assert oracle._flows[key].cold == cold
+
+
+def test_oracle_keeps_only_the_latest_flows(warm_starts, monkeypatch):
+    monkeypatch.setattr(lp_oracle, "_FLOWS_KEPT", 4)
+    rng = random.Random(41)
+    warm = 0
+    for _ in range(30):
+        inst = random_instance(rng, n_max=9, m_max=4)
+        oracle = LpOracle(inst)
+        for subset in random_history(rng, sorted(inst.item_ids), 12):
+            kept = [flow.units for flow in oracle._flows.values()]
+            del warm_starts[:]
+            assert oracle.value(subset) == cold_value(inst, subset)
+            for start in warm_starts:
+                assert start is None or any(start is units for units in kept)
+                warm += start is not None
+            assert list(oracle._flows) == list(oracle._memo)[-4:]
+        for subset in oracle._memo:
+            if inst.total_size(subset) <= inst.m:
+                x, fresh = oracle.solution(subset), LpOracle(inst).solution(subset)
+                assert list(x.entries.items()) == list(fresh.entries.items())
+                assert x.value == fresh.value
+    assert warm > 20
+
+
+def test_warm_values_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for _ in range(8):
+        inst = random_instance(rng, n_max=9, m_max=3)
+        oracle = LpOracle(inst)
+        full = [F(1)] * inst.m
+        for subset in random_history(rng, sorted(inst.item_ids), 8):
+            expected = networkx_transport_value(nx, inst, sorted(subset), full) if subset else 0
+            assert oracle.value(subset) == expected
+
+
+def tied_instance(rng):
+    """Singleton groups of size 1/4 or 1/2 whose unit profits are mostly equal,
+    so many flows are optimal and a warm start often ends at another one than
+    a cold solve."""
+    n, m = rng.randint(2, 9), rng.randint(1, 4)
+    sizes = {i: F(rng.choice([1, 2]), 4) for i in range(1, n + 1)}
+    profits = {(i, j): 4 * sizes[i] * rng.choice([1, 1, 1, 2]) for i in sizes for j in range(m)}
+    return make_instance(m, sizes, [[i] for i in sizes], profits)
+
+
+def test_solution_does_not_depend_on_query_history(warm_starts):
+    rng = random.Random(37)
+    reused = warm = other_flow = 0
+    for trial in range(120):
+        inst = random_instance(rng, n_max=9, m_max=4) if trial % 2 else tied_instance(rng)
+        oracle = LpOracle(inst)
+        ids = sorted(inst.item_ids)
+        # End on a half-size set, then all items: a warm start with many new items.
+        history = random_history(rng, ids, 8)
+        history += [frozenset(rng.sample(ids, (len(ids) + 1) // 2)), frozenset(ids)]
+        for subset in history:
+            oracle.value(subset)
+        for subset, kept in list(oracle._flows.items()):
+            if inst.total_size(subset) > inst.m:
+                continue
+            fresh_oracle = LpOracle(inst)
+            if not kept.cold:
+                warm += 1
+                cold_flow = fresh_oracle._transport(sorted(subset), [F(1)] * inst.m)[1]
+                other_flow += kept.units != cold_flow
+            before = len(warm_starts)
+            x = oracle.solution(subset)
+            reused += len(warm_starts) == before
+            fresh = fresh_oracle.solution(subset)
+            assert (x.entries, x.value) == (fresh.entries, fresh.value)
+            assert list(x.entries) == list(fresh.entries)
+    assert reused > 100 and warm > 100 and other_flow > 20
+
+
+INJECTED_VIOLATIONS = """
+from fractions import Fraction as F
+
+from groupgap import _flow, lp_oracle
+from groupgap.errors import InvariantViolated
+from groupgap.model import FractionalSolution, Group, Instance, Item
+
+
+def instance():
+    items = (Item(1, F(1, 2)), Item(2, F(1, 4)))
+    return Instance(1, items, (Group(0, (1, 2)),), {(1, 0): F(5), (2, 0): F(3)})
+
+
+def push_check():
+    net = _flow.FlowNetwork(2, [(0, 1, 1, -1)])
+    net.cap[0] = 0  # the path below has no room left
+    net._shortest_path = lambda s: ([0, -1], [-1, 0])
+    net.run(0, 1, stop_on_nonnegative=True)
+
+
+def saturation_succeeds():
+    oracle = lp_oracle.LpOracle(instance())
+    oracle._shat[1] = 2 * oracle._scale  # more supply than the bin holds
+    oracle.solution([1])
+
+
+def saturation_profit_neutral():
+    FractionalSolution.recompute_value = lambda self, inst: self.value + 1
+    lp_oracle.LpOracle(instance()).solution([1])
+
+
+def warm_gain_nonnegative():
+    lp_oracle.reoptimize = lambda supply, demand, arcs, start: (1, 1, start)
+    oracle = lp_oracle.LpOracle(instance())
+    oracle.value([1])
+    oracle.value([1, 2])
+
+
+print("debug", __debug__)
+for check in (push_check, saturation_succeeds, saturation_profit_neutral, warm_gain_nonnegative):
+    try:
+        check()
+    except InvariantViolated:
+        print(check.__name__, "raised")
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = str(Path(groupgap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", INJECTED_VIOLATIONS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.split("\n") == [
+        "debug False",
+        "push_check raised",
+        "saturation_succeeds raised",
+        "saturation_profit_neutral raised",
+        "warm_gain_nonnegative raised",
+        "",
+    ]

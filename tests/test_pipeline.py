@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from groupgap._flow import FlowNetwork
 from groupgap.errors import OversizedGroup
 from groupgap.exact import solve_exact
 from groupgap.generate import GeneratorSpec, generate
@@ -124,8 +125,9 @@ def test_custom_k_still_certifies():
 
 
 def test_selection_solve_count_at_scale(monkeypatch):
-    # The branch-and-bound needs 143 transport solves here, the pipeline's
-    # own included; the guess-greedy alone needs 40,303.
+    # The branch-and-bound needs 141 transport solves here, and the pipeline
+    # two more (its solution and its upper bound): 143 in all. The
+    # guess-greedy alone needs 40,303.
     solves = 0
     transport = LpOracle._transport
 
@@ -139,3 +141,38 @@ def test_selection_solve_count_at_scale(monkeypatch):
     _assignment, report = solve(inst)
     assert report.all_certified()
     assert solves < 300
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from here on; returns a live counter."""
+    calls = {"n": 0}
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_warm_lp_solves_cut_shortest_path_passes(monkeypatch):
+    # Each LP re-optimised from a kept subset's flow needs fewer
+    # Bellman-Ford searches: 1,536 here, 5,694 when every LP ran cold.
+    passes = count_calls(monkeypatch, FlowNetwork, "_shortest_path")
+    inst = generate(GeneratorSpec(seed=1, n=120, groups=32, bins=16, flavor="uniform"))
+    _assignment, report = solve(inst)
+    assert report.all_certified()
+    assert passes["n"] < 2500
+
+
+def test_solution_reuses_the_selection_flow(monkeypatch):
+    # Two groups: the selection solves the empty set and each group, all cold,
+    # and the upper bound warm from the larger group. The selected group's
+    # fractional solution then reuses its kept flow, so 4 solves in all
+    # (5 when the solution was solved again).
+    solves = count_calls(monkeypatch, LpOracle, "_transport")
+    inst = generate(GeneratorSpec(seed=1, n=120, groups=2, bins=16, flavor="uniform"))
+    _assignment, report = solve(inst)
+    assert report.all_certified()
+    assert solves["n"] == 4
