@@ -17,6 +17,18 @@ leaves every strict ``<`` comparison that could succeed in place, so
 ``dist``, ``parent`` and the number of passes are exactly those of the full
 scan, and so are the augmenting paths and the final flows.
 
+A scanned node visits only its live edges, those with room (``cap > 0``),
+kept per node in ``FlowNetwork.live`` in ascending id order, which is the
+order in which a full scan visits a node's out-edges. The full scan skips
+every edge without room, so the same strict ``<`` comparisons run in the
+same order and ``dist`` and ``parent`` come out the same. The lists
+change only where capacities do: a preloaded flow at build time, and each
+push along an augmenting path. An edge that fills up leaves its tail's
+list, and a twin that gains room goes into its tail's list at its sorted
+position. Most of the edges left out are twins without flow: every arc
+into a right node has one there, so a right node's full list is mostly
+dead weight.
+
 :func:`transport` lays out the bipartite network of both callers, items to
 bins for the LP value and items to slots for the rounding matching: node 0
 is the source, then come the left nodes, the right nodes and the sink, and
@@ -53,6 +65,8 @@ optimum's cost minus the start flow's.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from .errors import InvariantViolated
 
 
@@ -60,10 +74,16 @@ class FlowNetwork:
     """Residual graph built in one pass from ``(u, v, cap, cost)`` edges.
 
     Edge k is stored at index ``2k`` and its twin (capacity 0, cost
-    ``-cost``) at ``2k + 1``, so the flow on edge k is ``cap[2k + 1]``.
-    ``adj[u]`` gets ``2k`` and ``adj[v]`` gets ``2k + 1`` in edge order,
-    which is Bellman-Ford's scan order. ``flows``, one per edge, preloads
-    that much flow on each edge; by default every edge starts empty.
+    ``-cost``) at ``2k + 1``, so the flow on edge k is ``cap[2k + 1]``; the
+    tail of edge e is ``to[e ^ 1]``. ``live[u]`` holds the ids of the edges
+    out of u that have room, ascending, which is Bellman-Ford's scan order.
+    After the build only :meth:`_augment` changes capacities, and it keeps
+    ``live`` in step. (The build and :meth:`_augment` each update the lists
+    inline: a helper call per edge costs more than it saves on the LP
+    oracle's small networks.) ``flows``, one per edge,
+    preloads that much flow on each edge; by default every edge starts
+    empty. A flow outside ``[0, cap]``, or a ``flows`` of another length,
+    raises ``ValueError``.
     """
 
     def __init__(
@@ -73,27 +93,36 @@ class FlowNetwork:
         flows: list[int] | None = None,
     ):
         self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.live: list[list[int]] = [[] for _ in range(n)]
         self.to, self.cap, self.cost = [], [], []
-        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        live, to, cap, cost = self.live, self.to, self.cap, self.cost
         for u, v, c, w in edges:
-            adj[u].append(len(to))
+            if c > 0:
+                live[u].append(len(to))  # ids grow along the pass: the lists stay sorted
             to.append(v)
-            cap.append(c)
-            cost.append(w)
-            adj[v].append(len(to))
             to.append(u)
+            cap.append(c)
             cap.append(0)
+            cost.append(w)
             cost.append(-w)
-        for k, units in enumerate(flows or ()):
+        if flows is None:
+            return
+        if len(flows) != len(edges):
+            raise ValueError(f"got {len(flows)} flows for {len(edges)} edges")
+        for k, units in enumerate(flows):
             if units:
                 if not 0 < units <= cap[2 * k]:
                     raise ValueError(f"edge {k} cannot carry a flow of {units}")
-                cap[2 * k] -= units
-                cap[2 * k + 1] = units
+                e = 2 * k
+                cap[e] -= units
+                cap[e + 1] = units
+                if not cap[e]:  # full: leaves its tail's list
+                    out = live[to[e + 1]]
+                    del out[bisect_left(out, e)]
+                insort(live[to[e]], e + 1)  # the twin gains room: into its tail's list
 
     def _shortest_path(self, s: int):
-        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        live, to, cost = self.live, self.to, self.cost
         n = self.n
         dist: list[int | None] = [None] * n
         parent = [-1] * n
@@ -107,9 +136,7 @@ class FlowNetwork:
                     continue
                 dirty[u] = False
                 du = dist[u]
-                for e in adj[u]:
-                    if cap[e] <= 0:
-                        continue
+                for e in live[u]:
                     v = to[e]
                     nd = du + cost[e]
                     dv = dist[v]
@@ -123,6 +150,34 @@ class FlowNetwork:
         else:  # a pass still relaxed after n - 1: the residual has a negative cycle
             raise InvariantViolated("negative cycle in the residual graph")
         return dist, parent
+
+    def _augment(self, s: int, t: int, parent: list[int], limit: int | None = None) -> int:
+        """Push the bottleneck of the parent path from s to t, at most
+        ``limit`` units, and keep ``live`` in step; returns the units pushed."""
+        cap, to, live = self.cap, self.to, self.live
+        push = None
+        v = t
+        while v != s:
+            e = parent[v]
+            push = cap[e] if push is None else min(push, cap[e])
+            v = to[e ^ 1]
+        if push is None or push <= 0:
+            raise InvariantViolated(f"augmenting path can push {push} units")
+        if limit is not None:
+            push = min(push, limit)
+        v = t
+        while v != s:
+            e = parent[v]
+            u = to[e ^ 1]
+            cap[e] -= push
+            if not cap[e]:  # full: leaves its tail's list
+                out = live[u]
+                del out[bisect_left(out, e)]
+            if not cap[e ^ 1]:  # the twin gains room: into its tail's list, in order
+                insort(live[v], e ^ 1)
+            cap[e ^ 1] += push
+            v = u
+        return push
 
     def run(
         self,
@@ -145,22 +200,8 @@ class FlowNetwork:
                 break
             if stop_on_nonnegative and dist[t] >= 0:
                 break
-            push = None
-            v = t
-            while v != s:
-                e = parent[v]
-                push = self.cap[e] if push is None else min(push, self.cap[e])
-                v = self.to[e ^ 1]
-            if push is None or push <= 0:
-                raise InvariantViolated(f"augmenting path can push {push} units")
-            if max_flow is not None:
-                push = min(push, max_flow - total_flow)
-            v = t
-            while v != s:
-                e = parent[v]
-                self.cap[e] -= push
-                self.cap[e ^ 1] += push
-                v = self.to[e ^ 1]
+            limit = None if max_flow is None else max_flow - total_flow
+            push = self._augment(s, t, parent, limit)
             total_flow += push
             total_cost += push * dist[t]
         return total_flow, total_cost

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     InternalStuck,
+    InvariantViolated,
     NotAlmostFeasible,
     PreconditionViolated,
     ReinsertionFailed,
@@ -177,14 +178,16 @@ class _FillState:
     def evict(self, items: Iterable[int]) -> tuple[int, ...]:
         out = tuple(sorted(items))
         for i in out:
-            assert self.inst.size(i) <= HALF, "only small items may be evicted"
+            if self.inst.size(i) > HALF:
+                raise InvariantViolated(f"big item {i} evicted; only small items may be")
             self.evicted.add(i)
         return out
 
     def set_bin(self, j: int, items: Iterable[int]) -> None:
         self.bins[j] = set(items)
         self.loads[j] = self.inst.total_size(self.bins[j])
-        assert self.loads[j] <= ONE
+        if self.loads[j] > ONE:
+            raise InvariantViolated(f"a move left bin {j} at load {self.loads[j]} > 1")
 
     def apply(
         self,
@@ -199,7 +202,8 @@ class _FillState:
         for j, items in new_contents.items():
             self.set_bin(j, items)
         after = sum((self.bin_profit(j, self.bins[j]) for j in participants), ZERO)
-        assert 2 * after >= before, f"{kind} kept less than half the profit"
+        if 2 * after < before:
+            raise InvariantViolated(f"{kind} kept {after} of {before}: less than half the profit")
         self.resolved.update(participants)
         self.trace.append(
             FillStep(
@@ -360,9 +364,12 @@ def make_feasible_traced(
     st.trace.extend(_reinsert(inst, st.bins, st.loads, st.evicted))
 
     result = Assignment(bins=tuple(frozenset(b) for b in st.bins))
-    assert result.placed_items() == u.placed_items()
-    assert all(load <= ONE for load in st.loads)
-    assert 2 * assignment_profit(inst, result) >= start_profit
+    if result.placed_items() != u.placed_items():
+        raise InvariantViolated("filling changed the set of placed items")
+    if any(load > ONE for load in st.loads):
+        raise InvariantViolated("filling left a bin above load 1")
+    if 2 * assignment_profit(inst, result) < start_profit:
+        raise InvariantViolated("filling kept less than half the input profit")
     return result, tuple(st.trace)
 
 

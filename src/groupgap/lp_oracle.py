@@ -37,7 +37,7 @@ byte-identical to a fresh cold solve; otherwise it solves cold itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from ._flow import reoptimize, transport
@@ -75,11 +75,15 @@ class LpOracle:
     instance: ``scale`` is the lcm of every item-size denominator, item i
     supplies ``shat[i] = s_i * scale`` units, and each arc (i, j) with
     p_ij > 0 costs ``-(p_ij / shat[i]) * cost_den``, where ``cost_den`` is
-    the lcm of the denominators of all those unit profits. A query then only
-    filters and copies ints. Against a table built for the queried subset
-    alone, every capacity and every cost is multiplied by one positive
-    constant each, so Bellman-Ford's strict comparisons pick the same paths
-    and the flows and values come out the same.
+    the lcm of the denominators of all those unit profits. The build uses
+    integers only: with p_ij = num / den in lowest terms and
+    ``g = gcd(num, shat[i])``, the unit profit in lowest terms is
+    ``(num / g) / (den * shat[i] / g)``, so no rational is ever multiplied
+    or divided (profits may be ints too). A query then only filters and
+    copies ints. Against a table built for the queried subset alone, every
+    capacity and every cost is multiplied by one positive constant each, so
+    Bellman-Ford's strict comparisons pick the same paths and the flows and
+    values come out the same.
     """
 
     def __init__(self, inst: Instance):
@@ -88,18 +92,27 @@ class LpOracle:
         # The flows of the last _FLOWS_KEPT sets solved, oldest first.
         self._flows: dict[frozenset[int], _Flow] = {}
         scale = lcm(*(it.size.denominator for it in inst.items))
-        shat = {it.id: int(it.size * scale) for it in inst.items}
-        units = {
-            i: [(j, inst.profit(i, j) / supply) for j in range(inst.m) if inst.profit(i, j) > ZERO]
-            for i, supply in shat.items()
-        }
-        cost_den = lcm(*(unit.denominator for row in units.values() for _j, unit in row))
+        shat = {it.id: it.size.numerator * (scale // it.size.denominator) for it in inst.items}
+        # Per item, (bin, num, den): the unit profit p_ij / shat[i] in lowest
+        # terms, for the bins with p_ij > 0 in ascending order. p_ij's own
+        # terms are lowest, so only shat[i] can share a factor with its
+        # numerator.
+        profit = inst.profits.get
+        units = {}
+        for i, supply in shat.items():
+            row = units[i] = []
+            for j in range(inst.m):
+                p = profit((i, j))
+                if p is not None and p.numerator > 0:
+                    g = gcd(p.numerator, supply)
+                    row.append((j, p.numerator // g, p.denominator * (supply // g)))
+        cost_den = lcm(*(den for row in units.values() for _j, _num, den in row))
         self._scale = scale
         self._shat = shat
         self._cost_den = cost_den
         # Per item, (bin, integer arc cost) in ascending bin order.
         self._arcs = {
-            i: [(j, -int(unit * cost_den)) for j, unit in row] for i, row in units.items()
+            i: [(j, -num * (cost_den // den)) for j, num, den in row] for i, row in units.items()
         }
 
     def value(self, item_ids: Iterable[int]) -> Fraction:

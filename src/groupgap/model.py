@@ -94,8 +94,17 @@ class Instance:
             out.update(self.group_map[gid].members)
         return frozenset(out)
 
+    @cached_property
+    def _group_sizes(self) -> dict[int, Fraction]:
+        # Summed once per instance: strict validation and the pipeline's
+        # selection both read every group's size.
+        sizes = self.item_map
+        return {
+            g.id: sum((sizes[i].size for i in g.members), ZERO) for g in self.groups
+        }
+
     def group_size(self, group_id: int) -> Fraction:
-        return sum((self.size(i) for i in self.group_map[group_id].members), ZERO)
+        return self._group_sizes[group_id]
 
     def total_size(self, item_ids: Iterable[int]) -> Fraction:
         return sum((self.size(i) for i in item_ids), ZERO)
@@ -199,7 +208,8 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
         if it.id in seen_items:
             raise BadPartition(f"duplicate item id {it.id}")
         seen_items.add(it.id)
-        if not ZERO < it.size <= ONE:
+        # Integer tests on the lowest-terms rational (its denominator is > 0).
+        if not 0 < it.size.numerator <= it.size.denominator:
             raise BadSize(it.id, it.size)
     grouped: set[int] = set()
     for g in inst.groups:
@@ -219,11 +229,11 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
             raise BadPartition(f"profit entry references unknown item {i}")
         if not 0 <= j < inst.m:
             raise BadBinIndex(i, j, inst.m)
-        if p < ZERO:
+        if p.numerator < 0:
             raise NegativeProfit(i, j, p)
     if strict:
         cap = Fraction(inst.m, 2)
         for g in inst.groups:
-            total = inst.total_size(g.members)
+            total = inst.group_size(g.id)
             if total > cap:
                 raise OversizedGroup(g.id, total, cap)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._flow import transport
-from .errors import NoCompleteMatching, UnsaturatedInput
+from .errors import InvariantViolated, NoCompleteMatching, UnsaturatedInput
 from .model import ONE, ZERO, Assignment, FractionalSolution, Instance
 
 
@@ -129,12 +129,14 @@ def round_to_assignment(inst: Instance, x: FractionalSolution) -> Assignment:
             rank_one[slot.bin] = item
     u = Assignment(bins=tuple(frozenset(b) for b in bins))
 
-    placed = u.placed_items()
-    assert placed == x.support_items()
+    if u.placed_items() != x.support_items():
+        raise InvariantViolated("rounding did not place exactly the support items")
     profit = sum((inst.profit(i, slot.bin) for i, slot in matching.items()), ZERO)
-    assert profit >= x.value
+    if profit < x.value:
+        raise InvariantViolated(f"rounded profit {profit} < fractional value {x.value}")
     for j in range(inst.m):
         load = inst.total_size(u.bins[j])
         overhang = inst.size(rank_one[j]) if j in rank_one else ZERO
-        assert load - overhang <= ONE
+        if load - overhang > ONE:
+            raise InvariantViolated(f"bin {j} overflows by more than its rank-1 item")
     return u

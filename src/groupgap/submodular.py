@@ -42,7 +42,7 @@ from itertools import combinations
 from math import exp
 from typing import Callable, Sequence
 
-from .errors import DegenerateDenominator, ElementTooLarge
+from .errors import DegenerateDenominator, ElementTooLarge, InvariantViolated
 
 Oracle = Callable[[frozenset[int]], Fraction]
 
@@ -248,11 +248,12 @@ def maximize_with_reserve(
     guess-greedy with seed size ``config.k`` runs from the search's best
     set; ``k`` shapes nothing else.
 
-    Guarantees (certified by the test suite rather than checked at runtime):
-    the returned set R satisfies s(R) <= capacity/2 and
-    3 * f(R) >= max{f(S) : s(S) <= capacity}, provided f is monotone,
-    non-negative and submodular and every element size is at most half the
-    capacity. Exactness relies on submodularity too. Deterministic.
+    Guarantees: the returned set R satisfies s(R) <= capacity/2, checked at
+    runtime (``InvariantViolated`` otherwise), and
+    3 * f(R) >= max{f(S) : s(S) <= capacity}, certified by the test suite,
+    provided f is monotone, non-negative and submodular and every element
+    size is at most half the capacity. Exactness relies on submodularity
+    too. Deterministic.
     """
     if config.k < 1:
         raise ValueError(f"k must be >= 1, got {config.k}")
@@ -275,7 +276,8 @@ def maximize_with_reserve(
     if not finished:
         best_mask = _guess_greedy(value, sizes, half, config.k, best_mask, best_val)
     result = frozenset(ids[b] for b in range(n) if best_mask >> b & 1)
-    assert sum((sizes[b] for b in range(n) if best_mask >> b & 1), Fraction(0)) <= half
+    if sum((sizes[b] for b in range(n) if best_mask >> b & 1), Fraction(0)) > half:
+        raise InvariantViolated(f"selected set {sorted(result)} exceeds half the capacity")
     return result
 
 

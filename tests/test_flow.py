@@ -9,8 +9,18 @@ from groupgap._flow import FlowNetwork, reoptimize, transport
 from groupgap.errors import InvariantViolated
 
 
+def adjacency(net):
+    """Every edge out of each node, live or not, in id order (edge e leaves
+    ``to[e ^ 1]``)."""
+    adj = [[] for _ in range(net.n)]
+    for e in range(len(net.to)):
+        adj[net.to[e ^ 1]].append(e)
+    return adj
+
+
 def full_scan_shortest_path(net, s):
     """Reference Bellman-Ford: every pass scans every reached node in index order."""
+    adj = adjacency(net)
     dist = [None] * net.n
     parent = [-1] * net.n
     dist[s] = 0
@@ -20,7 +30,7 @@ def full_scan_shortest_path(net, s):
             du = dist[u]
             if du is None:
                 continue
-            for e in net.adj[u]:
+            for e in adj[u]:
                 if net.cap[e] <= 0:
                     continue
                 v = net.to[e]
@@ -99,7 +109,54 @@ def test_edge_list_layout_matches_edge_by_edge_build():
             cap += [c, 0]
             cost += [w, -w]
         net = FlowNetwork(n, edges)
-        assert (net.adj, net.to, net.cap, net.cost) == (adj, to, cap, cost)
+        assert (adjacency(net), net.to, net.cap, net.cost) == (adj, to, cap, cost)
+
+
+def assert_live_lists(net):
+    """Each node's live list is its adjacency list filtered to edges with room."""
+    assert net.live == [[e for e in edges if net.cap[e] > 0] for edges in adjacency(net)]
+
+
+def test_live_lists_follow_every_capacity_change(monkeypatch):
+    """After construction, with and without preloaded flows, and after every
+    augmentation, in both modes of ``run`` and through ``transport`` and
+    ``reoptimize`` (which build their networks internally)."""
+    counts = {"built": 0, "augmented": 0, "filled": 0, "inserted_before_last": 0}
+    run, augment_step = FlowNetwork.run, FlowNetwork._augment
+
+    def checked_run(net, *args, **kwargs):
+        assert_live_lists(net)  # as built
+        counts["built"] += 1
+        return run(net, *args, **kwargs)
+
+    def checked_augment(net, s, t, parent, limit=None):
+        before = list(net.cap)
+        push = augment_step(net, s, t, parent, limit)
+        assert_live_lists(net)
+        counts["augmented"] += 1
+        for e, (old, new) in enumerate(zip(before, net.cap)):
+            counts["filled"] += old > 0 == new
+            if old == 0 < new:  # regained room: inserted, not always at the end
+                counts["inserted_before_last"] += net.live[net.to[e ^ 1]][-1] != e
+        return push
+
+    monkeypatch.setattr(FlowNetwork, "run", checked_run)
+    monkeypatch.setattr(FlowNetwork, "_augment", checked_augment)
+    rng = random.Random(79)
+    for _ in range(200):
+        n, edges = random_edges(rng)
+        flows = [rng.randint(0, cap) for _u, _v, cap, _cost in edges]
+        assert_live_lists(FlowNetwork(n, edges, flows))
+        FlowNetwork(n, edges).run(0, n - 1, stop_on_nonnegative=True)
+        FlowNetwork(n, edges).run(0, n - 1, max_flow=rng.randint(1, 8))
+        supply, demand, arcs = random_bipartite(rng)
+        transport(supply, demand, arcs, stop_on_nonnegative=True)
+        transport(supply, demand, arcs, max_flow=rng.randint(1, sum(supply) + 1))
+        old = [units if rng.random() < 0.6 else 0 for units in supply]
+        _flow, _cost, start = transport(old, demand, arcs, stop_on_nonnegative=True)
+        reoptimize(supply, demand, arcs, start)
+    assert counts["built"] == 1200 and counts["augmented"] > 900
+    assert counts["filled"] > 1000 and counts["inserted_before_last"] > 800
 
 
 def test_dirty_scan_matches_full_scan_on_fresh_and_residual_graphs():
@@ -115,7 +172,7 @@ def test_dirty_scan_matches_full_scan_on_fresh_and_residual_graphs():
             if dist[n - 1] is None:
                 break
             residual_checks += step > 0
-            augment(net, 0, n - 1, parent)
+            net._augment(0, n - 1, parent)
     assert residual_checks > 100
 
 
@@ -216,10 +273,13 @@ def test_preloaded_flows_fill_the_twins():
         net, empty = FlowNetwork(n, edges, flows), FlowNetwork(n, edges)
         assert net.cap[0::2] == [cap - units for (_u, _v, cap, _w), units in zip(edges, flows)]
         assert net.cap[1::2] == flows
-        assert (net.adj, net.to, net.cost) == (empty.adj, empty.to, empty.cost)
+        assert (adjacency(net), net.to, net.cost) == (adjacency(empty), empty.to, empty.cost)
     for bad in (-1, 3):
         with pytest.raises(ValueError):
             FlowNetwork(2, [(0, 1, 2, 0)], [bad])
+    for flows in ([], [1, 1]):  # not one flow per edge
+        with pytest.raises(ValueError):
+            FlowNetwork(2, [(0, 1, 2, 0)], flows)
 
 
 def test_reoptimize_reaches_the_cold_optimum():

@@ -239,6 +239,49 @@ def test_answers_do_not_depend_on_instance_scale():
                 assert other.solution(subset).entries == base.solution(subset).entries
 
 
+def fraction_tables(inst):
+    """The oracle's integer tables built with Fraction products and divisions."""
+    scale = lcm(*(it.size.denominator for it in inst.items))
+    shat = {it.id: int(it.size * scale) for it in inst.items}
+    units = {
+        i: [(j, F(inst.profit(i, j)) / supply) for j in range(inst.m) if inst.profit(i, j) > 0]
+        for i, supply in shat.items()
+    }
+    cost_den = lcm(*(unit.denominator for row in units.values() for _j, unit in row))
+    arcs = {i: [(j, -int(unit * cost_den)) for j, unit in row] for i, row in units.items()}
+    return scale, shat, cost_den, arcs
+
+
+def test_integer_tables_match_fraction_reference():
+    """Rational profits of many denominators, explicit zeros and int-typed
+    profits, and instances without a positive profit."""
+    rng = random.Random(83)
+    without_profit = 0
+    for trial in range(150):
+        inst = random_instance(rng, n_max=7, m_max=4, den=rng.choice([16, 30, 97]))
+        profits = {}
+        for i in inst.item_ids:
+            for j in range(inst.m):
+                kind = rng.choice(["missing", "zero", "int", "fraction", "fraction"])
+                if kind == "zero":
+                    profits[(i, j)] = rng.choice([F(0), 0])
+                elif kind == "int":
+                    profits[(i, j)] = rng.randint(1, 40)
+                elif kind == "fraction":
+                    profits[(i, j)] = F(rng.randint(1, 60), rng.randint(1, 45))
+        if trial % 10 == 0:
+            profits = {key: p * 0 for key, p in profits.items()}
+        inst = Instance(inst.m, inst.items, inst.groups, profits)
+        without_profit += all(p <= 0 for p in profits.values())
+        oracle = LpOracle(inst)
+        tables = (oracle._scale, oracle._shat, oracle._cost_den, oracle._arcs)
+        assert tables == fraction_tables(inst)
+        ints = [oracle._scale, oracle._cost_den, *oracle._shat.values()]
+        ints += [x for row in oracle._arcs.values() for arc in row for x in arc]
+        assert all(type(x) is int for x in ints)
+    assert without_profit >= 15
+
+
 def networkx_transport_value(nx, inst, items, caps):
     """LP value as a min-cost max-flow solved by networkx's network simplex.
 
@@ -444,9 +487,9 @@ def test_solution_does_not_depend_on_query_history(warm_starts):
 INJECTED_VIOLATIONS = """
 from fractions import Fraction as F
 
-from groupgap import _flow, lp_oracle
+from groupgap import _flow, filling, lp_oracle, rounding, submodular
 from groupgap.errors import InvariantViolated
-from groupgap.model import FractionalSolution, Group, Instance, Item
+from groupgap.model import Assignment, FractionalSolution, Group, Instance, Item
 
 
 def instance():
@@ -479,8 +522,33 @@ def warm_gain_nonnegative():
     oracle.value([1, 2])
 
 
+def evict_only_small():
+    big = Instance(1, (Item(1, F(3, 4)),), (Group(0, (1,)),), {})
+    filling._FillState(big, Assignment((frozenset({1}),))).evict([1])
+
+
+def rounding_places_the_support():
+    rounding.complete_matching = lambda graph: {}  # a matching that places nothing
+    rounding.round_to_assignment(instance(), FractionalSolution({(1, 0): F(1)}, F(5)))
+
+
+def selection_fits_half():
+    submodular._branch_and_bound = lambda value, sizes, half: (0b11, F(0), True)
+    ground = [submodular.GroundElement(1, F(1)), submodular.GroundElement(2, F(1))]
+    submodular.maximize_with_reserve(lambda ids: F(len(ids)), ground, F(2))
+
+
+CHECKS = (
+    push_check,
+    saturation_succeeds,
+    saturation_profit_neutral,
+    warm_gain_nonnegative,
+    evict_only_small,
+    rounding_places_the_support,
+    selection_fits_half,
+)
 print("debug", __debug__)
-for check in (push_check, saturation_succeeds, saturation_profit_neutral, warm_gain_nonnegative):
+for check in CHECKS:
     try:
         check()
     except InvariantViolated:
@@ -504,5 +572,8 @@ def test_invariant_checks_survive_python_O():
         "saturation_succeeds raised",
         "saturation_profit_neutral raised",
         "warm_gain_nonnegative raised",
+        "evict_only_small raised",
+        "rounding_places_the_support raised",
+        "selection_fits_half raised",
         "",
     ]

@@ -72,6 +72,23 @@ def test_validate_profits():
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1]], {(1, 5): F(1)}))
 
 
+def test_validate_boundaries_and_messages():
+    """The integer checks accept and reject exactly at the boundaries, with
+    the messages the rational comparisons gave."""
+    validate_instance(make_instance(2, {1: F(1)}, [[1]], {(1, 0): F(0)}), strict=True)
+    for size, text in ((F(0), "0"), (F(98, 97), "98/97")):
+        with pytest.raises(BadSize, match=rf"^item 1 has size {text}, must be in \(0, 1\]$"):
+            validate_instance(make_instance(2, {1: size}, [[1]], {}))
+    with pytest.raises(NegativeProfit, match=r"^profit for item 1 in bin 2 is -1/7, must be >= 0$"):
+        validate_instance(make_instance(2, {1: F(1, 2)}, [[1]], {(1, 1): F(-1, 7)}))
+    exactly_half = {1: F(1), 2: F(1, 2)}  # s(G) = m/2 with m = 3
+    validate_instance(make_instance(3, exactly_half, [[1, 2]], {}), strict=True)
+    over = {**exactly_half, 3: F(1, 97)}
+    with pytest.raises(OversizedGroup, match=r"^group 0 has total size 293/194 > cap 3/2$"):
+        validate_instance(make_instance(3, over, [[1, 2, 3]], {}), strict=True)
+    validate_instance(make_instance(3, over, [[1, 2, 3]], {}))
+
+
 def test_assignment_profit_examples():
     inst = make_instance(
         2,
