@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from ._flow import reoptimize, transport
 from .errors import InsufficientCapacity, InvariantViolated
-from .model import ONE, ZERO, FractionalSolution, Instance
+from .model import ZERO, FractionalSolution, Instance
 
 
 # How many of the latest solved sets keep their optimal flow. Every
@@ -80,15 +80,22 @@ class LpOracle:
     ``g = gcd(num, shat[i])``, the unit profit in lowest terms is
     ``(num / g) / (den * shat[i] / g)``, so no rational is ever multiplied
     or divided (profits may be ints too). A query then only filters and
-    copies ints. Against a table built for the queried subset alone, every
-    capacity and every cost is multiplied by one positive constant each, so
-    Bellman-Ford's strict comparisons pick the same paths and the flows and
-    values come out the same.
+    copies ints; one with every cap 1 (:meth:`value`, :meth:`solution`)
+    also reuses the per-instance demand list. Against a table built for the
+    queried subset alone, every capacity and every cost is multiplied by
+    one positive constant each, so Bellman-Ford's strict comparisons pick
+    the same paths and the flows and values come out the same.
+
+    With every cap 1 the LP value is ``-cost / cost_den``, so the memo and
+    the warm-start gains are ints in units of ``1 / cost_den``; a Fraction
+    is built only where :meth:`value` returns. The read-only
+    :attr:`cost_den` lets a caller take values in those units as well.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._memo: dict[frozenset[int], Fraction] = {}
+        # LP values in units of 1 / cost_den, as ints.
+        self._memo: dict[frozenset[int], int] = {}
         # The flows of the last _FLOWS_KEPT sets solved, oldest first.
         self._flows: dict[frozenset[int], _Flow] = {}
         scale = lcm(*(it.size.denominator for it in inst.items))
@@ -110,33 +117,41 @@ class LpOracle:
         self._scale = scale
         self._shat = shat
         self._cost_den = cost_den
+        # Each bin's capacity of 1, in units of 1 / scale: the demands of
+        # every query with all caps 1.
+        self._demand = [scale] * inst.m
         # Per item, (bin, integer arc cost) in ascending bin order.
         self._arcs = {
             i: [(j, -num * (cost_den // den)) for j, num, den in row] for i, row in units.items()
         }
 
+    @property
+    def cost_den(self) -> int:
+        """The common denominator of every all-caps-1 LP value: ``value(S) *
+        cost_den`` is an int for every item set S."""
+        return self._cost_den
+
     def value(self, item_ids: Iterable[int]) -> Fraction:
         """Optimal LP value with all items outside the subset forced to 0."""
         key = frozenset(item_ids)
-        value = self._memo.get(key)
-        if value is None:
+        units = self._memo.get(key)
+        if units is None:
             items = self._known(key)
             base = self._base(key)
             if base is None:
-                value, y = self._transport(items, [ONE] * self.inst.m)
+                units, _den, y = self._transport(items)
             else:
-                start = self._flows[base].units
-                gain, y = self._transport(items, [ONE] * self.inst.m, start=start)
-                if gain < ZERO:
+                gain, den, y = self._transport(items, start=self._flows[base].units)
+                if gain < 0:
                     raise InvariantViolated(
-                        f"warm LP value fell by {-gain} below a subset's value"
+                        f"warm LP value fell by {Fraction(-gain, den)} below a subset's value"
                     )
-                value = self._memo[base] + gain
-            self._memo[key] = value
+                units = self._memo[base] + gain
+            self._memo[key] = units
             self._flows[key] = _Flow(y, base is None)
             if len(self._flows) > _FLOWS_KEPT:
                 del self._flows[next(iter(self._flows))]
-        return value
+        return Fraction(units, self._cost_den)
 
     def _base(self, key: frozenset[int]) -> frozenset[int] | None:
         """The largest set with a kept flow that is a proper subset of ``key``
@@ -169,8 +184,8 @@ class LpOracle:
             raise ValueError(
                 f"expected {self.inst.m} bin capacities, each >= 0; got {caps}"
             )
-        val, _y = self._transport(self._known(item_ids), caps)
-        return val
+        units, den, _y = self._transport(self._known(item_ids), caps)
+        return Fraction(units, den)
 
     def solution(self, item_ids: Iterable[int]) -> FractionalSolution:
         """An optimal fractional solution in which every item is fully assigned.
@@ -194,9 +209,10 @@ class LpOracle:
         key = frozenset(items)
         kept = self._flows.get(key)
         if kept is not None and kept.cold:
-            value, y = self._memo[key], dict(kept.units)
+            units, y = self._memo[key], dict(kept.units)
         else:
-            value, y = self._transport(items, [ONE] * self.inst.m)
+            units, _den, y = self._transport(items)
+        value = Fraction(units, self._cost_den)
         scale, shat = self._scale, self._shat
         used = [0] * self.inst.m
         assigned = {i: 0 for i in items}
@@ -234,39 +250,51 @@ class LpOracle:
     def _transport(
         self,
         items: list[int],
-        caps: list[Fraction],
+        caps: list[Fraction] | None = None,
         start: dict[tuple[int, int], int] | None = None,
-    ):
-        """Solve the transportation problem; returns (value, flows).
+    ) -> tuple[int, int, dict[tuple[int, int], int]]:
+        """Solve the transportation problem; returns (units, den, flows).
 
-        Flows are keyed (item id, bin index) in units of 1/(scale * c) bin
-        capacity. The network comes from the per-instance tables: item i
-        supplies ``shat[i] * c`` units and bin j accepts ``caps[j] * scale *
-        c``, where ``c = lcm(scale, cap denominators) // scale`` is 1 unless
-        ``caps`` has denominators that ``scale`` lacks. The value is read off
-        the integer flow cost, which is ``-value * cost_den * c``. Arcs run
-        to the bins with a positive cap, items ascending, then bins
-        ascending: the order that Bellman-Ford's tie-breaks depend on.
+        The value is ``units / den``. Flows are keyed (item id, bin index)
+        in units of 1/(scale * c) bin capacity. The network comes from the
+        per-instance tables: item i supplies ``shat[i] * c`` units and bin j
+        accepts ``caps[j] * scale * c``, where ``c = lcm(scale, cap
+        denominators) // scale`` is 1 unless ``caps`` has denominators that
+        ``scale`` lacks. The value is read off the integer flow cost, which
+        is ``-value * cost_den * c``, so ``den = cost_den * c``. Arcs run to
+        the bins with a positive cap, items ascending, then bins ascending:
+        the order that Bellman-Ford's tie-breaks depend on.
+
+        ``caps=None`` means every cap is 1, the only case the memoised
+        queries ask: then ``c = 1``, every bin is live, and the tables are
+        used as they are, with no per-call cap arithmetic.
 
         With ``start``, the optimal flows of a subset of ``items`` with every
         cap 1, the problem is re-optimised from those flows and the value
         returned is the gain over theirs.
         """
         if not items:
-            return ZERO, {}
-        c = lcm(self._scale, *(cap.denominator for cap in caps)) // self._scale
-        # Integer arithmetic only (scale * c is a multiple of every cap's
-        # denominator): Fraction products here cost about 5x as much, a few
-        # percent of a whole solve on 14 items and 3 bins.
-        per_bin = self._scale * c
-        live = [cap.numerator > 0 for cap in caps]
-        arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i] if live[j]]
+            return 0, self._cost_den, {}
+        if caps is None:
+            c, den, demand = 1, self._cost_den, self._demand
+            arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i]]
+        else:
+            c = lcm(self._scale, *(cap.denominator for cap in caps)) // self._scale
+            den = self._cost_den * c
+            # Integer arithmetic only (scale * c is a multiple of every
+            # cap's denominator): Fraction products here cost about 5x as
+            # much, a few percent of a whole solve on 14 items and 3 bins.
+            per_bin = self._scale * c
+            live = [cap.numerator > 0 for cap in caps]
+            arcs = [
+                (k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i] if live[j]
+            ]
+            demand = [cap.numerator * (per_bin // cap.denominator) for cap in caps]
         supply = [self._shat[i] * c for i in items]
-        demand = [cap.numerator * (per_bin // cap.denominator) for cap in caps]
         if start is None:
             _flow, cost, flows = transport(supply, demand, arcs, stop_on_nonnegative=True)
         else:
             preload = [start.get((items[k], j), 0) for k, j, _cost in arcs]
             _flow, cost, flows = reoptimize(supply, demand, arcs, preload)
         y = {(items[k], j): units for (k, j, _cost), units in zip(arcs, flows) if units > 0}
-        return Fraction(-cost, self._cost_den * c), y
+        return -cost, den, y

@@ -21,8 +21,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
+from .errors import InvariantViolated, NotAlmostFeasible, PreconditionViolated, UnsaturatedInput
 from .filling import FillStep, make_feasible_traced
 from .lp_oracle import LpOracle
 from .model import (
@@ -61,6 +62,22 @@ def upper_bound(inst: Instance) -> Fraction:
     return LpOracle(inst).value(inst.item_ids)
 
 
+def _group_units(oracle: LpOracle) -> Callable[[Iterable[int]], int]:
+    """``oracle.group_value`` as an int, in units of ``1 / oracle.cost_den``.
+
+    Every call still goes through ``oracle.group_value``; only its result
+    is rescaled, by a positive constant, so the selection search compares
+    ints where it compared Fractions and chooses the same set.
+    """
+    den = oracle.cost_den
+
+    def units(group_ids: Iterable[int]) -> int:
+        value = oracle.group_value(group_ids)
+        return value.numerator * (den // value.denominator)
+
+    return units
+
+
 def solve_traced(
     inst: Instance, config: OptConfig | None = None
 ) -> tuple[Assignment, SolveReport, tuple[FillStep, ...]]:
@@ -71,7 +88,7 @@ def solve_traced(
     t0 = time.perf_counter()
     ground = [GroundElement(g.id, inst.group_size(g.id)) for g in inst.groups]
     selected = maximize_with_reserve(
-        oracle.group_value, ground, Fraction(inst.m), config or OptConfig()
+        _group_units(oracle), ground, Fraction(inst.m), config or OptConfig()
     )
     t1 = time.perf_counter()
 
@@ -80,13 +97,18 @@ def solve_traced(
     x = oracle.solution(selected_items)
     t2 = time.perf_counter()
 
-    rounded = round_to_assignment(inst, x)
-    rounded_profit = assignment_profit(inst, rounded)
-    t3 = time.perf_counter()
+    # The stages' input errors cannot come from a strictly valid instance:
+    # here they are bugs in the stage before, so they leave as internal ones.
+    try:
+        rounded = round_to_assignment(inst, x)
+        rounded_profit = assignment_profit(inst, rounded)
+        t3 = time.perf_counter()
 
-    final, trace = make_feasible_traced(inst, rounded)
-    final_profit = assignment_profit(inst, final)
-    t4 = time.perf_counter()
+        final, trace = make_feasible_traced(inst, rounded)
+        final_profit = assignment_profit(inst, final)
+        t4 = time.perf_counter()
+    except (PreconditionViolated, NotAlmostFeasible, UnsaturatedInput) as exc:
+        raise InvariantViolated(f"{type(exc).__name__}: {exc}") from exc
 
     placed = final.placed_items()
     satisfied = inst.group_items(g.id for g in inst.groups if set(g.members) <= placed)

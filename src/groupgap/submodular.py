@@ -18,15 +18,26 @@ excluding the candidates before it; a child is bounded from its parent's
 gains before anything inside it is evaluated. Ties on value go to the
 first set evaluated.
 
+The search runs in exact integers. Sizes and the half capacity are
+multiples of one common unit, the lcm of their denominators, so they are
+scaled to ints; densities are ordered by ``gain * (L // size)`` with ``L``
+the lcm of those ints, which orders exactly as ``gain / size``; and a
+fractional knapsack bound is kept as a numerator over a denominator, so a
+prune compares cross-products. The search never divides a value, so values
+may be ints (the pipeline passes LP values in units of a common
+denominator) or Fractions: only ``+``, ``-``, ``*`` and comparisons touch
+them. (The fallback's density greedy divides gains by the Fraction sizes,
+which is exact for either.)
+
 The search has a fixed budget of oracle solves. Past it, the paper's
 guess-greedy runs from the search's best set: it enumerates every seed set
-of at most ``k`` elements and every part of it, then extends the part with a
-density greedy in the remaining half capacity. That keeps the 1/3 guarantee
-with a polynomial number of solves on every instance. The greedy filters,
-then takes: each round it drops the elements that no longer fit and takes
-the densest of the rest. Room only shrinks, so this picks exactly what the
-skip-but-remove greedy of the analysis picks, without evaluating elements
-that could never join.
+of at most ``k`` elements that fits the capacity and every part of it, then
+extends the part with a density greedy in the remaining half capacity. That
+keeps the 1/3 guarantee with a polynomial number of solves on every
+instance. The greedy filters, then takes: each round it drops the elements
+that no longer fit and takes the densest of the rest. Room only shrinks, so
+this picks exactly what the skip-but-remove greedy of the analysis picks,
+without evaluating elements that could never join.
 
 A numeric verifier for the closed-form bound behind that guarantee lives
 here as well (:func:`ratio_lower_bound`, :func:`certify_ratio_bound`).
@@ -39,12 +50,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import exp
+from math import exp, lcm
 from typing import Callable, Sequence
 
 from .errors import DegenerateDenominator, ElementTooLarge, InvariantViolated
 
-Oracle = Callable[[frozenset[int]], Fraction]
+# A set function's exact values: ints or Fractions.
+Value = Fraction | int
+Oracle = Callable[[frozenset[int]], Value]
 
 DENOMINATOR_GUARD = 1e-9
 
@@ -66,7 +79,7 @@ class OptConfig:
     k: int = 6
 
 
-def _mask_oracle(f: Oracle, ids: Sequence[int]) -> Callable[[int], Fraction]:
+def _mask_oracle(f: Oracle, ids: Sequence[int]) -> Callable[[int], Value]:
     """Memoized view of ``f`` on bitmasks; bit ``b`` stands for ``ids[b]``."""
     return cache(lambda mask: f(frozenset(i for b, i in enumerate(ids) if mask >> b & 1)))
 
@@ -83,7 +96,7 @@ def _check_elements(elements: Sequence[GroundElement]) -> list[GroundElement]:
 
 
 def _greedy_mask(
-    value: Callable[[int], Fraction],
+    value: Callable[[int], Value],
     sizes: Sequence[Fraction],
     base_mask: int,
     room: Fraction,
@@ -134,37 +147,43 @@ class _BudgetSpent(Exception):
     """Unwinds the branch-and-bound once the memo has missed _SOLVE_BUDGET times."""
 
 
-def _knapsack_bound(items: Sequence[tuple[Fraction, Fraction]], room: Fraction) -> Fraction:
-    """Fractional knapsack of ``(gain, size)`` pairs given in density order.
+def _knapsack_bound(items: Sequence[tuple[Value, int]], room: int) -> tuple[Value, int]:
+    """Fractional knapsack of ``(gain, size)`` pairs given in density order,
+    as ``(num, den)``: the bound is ``num / den``, with ``den > 0``.
 
     Pairs larger than ``room`` are left out, since no set within the room
     holds them. The rest are taken whole, in order, until one no longer
-    fits; that one is taken in part.
+    fits; that one is taken in part, which is where ``den`` comes from.
     """
     fitting = [(gain, size) for gain, size in items if size <= room]
-    total = Fraction(0)
+    total = 0
     for gain, size in fitting:
         if size > room:
-            return total + gain * room / size
+            return total * size + gain * room, size
         total += gain
         room -= size
-    return total
+    return total, 1
 
 
 def _branch_and_bound(
-    value: Callable[[int], Fraction], sizes: Sequence[Fraction], half: Fraction
-) -> tuple[int, Fraction, bool]:
+    value: Callable[[int], Value], sizes: Sequence[int], half: int
+) -> tuple[int, Value, bool]:
     """Depth-first max of ``value`` over the masks of size at most ``half``.
 
-    Returns the incumbent mask, its value, and whether the search finished
-    before the memo missed :data:`_SOLVE_BUDGET` times. A finished search
-    returns the first mask in evaluation order whose value is the maximum.
+    ``sizes`` and ``half`` are ints in one common unit. Returns the
+    incumbent mask, its value, and whether the search finished before the
+    memo missed :data:`_SOLVE_BUDGET` times. A finished search returns the
+    first mask in evaluation order whose value is the maximum.
     """
     best_mask, best_val = 0, value(0)
+    # gain * weight[b] orders as gain / sizes[b]: weight[b] = L / sizes[b]
+    # for one L, a multiple of every size.
+    common = lcm(*sizes)
+    weight = [common // size for size in sizes]
 
-    def visit(mask: int, val: Fraction, room: Fraction, cands: Sequence[int]) -> None:
+    def visit(mask: int, val: Value, room: int, cands: Sequence[int]) -> None:
         nonlocal best_mask, best_val
-        gains: dict[int, Fraction] = {}
+        gains: dict[int, Value] = {}
         for b in cands:
             if sizes[b] > room:
                 continue
@@ -174,16 +193,19 @@ def _branch_and_bound(
             if grown > best_val:
                 best_mask, best_val = mask | 1 << b, grown
             gains[b] = grown - val
-        order = sorted(gains, key=lambda b: (-gains[b] / sizes[b], b))
+        order = sorted(gains, key=lambda b: (-gains[b] * weight[b], b))
         items = [(gains[b], sizes[b]) for b in order]
         # f(A ∪ B) <= f(A) + sum of the gains of B at A (f monotone submodular).
-        if val + _knapsack_bound(items, room) <= best_val:
+        num, den = _knapsack_bound(items, room)
+        if val * den + num <= best_val * den:
             return
         for pos, b in enumerate(order):
             child_room = room - sizes[b]
-            if val + gains[b] + _knapsack_bound(items[pos + 1 :], child_room) <= best_val:
+            child_val = val + gains[b]
+            num, den = _knapsack_bound(items[pos + 1 :], child_room)
+            if child_val * den + num <= best_val * den:
                 continue
-            visit(mask | 1 << b, val + gains[b], child_room, order[pos + 1 :])
+            visit(mask | 1 << b, child_val, child_room, order[pos + 1 :])
 
     try:
         visit(0, best_val, half, range(len(sizes)))
@@ -193,27 +215,33 @@ def _branch_and_bound(
 
 
 def _guess_greedy(
-    value: Callable[[int], Fraction],
+    value: Callable[[int], Value],
     sizes: Sequence[Fraction],
     half: Fraction,
     k: int,
     best_mask: int,
-    best_val: Fraction,
+    best_val: Value,
 ) -> int:
     """The paper's guess-greedy, started from the incumbent ``best_mask``.
 
-    Enumerates every seed of at most ``k`` elements and every part of it
-    that fits ``half``, extends the part with the density greedy in the
-    room left (seed elements stay in the greedy's base), and keeps a
-    candidate whenever its value is >= the incumbent's. Seeds and parts go
-    by (cardinality, lexicographic ids).
+    Enumerates every seed of at most ``k`` elements that fits the full
+    capacity ``2 * half`` and every part of it that fits ``half``, extends
+    the part with the density greedy in the room left (seed elements stay
+    in the greedy's base), and keeps a candidate whenever its value is >=
+    the incumbent's. Seeds and parts go by (cardinality, lexicographic
+    ids). The analysis guesses a seed inside a full-capacity optimum, so a
+    seed larger than the capacity is never the one it needs.
     """
     n = len(sizes)
     for seed_card in range(min(k, n) + 1):
         for seed in combinations(range(n), seed_card):
             seed_mask = 0
+            seed_size = Fraction(0)
             for b in seed:
                 seed_mask |= 1 << b
+                seed_size += sizes[b]
+            if seed_size > 2 * half:
+                continue
             for part_card in range(seed_card + 1):
                 for part in combinations(seed, part_card):
                     part_mask = 0
@@ -248,6 +276,14 @@ def maximize_with_reserve(
     guess-greedy with seed size ``config.k`` runs from the search's best
     set; ``k`` shapes nothing else.
 
+    The branch-and-bound works in integers: the sizes and ``capacity``/2
+    are scaled by the lcm of their denominators, and the oracle's values
+    are only added, subtracted, multiplied by ints and compared, never
+    divided. The fallback divides gains by the Fraction sizes, which is
+    exact for ints too. So an oracle may return ints (say, values in units
+    of a common denominator) as well as Fractions, and any positive
+    scaling of f selects the same set.
+
     Guarantees: the returned set R satisfies s(R) <= capacity/2, checked at
     runtime (``InvariantViolated`` otherwise), and
     3 * f(R) >= max{f(S) : s(S) <= capacity}, certified by the test suite,
@@ -262,7 +298,7 @@ def maximize_with_reserve(
             f"k={config.k} < 6 weakens the 1/3 guarantee; use k>=6 for certified runs",
             stacklevel=2,
         )
-    half = capacity / 2
+    half = Fraction(capacity) / 2
     ordered = _check_elements(elements)
     for e in ordered:
         if e.size > half:
@@ -271,14 +307,29 @@ def maximize_with_reserve(
     sizes = [e.size for e in ordered]
     n = len(ids)
     value = _mask_oracle(f, ids)
+    units, half_units = _integer_sizes(sizes, half)
 
-    best_mask, best_val, finished = _branch_and_bound(value, sizes, half)
+    best_mask, best_val, finished = _branch_and_bound(value, units, half_units)
     if not finished:
         best_mask = _guess_greedy(value, sizes, half, config.k, best_mask, best_val)
     result = frozenset(ids[b] for b in range(n) if best_mask >> b & 1)
-    if sum((sizes[b] for b in range(n) if best_mask >> b & 1), Fraction(0)) > half:
+    if sum(units[b] for b in range(n) if best_mask >> b & 1) > half_units:
         raise InvariantViolated(f"selected set {sorted(result)} exceeds half the capacity")
     return result
+
+
+def _integer_sizes(sizes: Sequence[Fraction], half: Fraction) -> tuple[list[int], int]:
+    """``sizes`` and ``half`` as ints in one unit: 1 / the lcm of their denominators.
+
+    Scaling every size and the room by one positive constant keeps every
+    comparison and every sum between them as it was.
+    """
+    unit = lcm(half.denominator, *(size.denominator for size in sizes))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (unit // x.denominator)
+
+    return [scaled(size) for size in sizes], scaled(half)
 
 
 def ratio_lower_bound(

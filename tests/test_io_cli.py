@@ -7,7 +7,7 @@ from groupgap import io
 from groupgap.cli import main
 from groupgap.errors import GenerationError, InstanceFormatError, InternalStuck
 from groupgap.generate import GeneratorSpec, generate
-from groupgap.model import validate_instance
+from groupgap.model import Assignment, validate_instance
 from groupgap.pipeline import solve
 
 from conftest import F, make_instance, worked_example
@@ -106,6 +106,27 @@ def test_cli_solve_reports_internal_errors_apart(tmp_path, capsys, monkeypatch):
     io.save_instance(worked_example(m=3), path)
     assert main(["solve", str(path)]) == 4
     assert capsys.readouterr().err == "internal error: no move fired\n"
+
+
+def test_cli_solve_reports_stage_input_errors_as_internal(tmp_path, capsys, monkeypatch):
+    # A rounding that piles all three items into bin 0 hands the filling an
+    # assignment that is not almost feasible. On a strictly valid instance
+    # only a bug can do that, so the CLI exits 4, not 2.
+    def overload(inst, _x):
+        return Assignment(bins=(frozenset(inst.item_ids),) + (frozenset(),) * (inst.m - 1))
+
+    monkeypatch.setattr("groupgap.pipeline.round_to_assignment", overload)
+    inst = make_instance(
+        m=4,
+        sizes={1: F(3, 5), 2: F(3, 5), 3: F(3, 5)},
+        groups=[[1, 2, 3]],
+        profits={(1, 0): F(1), (2, 0): F(1), (3, 0): F(1)},
+    )
+    path = tmp_path / "inst.json"
+    io.save_instance(inst, path)
+    assert main(["solve", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "not almost feasible" in err
 
 
 def test_cli_solve_rejects_oversized(tmp_path, capsys):

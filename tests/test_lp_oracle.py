@@ -330,7 +330,8 @@ def test_value_matches_networkx_min_cost_flow():
 
 def cold_value(inst, subset):
     """A fresh oracle's cold transport value, bypassing every memo."""
-    return LpOracle(inst)._transport(sorted(set(subset)), [F(1)] * inst.m)[0]
+    units, den, _flows = LpOracle(inst)._transport(sorted(set(subset)), [F(1)] * inst.m)
+    return F(units, den)
 
 
 @pytest.fixture
@@ -339,7 +340,7 @@ def warm_starts(monkeypatch):
     starts = []
     transport = LpOracle._transport
 
-    def recording(self, items, caps, start=None):
+    def recording(self, items, caps=None, start=None):
         starts.append(start)
         return transport(self, items, caps, start=start)
 
@@ -404,8 +405,8 @@ def test_half_rule_picks_the_largest_qualifying_base(warm_starts):
     assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3, 4})].units
     oracle.value([1, 2, 3, 4, 5, 6])  # largest {1, 2, 3, 4, 5}, not a later smaller one
     assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3, 4, 5})].units
-    for key, value in oracle._memo.items():
-        assert value == cold_value(inst, key)
+    for key, units in oracle._memo.items():
+        assert F(units, oracle.cost_den) == cold_value(inst, key)
         cold = len(key) < 2 or key in ({5, 6}, {1, 3, 4, 6}, {2, 3, 4, 5, 6})
         assert oracle._flows[key].cold == cold
 
@@ -473,7 +474,7 @@ def test_solution_does_not_depend_on_query_history(warm_starts):
             fresh_oracle = LpOracle(inst)
             if not kept.cold:
                 warm += 1
-                cold_flow = fresh_oracle._transport(sorted(subset), [F(1)] * inst.m)[1]
+                cold_flow = fresh_oracle._transport(sorted(subset), [F(1)] * inst.m)[2]
                 other_flow += kept.units != cold_flow
             before = len(warm_starts)
             x = oracle.solution(subset)

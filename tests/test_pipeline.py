@@ -8,8 +8,8 @@ from groupgap.exact import solve_exact
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
-from groupgap.pipeline import solve, solve_traced, upper_bound
-from groupgap.submodular import OptConfig
+from groupgap.pipeline import _group_units, solve, solve_traced, upper_bound
+from groupgap.submodular import GroundElement, OptConfig, maximize_with_reserve
 
 from conftest import F, make_instance, random_instance, worked_example
 
@@ -122,6 +122,28 @@ def test_custom_k_still_certifies():
     with pytest.warns(UserWarning):
         _assignment, report = solve(inst, OptConfig(k=2))
     assert report.final_profit == 13
+
+
+def test_selection_reads_lp_values_as_ints_in_one_unit():
+    # The search gets group_value * cost_den as an int, and selects what it
+    # selects on the Fraction values themselves.
+    rng = random.Random(59)
+    for _ in range(60):
+        inst = random_instance(rng, n_max=8, m_max=4)
+        oracle = LpOracle(inst)
+        units = _group_units(oracle)
+        gids = [g.id for g in inst.groups]
+        for _ in range(6):
+            subset = frozenset(rng.sample(gids, rng.randint(0, len(gids))))
+            got = units(subset)
+            assert type(got) is int
+            assert got == oracle.group_value(subset) * oracle.cost_den
+        ground = [GroundElement(g, inst.group_size(g)) for g in gids]
+        assert maximize_with_reserve(units, ground, F(inst.m)) == maximize_with_reserve(
+            oracle.group_value, ground, F(inst.m)
+        )
+    with pytest.raises(AttributeError):
+        oracle.cost_den = 1
 
 
 def test_selection_solve_count_at_scale(monkeypatch):

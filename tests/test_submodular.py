@@ -1,6 +1,8 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Sequence
 
 import pytest
 
@@ -10,7 +12,10 @@ from groupgap.exact import exhaustive_knapsack_max
 from groupgap.submodular import (
     GroundElement,
     OptConfig,
+    _branch_and_bound,
+    _BudgetSpent,
     _guess_greedy,
+    _integer_sizes,
     _mask_oracle,
     certify_ratio_bound,
     density_greedy,
@@ -242,6 +247,145 @@ def test_spent_budget_falls_back_to_guess_greedy(monkeypatch, budget):
             # the search stops before its first gain, at the empty set
             assert picked == fallback
         assert 3 * f(picked) >= exhaustive_knapsack_max(f, elements, cap)
+
+
+# The Fraction search the integer one replaced, kept as the reference.
+_SOLVE_BUDGET = 4096
+
+
+def _knapsack_bound(items: Sequence[tuple[Fraction, Fraction]], room: Fraction) -> Fraction:
+    """Fractional knapsack of ``(gain, size)`` pairs given in density order.
+
+    Pairs larger than ``room`` are left out, since no set within the room
+    holds them. The rest are taken whole, in order, until one no longer
+    fits; that one is taken in part.
+    """
+    fitting = [(gain, size) for gain, size in items if size <= room]
+    total = Fraction(0)
+    for gain, size in fitting:
+        if size > room:
+            return total + gain * room / size
+        total += gain
+        room -= size
+    return total
+
+
+def reference_branch_and_bound(
+    value: Callable[[int], Fraction], sizes: Sequence[Fraction], half: Fraction
+) -> tuple[int, Fraction, bool]:
+    """Depth-first max of ``value`` over the masks of size at most ``half``.
+
+    Returns the incumbent mask, its value, and whether the search finished
+    before the memo missed :data:`_SOLVE_BUDGET` times. A finished search
+    returns the first mask in evaluation order whose value is the maximum.
+    """
+    best_mask, best_val = 0, value(0)
+
+    def visit(mask: int, val: Fraction, room: Fraction, cands: Sequence[int]) -> None:
+        nonlocal best_mask, best_val
+        gains: dict[int, Fraction] = {}
+        for b in cands:
+            if sizes[b] > room:
+                continue
+            if value.cache_info().misses >= _SOLVE_BUDGET:
+                raise _BudgetSpent
+            grown = value(mask | 1 << b)
+            if grown > best_val:
+                best_mask, best_val = mask | 1 << b, grown
+            gains[b] = grown - val
+        order = sorted(gains, key=lambda b: (-gains[b] / sizes[b], b))
+        items = [(gains[b], sizes[b]) for b in order]
+        # f(A ∪ B) <= f(A) + sum of the gains of B at A (f monotone submodular).
+        if val + _knapsack_bound(items, room) <= best_val:
+            return
+        for pos, b in enumerate(order):
+            child_room = room - sizes[b]
+            if val + gains[b] + _knapsack_bound(items[pos + 1 :], child_room) <= best_val:
+                continue
+            visit(mask | 1 << b, val + gains[b], child_room, order[pos + 1 :])
+
+    try:
+        visit(0, best_val, half, range(len(sizes)))
+    except _BudgetSpent:
+        return best_mask, best_val, False
+    return best_mask, best_val, True
+
+
+def mixed_ground(rng):
+    """Sizes over several denominators, and a capacity whose half may lie
+    off their grid; every size fits the half."""
+    cap = F(rng.randint(2, 9), rng.choice([1, 1, 3, 7]))
+    half = cap / 2
+    elements = []
+    for i in range(1, rng.randint(1, 9) + 1):
+        den = rng.choice([1, 2, 3, 4, 5, 6, 8, 12])
+        num = rng.randint(1, max(1, int(half * den)))
+        elements.append(GroundElement(i, min(F(num, den), half)))
+    return elements, cap
+
+
+def int_oracle(rng, elements):
+    """A modular or coverage oracle with int values, often tied."""
+    top = rng.choice([2, 5, 30])
+    if rng.random() < 0.5:
+        values = {e.id: rng.randint(0, top) for e in elements}
+        return lambda subset: sum(values[i] for i in subset)
+    universe = range(rng.randint(2, 8))
+    weights = [rng.randint(0, top) for _ in universe]
+    covers = {e.id: [u for u in universe if rng.random() < 0.4] for e in elements}
+    return lambda subset: sum(weights[u] for u in {u for i in subset for u in covers[i]})
+
+
+@pytest.mark.parametrize("budget", [0, 3, 4096])
+def test_integer_search_matches_the_fraction_search(monkeypatch, budget):
+    monkeypatch.setattr(submodular, "_SOLVE_BUDGET", budget)
+    monkeypatch.setitem(globals(), "_SOLVE_BUDGET", budget)
+    rng = random.Random(47 + budget)
+    kinds = set()
+    for trial in range(500):
+        if trial % 2:
+            elements, cap = mixed_ground(rng)
+        else:
+            elements, cap = random_ground(rng, n_max=9)
+        draw = rng.random()
+        if draw < 0.3:
+            f, kind = modular_oracle(rng, elements), "fraction"
+        elif draw < 0.6:
+            f, kind = coverage_oracle(rng, elements), "fraction"
+        else:
+            f, kind = int_oracle(rng, elements), "int"
+        ids = [e.id for e in elements]
+        sizes = [e.size for e in elements]
+        reference, value = _mask_oracle(f, ids), _mask_oracle(f, ids)
+        expected = reference_branch_and_bound(reference, sizes, cap / 2)
+        got = _branch_and_bound(value, *_integer_sizes(sizes, cap / 2))
+        assert got == expected
+        assert type(got[1]) is type(expected[1])
+        # the same sets evaluated: the same nodes bounded and pruned
+        assert value.cache_info() == reference.cache_info()
+        kinds.add((kind, expected[2], trial % 2))
+    finished = {4096: {True}, 3: {True, False}, 0: {False}}[budget]
+    assert kinds == {(k, done, m) for k in ("fraction", "int") for done in finished for m in (0, 1)}
+
+
+def test_fallback_guesses_no_seed_above_the_capacity(monkeypatch):
+    # Six unit elements and capacity 2: the guess-greedy with k = 6 would
+    # also try every seed of 3 to 6 elements, which no full-capacity set
+    # holds. A query is a seed plus at most half the capacity, so skipping
+    # them keeps every query within 3 elements; the parent queried all 64
+    # sets, up to all 6 elements. The selection is the same.
+    monkeypatch.setattr(submodular, "_SOLVE_BUDGET", 0)
+    elements = [GroundElement(i, F(1)) for i in range(1, 7)]
+    values = {1: 5, 2: 4, 3: 4, 4: 3, 5: 2, 6: 1}
+    asked = []
+
+    def f(subset):
+        asked.append(subset)
+        return sum(values[i] for i in subset)
+
+    assert maximize_with_reserve(f, elements, F(2)) == {1}
+    assert max(len(subset) for subset in asked) == 3
+    assert len(asked) == 42 < 64
 
 
 def test_ratio_lower_bound_at_origin():
