@@ -123,9 +123,6 @@ class FractionalSolution:
     def support_items(self) -> frozenset[int]:
         return frozenset(i for (i, _j) in self.entries)
 
-    def item_total(self, item_id: int) -> Fraction:
-        return sum((f for (i, _j), f in self.entries.items() if i == item_id), ZERO)
-
     def recompute_value(self, inst: Instance) -> Fraction:
         return sum((f * inst.profit(i, j) for (i, j), f in self.entries.items()), ZERO)
 

@@ -18,16 +18,15 @@ excluding the candidates before it; a child is bounded from its parent's
 gains before anything inside it is evaluated. Ties on value go to the
 first set evaluated.
 
-The search runs in exact integers. Sizes and the half capacity are
-multiples of one common unit, the lcm of their denominators, so they are
-scaled to ints; densities are ordered by ``gain * (L // size)`` with ``L``
-the lcm of those ints, which orders exactly as ``gain / size``; and a
-fractional knapsack bound is kept as a numerator over a denominator, so a
-prune compares cross-products. The search never divides a value, so values
-may be ints (the pipeline passes LP values in units of a common
-denominator) or Fractions: only ``+``, ``-``, ``*`` and comparisons touch
-them. (The fallback's density greedy divides gains by the Fraction sizes,
-which is exact for either.)
+The search and its fallback run in exact integers. Sizes and the half
+capacity are multiples of one common unit, the lcm of their denominators,
+so :func:`_integer_sizes` scales them to ints once; densities are ordered
+by ``gain * (L // size)`` with ``L`` the lcm of those ints, which orders
+exactly as ``gain / size``; and a fractional knapsack bound is kept as a
+numerator over a denominator, so a prune compares cross-products. Nothing
+divides a value, so values may be ints (the pipeline passes LP values in
+units of a common denominator) or Fractions: only ``+``, ``-``, ``*`` and
+comparisons touch them.
 
 The search has a fixed budget of oracle solves. Past it, the paper's
 guess-greedy runs from the search's best set: it enumerates every seed set
@@ -84,25 +83,16 @@ def _mask_oracle(f: Oracle, ids: Sequence[int]) -> Callable[[int], Value]:
     return cache(lambda mask: f(frozenset(i for b, i in enumerate(ids) if mask >> b & 1)))
 
 
-def _check_elements(elements: Sequence[GroundElement]) -> list[GroundElement]:
-    ordered = sorted(elements, key=lambda e: e.id)
-    ids = [e.id for e in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValueError("ground element ids must be distinct")
-    for e in ordered:
-        if e.size <= 0:
-            raise ValueError(f"element {e.id} has non-positive size {e.size}")
-    return ordered
-
-
 def _greedy_mask(
     value: Callable[[int], Value],
-    sizes: Sequence[Fraction],
+    sizes: Sequence[int],
+    weight: Sequence[int],
     base_mask: int,
-    room: Fraction,
+    room: int,
 ) -> int:
     """Density greedy on top of ``base_mask``, within ``room``: filter, then take.
 
+    ``sizes``, ``weight`` and ``room`` come from :func:`_integer_sizes`.
     Each round keeps only the elements that still fit and takes the one of
     highest marginal density, ties going to the lowest element id. This is
     the skip-but-remove greedy (take the densest remaining element, keep it
@@ -116,25 +106,12 @@ def _greedy_mask(
         base_val = value(base_mask | chosen)
         best = max(
             pool,
-            key=lambda b: ((value(base_mask | chosen | 1 << b) - base_val) / sizes[b], -b),
+            key=lambda b: ((value(base_mask | chosen | 1 << b) - base_val) * weight[b], -b),
         )
         chosen |= 1 << best
         room -= sizes[best]
         pool = [b for b in pool if b != best and sizes[b] <= room]
     return chosen
-
-
-def density_greedy(
-    f: Oracle, elements: Sequence[GroundElement], cap: Fraction
-) -> frozenset[int]:
-    """Run the density greedy alone; returns the selected element ids."""
-    ordered = _check_elements(elements)
-    if cap < 0:
-        raise ValueError(f"capacity must be non-negative, got {cap}")
-    ids = [e.id for e in ordered]
-    sizes = [e.size for e in ordered]
-    mask = _greedy_mask(_mask_oracle(f, ids), sizes, 0, cap)
-    return frozenset(ids[b] for b in range(len(ids)) if mask >> b & 1)
 
 
 # Oracle misses the branch-and-bound may spend before it hands over to the
@@ -166,20 +143,16 @@ def _knapsack_bound(items: Sequence[tuple[Value, int]], room: int) -> tuple[Valu
 
 
 def _branch_and_bound(
-    value: Callable[[int], Value], sizes: Sequence[int], half: int
+    value: Callable[[int], Value], sizes: Sequence[int], weight: Sequence[int], half: int
 ) -> tuple[int, Value, bool]:
     """Depth-first max of ``value`` over the masks of size at most ``half``.
 
-    ``sizes`` and ``half`` are ints in one common unit. Returns the
-    incumbent mask, its value, and whether the search finished before the
-    memo missed :data:`_SOLVE_BUDGET` times. A finished search returns the
+    ``sizes``, ``weight`` and ``half`` come from :func:`_integer_sizes`.
+    Returns the incumbent mask, its value, and whether the search finished
+    before the memo missed :data:`_SOLVE_BUDGET` times. A finished search returns the
     first mask in evaluation order whose value is the maximum.
     """
     best_mask, best_val = 0, value(0)
-    # gain * weight[b] orders as gain / sizes[b]: weight[b] = L / sizes[b]
-    # for one L, a multiple of every size.
-    common = lcm(*sizes)
-    weight = [common // size for size in sizes]
 
     def visit(mask: int, val: Value, room: int, cands: Sequence[int]) -> None:
         nonlocal best_mask, best_val
@@ -216,14 +189,16 @@ def _branch_and_bound(
 
 def _guess_greedy(
     value: Callable[[int], Value],
-    sizes: Sequence[Fraction],
-    half: Fraction,
+    sizes: Sequence[int],
+    weight: Sequence[int],
+    half: int,
     k: int,
     best_mask: int,
     best_val: Value,
 ) -> int:
     """The paper's guess-greedy, started from the incumbent ``best_mask``.
 
+    ``sizes``, ``weight`` and ``half`` come from :func:`_integer_sizes`.
     Enumerates every seed of at most ``k`` elements that fits the full
     capacity ``2 * half`` and every part of it that fits ``half``, extends
     the part with the density greedy in the room left (seed elements stay
@@ -235,24 +210,16 @@ def _guess_greedy(
     n = len(sizes)
     for seed_card in range(min(k, n) + 1):
         for seed in combinations(range(n), seed_card):
-            seed_mask = 0
-            seed_size = Fraction(0)
-            for b in seed:
-                seed_mask |= 1 << b
-                seed_size += sizes[b]
-            if seed_size > 2 * half:
+            if sum(sizes[b] for b in seed) > 2 * half:
                 continue
+            seed_mask = sum(1 << b for b in seed)
             for part_card in range(seed_card + 1):
                 for part in combinations(seed, part_card):
-                    part_mask = 0
-                    part_size = Fraction(0)
-                    for b in part:
-                        part_mask |= 1 << b
-                        part_size += sizes[b]
+                    part_size = sum(sizes[b] for b in part)
                     if part_size > half:
                         continue
-                    grown = _greedy_mask(value, sizes, seed_mask, half - part_size)
-                    candidate = part_mask | grown
+                    grown = _greedy_mask(value, sizes, weight, seed_mask, half - part_size)
+                    candidate = sum(1 << b for b in part) | grown
                     val = value(candidate)
                     if val >= best_val:
                         best_mask = candidate
@@ -276,13 +243,13 @@ def maximize_with_reserve(
     guess-greedy with seed size ``config.k`` runs from the search's best
     set; ``k`` shapes nothing else.
 
-    The branch-and-bound works in integers: the sizes and ``capacity``/2
-    are scaled by the lcm of their denominators, and the oracle's values
-    are only added, subtracted, multiplied by ints and compared, never
-    divided. The fallback divides gains by the Fraction sizes, which is
-    exact for ints too. So an oracle may return ints (say, values in units
-    of a common denominator) as well as Fractions, and any positive
-    scaling of f selects the same set.
+    The branch-and-bound and the fallback work in integers: the sizes and
+    ``capacity``/2 are scaled by the lcm of their denominators, and the
+    oracle's values are only added, subtracted, multiplied by ints and
+    compared, never divided. So an oracle may return ints (say, values in
+    units of a common denominator) as well as Fractions, and any positive
+    scaling of f selects the same set. A negative ``capacity`` raises
+    ``ValueError``.
 
     Guarantees: the returned set R satisfies s(R) <= capacity/2, checked at
     runtime (``InvariantViolated`` otherwise), and
@@ -293,43 +260,56 @@ def maximize_with_reserve(
     """
     if config.k < 1:
         raise ValueError(f"k must be >= 1, got {config.k}")
+    if capacity < 0:
+        raise ValueError(f"capacity must be non-negative, got {capacity}")
     if config.k < 6:
         warnings.warn(
             f"k={config.k} < 6 weakens the 1/3 guarantee; use k>=6 for certified runs",
             stacklevel=2,
         )
     half = Fraction(capacity) / 2
-    ordered = _check_elements(elements)
+    ordered = sorted(elements, key=lambda e: e.id)
+    ids = [e.id for e in ordered]
+    if len(set(ids)) != len(ids):
+        raise ValueError("ground element ids must be distinct")
+    for e in ordered:
+        if e.size <= 0:
+            raise ValueError(f"element {e.id} has non-positive size {e.size}")
     for e in ordered:
         if e.size > half:
             raise ElementTooLarge(e.id, e.size, half)
-    ids = [e.id for e in ordered]
-    sizes = [e.size for e in ordered]
     n = len(ids)
     value = _mask_oracle(f, ids)
-    units, half_units = _integer_sizes(sizes, half)
+    units, weight, half_units = _integer_sizes([e.size for e in ordered], half)
 
-    best_mask, best_val, finished = _branch_and_bound(value, units, half_units)
+    best_mask, best_val, finished = _branch_and_bound(value, units, weight, half_units)
     if not finished:
-        best_mask = _guess_greedy(value, sizes, half, config.k, best_mask, best_val)
+        best_mask = _guess_greedy(value, units, weight, half_units, config.k, best_mask, best_val)
     result = frozenset(ids[b] for b in range(n) if best_mask >> b & 1)
     if sum(units[b] for b in range(n) if best_mask >> b & 1) > half_units:
         raise InvariantViolated(f"selected set {sorted(result)} exceeds half the capacity")
     return result
 
 
-def _integer_sizes(sizes: Sequence[Fraction], half: Fraction) -> tuple[list[int], int]:
-    """``sizes`` and ``half`` as ints in one unit: 1 / the lcm of their denominators.
+def _integer_sizes(
+    sizes: Sequence[Fraction], half: Fraction
+) -> tuple[list[int], list[int], int]:
+    """``sizes`` and ``half`` as ints in one unit, with the sizes' density weights.
 
-    Scaling every size and the room by one positive constant keeps every
-    comparison and every sum between them as it was.
+    The unit is 1 / the lcm of the denominators; scaling every size and the
+    room by one positive constant keeps every comparison and every sum
+    between them as it was. ``weight[b]`` is ``L // units[b]`` for ``L`` the
+    lcm of the scaled sizes, so ``gain * weight[b]`` orders, and ties,
+    exactly as ``gain / sizes[b]``.
     """
     unit = lcm(half.denominator, *(size.denominator for size in sizes))
 
     def scaled(x: Fraction) -> int:
         return x.numerator * (unit // x.denominator)
 
-    return [scaled(size) for size in sizes], scaled(half)
+    units = [scaled(size) for size in sizes]
+    common = lcm(*units)
+    return units, [common // size for size in units], scaled(half)
 
 
 def ratio_lower_bound(

@@ -14,11 +14,11 @@ from groupgap.submodular import (
     OptConfig,
     _branch_and_bound,
     _BudgetSpent,
+    _greedy_mask,
     _guess_greedy,
     _integer_sizes,
     _mask_oracle,
     certify_ratio_bound,
-    density_greedy,
     maximize_with_reserve,
     ratio_lower_bound,
 )
@@ -47,11 +47,21 @@ def skip_but_remove_greedy(f, elements, cap):
     return chosen
 
 
+def density_greedy(f, elements, cap):
+    """The fallback's density greedy alone, from the empty set within ``cap``."""
+    ordered = sorted(elements, key=lambda e: e.id)
+    value = _mask_oracle(f, [e.id for e in ordered])
+    units, weight, room = _integer_sizes([e.size for e in ordered], cap)
+    mask = _greedy_mask(value, units, weight, 0, room)
+    return frozenset(e.id for b, e in enumerate(ordered) if mask >> b & 1)
+
+
 def guess_greedy(f, elements, cap, k=6):
     """The fallback guess-greedy alone, started from the empty set."""
     ordered = sorted(elements, key=lambda e: e.id)
     value = _mask_oracle(f, [e.id for e in ordered])
-    mask = _guess_greedy(value, [e.size for e in ordered], cap / 2, k, 0, value(0))
+    units, weight, half = _integer_sizes([e.size for e in ordered], cap / 2)
+    mask = _guess_greedy(value, units, weight, half, k, 0, value(0))
     return frozenset(e.id for b, e in enumerate(ordered) if mask >> b & 1)
 
 
@@ -76,7 +86,7 @@ def test_greedy_zero_capacity_selects_nothing():
 
 def test_greedy_rejects_nonpositive_sizes():
     with pytest.raises(ValueError):
-        density_greedy(modular({1: F(1)}), [GroundElement(1, F(0))], F(1))
+        maximize_with_reserve(modular({1: F(1)}), [GroundElement(1, F(0))], F(1))
 
 
 def test_greedy_matches_brute_force_on_uniform_sizes():
@@ -194,6 +204,12 @@ def test_maximize_requires_capacity_and_valid_k():
         maximize_with_reserve(f, elements, F(2), OptConfig(k=0))
     with pytest.warns(UserWarning):
         maximize_with_reserve(f, elements, F(2), OptConfig(k=2))
+    # bad input, not an internal error (InvariantViolated) or an oversized
+    # element (ElementTooLarge), with or without elements
+    for ground in ([], elements):
+        with pytest.raises(ValueError):
+            maximize_with_reserve(f, ground, F(-2))
+    assert maximize_with_reserve(f, [], F(0)) == frozenset()
 
 
 def test_search_is_exact_and_never_below_guess_greedy():
@@ -249,7 +265,7 @@ def test_spent_budget_falls_back_to_guess_greedy(monkeypatch, budget):
         assert 3 * f(picked) >= exhaustive_knapsack_max(f, elements, cap)
 
 
-# The Fraction search the integer one replaced, kept as the reference.
+# The Fraction search and fallback the integer ones replaced, kept as the reference.
 _SOLVE_BUDGET = 4096
 
 
@@ -311,6 +327,81 @@ def reference_branch_and_bound(
     return best_mask, best_val, True
 
 
+def reference_greedy_mask(
+    value: Callable[[int], Fraction],
+    sizes: Sequence[Fraction],
+    base_mask: int,
+    room: Fraction,
+) -> int:
+    """Density greedy on top of ``base_mask``, within ``room``: filter, then take.
+
+    Each round keeps only the elements that still fit and takes the one of
+    highest marginal density, ties going to the lowest element id. This is
+    the skip-but-remove greedy (take the densest remaining element, keep it
+    only if it fits) with its skips left out: room only shrinks, so an
+    element that does not fit now never will, and skipping it changes
+    neither the chosen set nor any other density.
+    """
+    chosen = 0
+    pool = [b for b in range(len(sizes)) if sizes[b] <= room]
+    while pool:
+        base_val = value(base_mask | chosen)
+        best = max(
+            pool,
+            key=lambda b: ((value(base_mask | chosen | 1 << b) - base_val) / sizes[b], -b),
+        )
+        chosen |= 1 << best
+        room -= sizes[best]
+        pool = [b for b in pool if b != best and sizes[b] <= room]
+    return chosen
+
+
+def reference_guess_greedy(
+    value: Callable[[int], Fraction],
+    sizes: Sequence[Fraction],
+    half: Fraction,
+    k: int,
+    best_mask: int,
+    best_val: Fraction,
+) -> int:
+    """The paper's guess-greedy, started from the incumbent ``best_mask``.
+
+    Enumerates every seed of at most ``k`` elements that fits the full
+    capacity ``2 * half`` and every part of it that fits ``half``, extends
+    the part with the density greedy in the room left (seed elements stay
+    in the greedy's base), and keeps a candidate whenever its value is >=
+    the incumbent's. Seeds and parts go by (cardinality, lexicographic
+    ids). The analysis guesses a seed inside a full-capacity optimum, so a
+    seed larger than the capacity is never the one it needs.
+    """
+    n = len(sizes)
+    for seed_card in range(min(k, n) + 1):
+        for seed in combinations(range(n), seed_card):
+            seed_mask = 0
+            seed_size = Fraction(0)
+            for b in seed:
+                seed_mask |= 1 << b
+                seed_size += sizes[b]
+            if seed_size > 2 * half:
+                continue
+            for part_card in range(seed_card + 1):
+                for part in combinations(seed, part_card):
+                    part_mask = 0
+                    part_size = Fraction(0)
+                    for b in part:
+                        part_mask |= 1 << b
+                        part_size += sizes[b]
+                    if part_size > half:
+                        continue
+                    grown = reference_greedy_mask(value, sizes, seed_mask, half - part_size)
+                    candidate = part_mask | grown
+                    val = value(candidate)
+                    if val >= best_val:
+                        best_mask = candidate
+                        best_val = val
+    return best_mask
+
+
 def mixed_ground(rng):
     """Sizes over several denominators, and a capacity whose half may lie
     off their grid; every size fits the half."""
@@ -357,12 +448,20 @@ def test_integer_search_matches_the_fraction_search(monkeypatch, budget):
         ids = [e.id for e in elements]
         sizes = [e.size for e in elements]
         reference, value = _mask_oracle(f, ids), _mask_oracle(f, ids)
+        units, weight, half = _integer_sizes(sizes, cap / 2)
         expected = reference_branch_and_bound(reference, sizes, cap / 2)
-        got = _branch_and_bound(value, *_integer_sizes(sizes, cap / 2))
+        got = _branch_and_bound(value, units, weight, half)
         assert got == expected
         assert type(got[1]) is type(expected[1])
         # the same sets evaluated: the same nodes bounded and pruned
         assert value.cache_info() == reference.cache_info()
+        if not expected[2]:
+            # the fallback from the incumbent: the same seeds, greedy
+            # choices and ties, so the same mask after the same queries
+            k = rng.choice([1, 2, 3, 6] if len(sizes) <= 6 else [1, 2, 3])
+            want = reference_guess_greedy(reference, sizes, cap / 2, k, *expected[:2])
+            assert _guess_greedy(value, units, weight, half, k, *got[:2]) == want
+            assert value.cache_info() == reference.cache_info()
         kinds.add((kind, expected[2], trial % 2))
     finished = {4096: {True}, 3: {True, False}, 0: {False}}[budget]
     assert kinds == {(k, done, m) for k in ("fraction", "int") for done in finished for m in (0, 1)}
