@@ -21,13 +21,19 @@ A scanned node visits only its live edges, those with room (``cap > 0``),
 kept per node in ``FlowNetwork.live`` in ascending id order, which is the
 order in which a full scan visits a node's out-edges. The full scan skips
 every edge without room, so the same strict ``<`` comparisons run in the
-same order and ``dist`` and ``parent`` come out the same. The lists
-change only where capacities do: a preloaded flow at build time, and each
-push along an augmenting path. An edge that fills up leaves its tail's
-list, and a twin that gains room goes into its tail's list at its sorted
-position. Most of the edges left out are twins without flow: every arc
-into a right node has one there, so a right node's full list is mostly
-dead weight.
+same order and ``dist`` and ``parent`` come out the same. The build
+fills the lists in its one pass over the edges, preloaded flows included,
+and afterwards they change only where capacities do, at each push along an
+augmenting path: an edge that fills up leaves its tail's list, and a twin
+that gains room goes into its tail's list at its sorted position. Most of
+the edges left out are twins without flow: every arc into a right node has
+one there, so a right node's full list is mostly dead weight.
+
+A run has one of two modes, set by ``max_flow`` alone. Without it the run
+maximises profit: it augments while the cheapest path costs < 0 and stops
+at the first one of cost >= 0 (the LP oracle's transports). With it the
+run ships up to ``max_flow`` units at least cost, along paths of any cost
+(the rounding's matching).
 
 :func:`transport` lays out the bipartite network of both callers, items to
 bins for the LP value and items to slots for the rounding matching: node 0
@@ -66,6 +72,7 @@ optimum's cost minus the start flow's.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import repeat
 
 from .errors import InvariantViolated
 
@@ -78,12 +85,9 @@ class FlowNetwork:
     tail of edge e is ``to[e ^ 1]``. ``live[u]`` holds the ids of the edges
     out of u that have room, ascending, which is Bellman-Ford's scan order.
     After the build only :meth:`_augment` changes capacities, and it keeps
-    ``live`` in step. (The build and :meth:`_augment` each update the lists
-    inline: a helper call per edge costs more than it saves on the LP
-    oracle's small networks.) ``flows``, one per edge,
-    preloads that much flow on each edge; by default every edge starts
-    empty. A flow outside ``[0, cap]``, or a ``flows`` of another length,
-    raises ``ValueError``.
+    ``live`` in step. ``flows``, one per edge, preloads that much flow on
+    each edge; by default every edge starts empty. A flow outside
+    ``[0, cap]``, or a ``flows`` of another length, raises ``ValueError``.
     """
 
     def __init__(
@@ -92,34 +96,28 @@ class FlowNetwork:
         edges: list[tuple[int, int, int, int]],
         flows: list[int] | None = None,
     ):
+        if flows is None:
+            flows = repeat(0)
+        elif len(flows) != len(edges):
+            raise ValueError(f"got {len(flows)} flows for {len(edges)} edges")
         self.n = n
         self.live: list[list[int]] = [[] for _ in range(n)]
         self.to, self.cap, self.cost = [], [], []
         live, to, cap, cost = self.live, self.to, self.cap, self.cost
-        for u, v, c, w in edges:
-            if c > 0:
-                live[u].append(len(to))  # ids grow along the pass: the lists stay sorted
+        for (u, v, c, w), units in zip(edges, flows):
+            e = len(to)  # ids grow along the pass: every live list comes out sorted
+            if c > units:
+                live[u].append(e)
+            if units:
+                if not 0 < units <= c:
+                    raise ValueError(f"edge {e // 2} cannot carry a flow of {units}")
+                live[v].append(e + 1)
             to.append(v)
             to.append(u)
-            cap.append(c)
-            cap.append(0)
+            cap.append(c - units)
+            cap.append(units)
             cost.append(w)
             cost.append(-w)
-        if flows is None:
-            return
-        if len(flows) != len(edges):
-            raise ValueError(f"got {len(flows)} flows for {len(edges)} edges")
-        for k, units in enumerate(flows):
-            if units:
-                if not 0 < units <= cap[2 * k]:
-                    raise ValueError(f"edge {k} cannot carry a flow of {units}")
-                e = 2 * k
-                cap[e] -= units
-                cap[e + 1] = units
-                if not cap[e]:  # full: leaves its tail's list
-                    out = live[to[e + 1]]
-                    del out[bisect_left(out, e)]
-                insort(live[to[e]], e + 1)  # the twin gains room: into its tail's list
 
     def _shortest_path(self, s: int):
         live, to, cost = self.live, self.to, self.cost
@@ -179,18 +177,12 @@ class FlowNetwork:
             v = u
         return push
 
-    def run(
-        self,
-        s: int,
-        t: int,
-        max_flow: int | None = None,
-        stop_on_nonnegative: bool = False,
-    ) -> tuple[int, int]:
+    def run(self, s: int, t: int, max_flow: int | None = None) -> tuple[int, int]:
         """Push flow from s to t along successively cheapest paths.
 
-        With ``stop_on_nonnegative`` the loop ends once the cheapest path
-        cost is >= 0 (profit-maximizing mode); with ``max_flow`` it ends
-        once that many units have been shipped. Returns (flow, cost).
+        Without ``max_flow`` the loop ends at the first cheapest path of
+        cost >= 0 (profit-maximising mode); with it, once that many units
+        have been shipped or no path is left. Returns (flow, cost).
         """
         total_flow = 0
         total_cost = 0
@@ -198,7 +190,7 @@ class FlowNetwork:
             dist, parent = self._shortest_path(s)
             if dist[t] is None:
                 break
-            if stop_on_nonnegative and dist[t] >= 0:
+            if max_flow is None and dist[t] >= 0:
                 break
             limit = None if max_flow is None else max_flow - total_flow
             push = self._augment(s, t, parent, limit)
@@ -212,17 +204,18 @@ def transport(
     demand: list[int],
     arcs: list[tuple[int, int, int]],
     max_flow: int | None = None,
-    stop_on_nonnegative: bool = False,
 ) -> tuple[int, int, list[int]]:
     """Min-cost flow from left nodes with ``supply`` to right nodes with ``demand``.
 
     ``arcs`` holds ``(left, right, cost)``, indices into ``supply`` and
-    ``demand``; an arc's capacity is its left node's supply. Returns the
-    flow, its cost and the flow on each arc.
+    ``demand``; an arc's capacity is its left node's supply. Without
+    ``max_flow`` the flow maximises profit (``-cost``); with it, the flow
+    ships up to ``max_flow`` units at least cost (see :meth:`FlowNetwork.run`).
+    Returns the flow, its cost and the flow on each arc.
     """
     sink = 1 + len(supply) + len(demand)
     net = FlowNetwork(sink + 1, _edges(supply, demand, arcs, [0] * len(supply)))
-    flow, cost = net.run(0, sink, max_flow=max_flow, stop_on_nonnegative=stop_on_nonnegative)
+    flow, cost = net.run(0, sink, max_flow)
     return flow, cost, _arc_flows(net, supply, arcs)
 
 
@@ -236,8 +229,8 @@ def reoptimize(
 
     ``start`` holds one flow per arc and must be optimal once the supply of
     every left node without start flow is set to 0, as the flow that
-    ``transport(..., stop_on_nonnegative=True)`` returns for those supplies
-    is. Otherwise the residual may hold a negative cycle, and one that the
+    ``transport`` without ``max_flow`` returns for those supplies is.
+    Otherwise the residual may hold a negative cycle, and one that the
     search reaches raises ``InvariantViolated``.
     Returns the extra flow, its cost (<= 0: the optimum's cost minus the
     start flow's) and the flow on each arc.
@@ -252,7 +245,7 @@ def reoptimize(
     edges = _edges(supply, demand, arcs, [source if units else 0 for units in out])
     edges.append((sink, source, sum(supply), 0))
     net = FlowNetwork(source + 1, edges, out + start + into + [sum(out)])
-    flow, cost = net.run(0, source, stop_on_nonnegative=True)
+    flow, cost = net.run(0, source)
     return flow, cost, _arc_flows(net, supply, arcs)
 
 

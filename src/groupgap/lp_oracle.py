@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence
 
 from ._flow import reoptimize, transport
@@ -79,9 +80,11 @@ class LpOracle:
     integers only: with p_ij = num / den in lowest terms and
     ``g = gcd(num, shat[i])``, the unit profit in lowest terms is
     ``(num / g) / (den * shat[i] / g)``, so no rational is ever multiplied
-    or divided (profits may be ints too). A query then only filters and
-    copies ints; one with every cap 1 (:meth:`value`, :meth:`solution`)
-    also reuses the per-instance demand list. Against a table built for the
+    or divided (profits may be ints too). The queries with every cap 1
+    (:meth:`value`, :meth:`solution`) share one solve path,
+    :meth:`_transport`, which only copies ints and reuses the per-instance
+    demand list; :meth:`value_with_capacities` scales the tables by its
+    caps' common unit and solves on its own. Against a table built for the
     queried subset alone, every capacity and every cost is multiplied by
     one positive constant each, so Bellman-Ford's strict comparisons pick
     the same paths and the flows and values come out the same.
@@ -139,12 +142,13 @@ class LpOracle:
             items = self._known(key)
             base = self._base(key)
             if base is None:
-                units, _den, y = self._transport(items)
+                units, y = self._transport(items)
             else:
-                gain, den, y = self._transport(items, start=self._flows[base].units)
+                gain, y = self._transport(items, start=self._flows[base].units)
                 if gain < 0:
                     raise InvariantViolated(
-                        f"warm LP value fell by {Fraction(-gain, den)} below a subset's value"
+                        f"warm LP value fell by {Fraction(-gain, self._cost_den)}"
+                        " below a subset's value"
                     )
                 units = self._memo[base] + gain
             self._memo[key] = units
@@ -176,16 +180,30 @@ class LpOracle:
     def value_with_capacities(self, item_ids: Iterable[int], caps: Sequence[Fraction]) -> Fraction:
         """LP value with per-bin residual capacities; used as a search bound.
 
-        ``caps`` holds one capacity >= 0 per bin; any other shape raises
-        ``ValueError``.
+        ``caps`` holds one capacity >= 0 per bin, each an int or a
+        Fraction; any other shape or value raises ``ValueError``. The
+        network is :meth:`_transport`'s with every quantity in units of
+        1/(scale * c), where ``c = lcm(scale, cap denominators) // scale``
+        is 1 unless ``caps`` has denominators that ``scale`` lacks: item i
+        supplies ``shat[i] * c`` units, bin j accepts ``caps[j] * scale * c``
+        and only bins with a positive cap get arcs. The flow cost is
+        ``-value * cost_den * c``. Always solved cold, and never memoised.
         """
         caps = list(caps)
-        if len(caps) != self.inst.m or any(cap < ZERO for cap in caps):
-            raise ValueError(
-                f"expected {self.inst.m} bin capacities, each >= 0; got {caps}"
-            )
-        units, den, _y = self._transport(self._known(item_ids), caps)
-        return Fraction(units, den)
+        if len(caps) != self.inst.m:
+            raise ValueError(f"expected {self.inst.m} bin capacities, got {caps}")
+        for cap in caps:
+            if not isinstance(cap, Rational) or cap < 0:
+                raise ValueError(f"bin capacity {cap!r} is not an int or Fraction >= 0")
+        items = self._known(item_ids)
+        c = lcm(self._scale, *(cap.denominator for cap in caps)) // self._scale
+        # Integer arithmetic only (scale * c is a multiple of every cap's
+        # denominator): Fraction products here cost about 5x as much.
+        per_bin = self._scale * c
+        demand = [cap.numerator * (per_bin // cap.denominator) for cap in caps]
+        arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i] if demand[j]]
+        _flow, cost, _flows = transport([self._shat[i] * c for i in items], demand, arcs)
+        return Fraction(-cost, self._cost_den * c)
 
     def solution(self, item_ids: Iterable[int]) -> FractionalSolution:
         """An optimal fractional solution in which every item is fully assigned.
@@ -211,7 +229,7 @@ class LpOracle:
         if kept is not None and kept.cold:
             units, y = self._memo[key], dict(kept.units)
         else:
-            units, _den, y = self._transport(items)
+            units, y = self._transport(items)
         value = Fraction(units, self._cost_den)
         scale, shat = self._scale, self._shat
         used = [0] * self.inst.m
@@ -248,53 +266,28 @@ class LpOracle:
         return items
 
     def _transport(
-        self,
-        items: list[int],
-        caps: list[Fraction] | None = None,
-        start: dict[tuple[int, int], int] | None = None,
-    ) -> tuple[int, int, dict[tuple[int, int], int]]:
-        """Solve the transportation problem; returns (units, den, flows).
+        self, items: list[int], start: dict[tuple[int, int], int] | None = None
+    ) -> tuple[int, dict[tuple[int, int], int]]:
+        """Solve the transportation problem with every cap 1; returns (units, flows).
 
-        The value is ``units / den``. Flows are keyed (item id, bin index)
-        in units of 1/(scale * c) bin capacity. The network comes from the
-        per-instance tables: item i supplies ``shat[i] * c`` units and bin j
-        accepts ``caps[j] * scale * c``, where ``c = lcm(scale, cap
-        denominators) // scale`` is 1 unless ``caps`` has denominators that
-        ``scale`` lacks. The value is read off the integer flow cost, which
-        is ``-value * cost_den * c``, so ``den = cost_den * c``. Arcs run to
-        the bins with a positive cap, items ascending, then bins ascending:
-        the order that Bellman-Ford's tie-breaks depend on.
+        The value is ``units / cost_den``. Flows are keyed (item id, bin
+        index) in units of 1/scale bin capacity. The network comes from the
+        per-instance tables as they are: item i supplies ``shat[i]`` units
+        and every bin accepts ``scale``. Arcs run items ascending, then bins
+        ascending: the order that Bellman-Ford's tie-breaks depend on.
 
-        ``caps=None`` means every cap is 1, the only case the memoised
-        queries ask: then ``c = 1``, every bin is live, and the tables are
-        used as they are, with no per-call cap arithmetic.
-
-        With ``start``, the optimal flows of a subset of ``items`` with every
-        cap 1, the problem is re-optimised from those flows and the value
-        returned is the gain over theirs.
+        With ``start``, the optimal flows of a subset of ``items``, the
+        problem is re-optimised from those flows and the value returned is
+        the gain over theirs.
         """
         if not items:
-            return 0, self._cost_den, {}
-        if caps is None:
-            c, den, demand = 1, self._cost_den, self._demand
-            arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i]]
-        else:
-            c = lcm(self._scale, *(cap.denominator for cap in caps)) // self._scale
-            den = self._cost_den * c
-            # Integer arithmetic only (scale * c is a multiple of every
-            # cap's denominator): Fraction products here cost about 5x as
-            # much, a few percent of a whole solve on 14 items and 3 bins.
-            per_bin = self._scale * c
-            live = [cap.numerator > 0 for cap in caps]
-            arcs = [
-                (k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i] if live[j]
-            ]
-            demand = [cap.numerator * (per_bin // cap.denominator) for cap in caps]
-        supply = [self._shat[i] * c for i in items]
+            return 0, {}
+        supply = [self._shat[i] for i in items]
+        arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i]]
         if start is None:
-            _flow, cost, flows = transport(supply, demand, arcs, stop_on_nonnegative=True)
+            _flow, cost, flows = transport(supply, self._demand, arcs)
         else:
             preload = [start.get((items[k], j), 0) for k, j, _cost in arcs]
-            _flow, cost, flows = reoptimize(supply, demand, arcs, preload)
+            _flow, cost, flows = reoptimize(supply, self._demand, arcs, preload)
         y = {(items[k], j): units for (k, j, _cost), units in zip(arcs, flows) if units > 0}
-        return -cost, den, y
+        return -cost, y

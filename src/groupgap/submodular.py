@@ -50,6 +50,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import exp, lcm
+from numbers import Rational
 from typing import Callable, Sequence
 
 from .errors import DegenerateDenominator, ElementTooLarge, InvariantViolated
@@ -248,7 +249,8 @@ def maximize_with_reserve(
     oracle's values are only added, subtracted, multiplied by ints and
     compared, never divided. So an oracle may return ints (say, values in
     units of a common denominator) as well as Fractions, and any positive
-    scaling of f selects the same set. A negative ``capacity`` raises
+    scaling of f selects the same set. A negative or non-finite
+    ``capacity``, or an element size that is not an int or Fraction, raises
     ``ValueError``.
 
     Guarantees: the returned set R satisfies s(R) <= capacity/2, checked at
@@ -267,12 +269,17 @@ def maximize_with_reserve(
             f"k={config.k} < 6 weakens the 1/3 guarantee; use k>=6 for certified runs",
             stacklevel=2,
         )
-    half = Fraction(capacity) / 2
+    try:
+        half = Fraction(capacity) / 2
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        raise ValueError(f"capacity must be finite, got {capacity!r}") from None
     ordered = sorted(elements, key=lambda e: e.id)
     ids = [e.id for e in ordered]
     if len(set(ids)) != len(ids):
         raise ValueError("ground element ids must be distinct")
     for e in ordered:
+        if not isinstance(e.size, Rational):
+            raise ValueError(f"element {e.id} has size {e.size!r}, not an int or Fraction")
         if e.size <= 0:
             raise ValueError(f"element {e.id} has non-positive size {e.size}")
     for e in ordered:

@@ -147,16 +147,25 @@ def test_live_lists_follow_every_capacity_change(monkeypatch):
         n, edges = random_edges(rng)
         flows = [rng.randint(0, cap) for _u, _v, cap, _cost in edges]
         assert_live_lists(FlowNetwork(n, edges, flows))
-        FlowNetwork(n, edges).run(0, n - 1, stop_on_nonnegative=True)
+        FlowNetwork(n, edges).run(0, n - 1)
         FlowNetwork(n, edges).run(0, n - 1, max_flow=rng.randint(1, 8))
         supply, demand, arcs = random_bipartite(rng)
-        transport(supply, demand, arcs, stop_on_nonnegative=True)
+        transport(supply, demand, arcs)
         transport(supply, demand, arcs, max_flow=rng.randint(1, sum(supply) + 1))
         old = [units if rng.random() < 0.6 else 0 for units in supply]
-        _flow, _cost, start = transport(old, demand, arcs, stop_on_nonnegative=True)
+        _flow, _cost, start = transport(old, demand, arcs)
         reoptimize(supply, demand, arcs, start)
     assert counts["built"] == 1200 and counts["augmented"] > 900
     assert counts["filled"] > 1000 and counts["inserted_before_last"] > 800
+
+
+def test_mode_follows_max_flow():
+    """Without ``max_flow`` a run stops at the first path of cost >= 0, so a
+    lone zero-cost arc ships nothing; with ``max_flow`` it ships its unit."""
+    assert FlowNetwork(2, [(0, 1, 1, 0)]).run(0, 1) == (0, 0)
+    assert FlowNetwork(2, [(0, 1, 1, 0)]).run(0, 1, max_flow=1) == (1, 0)
+    assert transport([1], [1], [(0, 0, 0)]) == (0, 0, [0])
+    assert transport([1], [1], [(0, 0, 0)], max_flow=1) == (1, 0, [1])
 
 
 def test_dirty_scan_matches_full_scan_on_fresh_and_residual_graphs():
@@ -181,13 +190,10 @@ def test_run_leaves_reference_flows(mode):
     rng = random.Random(43 if mode == "profit" else 47)
     for _ in range(200):
         n, edges = random_edges(rng)
-        kwargs = (
-            {"stop_on_nonnegative": True}
-            if mode == "profit"
-            else {"max_flow": rng.randint(1, 8)}
-        )
+        kwargs = {} if mode == "profit" else {"max_flow": rng.randint(1, 8)}
         ref, net = FlowNetwork(n, edges), FlowNetwork(n, edges)
-        assert net.run(0, n - 1, **kwargs) == reference_run(ref, 0, n - 1, **kwargs)
+        expected = reference_run(ref, 0, n - 1, stop_on_nonnegative=mode == "profit", **kwargs)
+        assert net.run(0, n - 1, **kwargs) == expected
         assert net.cap == ref.cap
 
 
@@ -226,11 +232,7 @@ def test_transport_arc_flows_respect_supplies_and_demands(mode):
     rng = random.Random(59 if mode == "profit" else 61)
     for _ in range(100):
         supply, demand, arcs = random_bipartite(rng)
-        kwargs = (
-            {"stop_on_nonnegative": True}
-            if mode == "profit"
-            else {"max_flow": rng.randint(1, sum(supply) + 1)}
-        )
+        kwargs = {} if mode == "profit" else {"max_flow": rng.randint(1, sum(supply) + 1)}
         flow, cost, flows = transport(supply, demand, arcs, **kwargs)
         assert len(flows) == len(arcs)
         sent, received = [0] * len(supply), [0] * len(demand)
@@ -290,8 +292,8 @@ def test_reoptimize_reaches_the_cold_optimum():
     for _ in range(300):
         supply, demand, arcs = random_bipartite(rng)
         old = [units if rng.random() < 0.6 else 0 for units in supply]
-        _flow, start_cost, start = transport(old, demand, arcs, stop_on_nonnegative=True)
-        _flow, cold_cost, _flows = transport(supply, demand, arcs, stop_on_nonnegative=True)
+        _flow, start_cost, start = transport(old, demand, arcs)
+        _flow, cold_cost, _flows = transport(supply, demand, arcs)
         flow, cost, flows = reoptimize(supply, demand, arcs, start)
         assert cost <= 0
         assert start_cost + cost == cold_cost
@@ -312,7 +314,7 @@ def test_negative_cycle_raises_instead_of_looping():
     which successive shortest paths would never end."""
     net = FlowNetwork(3, [(0, 1, 1, 0), (1, 2, 1, -1), (2, 1, 1, -1)])
     with pytest.raises(InvariantViolated, match="negative cycle"):
-        net.run(0, 2, stop_on_nonnegative=True)
+        net.run(0, 2)
     # Left node 0 starts in right node 0 although right node 1 pays more.
     supply, demand, arcs = [2, 1], [2, 2], [(0, 0, -1), (0, 1, -3), (1, 0, -1)]
     with pytest.raises(InvariantViolated, match="negative cycle"):

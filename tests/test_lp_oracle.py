@@ -186,6 +186,11 @@ def test_value_with_capacities_rejects_wrong_shape():
     for caps in ([F(1)], [F(1), F(1), F(1)], [F(-1), F(1)]):
         with pytest.raises(ValueError):
             oracle.value_with_capacities([1], caps)
+    # not an int or Fraction: named in the error, not an AttributeError
+    for caps, bad in (([0.5, 1.0], "0.5"), ([F(1), float("nan")], "nan"), ([1, "1"], "'1'")):
+        with pytest.raises(ValueError, match=bad):
+            oracle.value_with_capacities([1], caps)
+    assert oracle.value_with_capacities([1], [0, 1]) == 3
     assert oracle.value_with_capacities([1], [F(0), F(1)]) == 3
 
 
@@ -330,8 +335,9 @@ def test_value_matches_networkx_min_cost_flow():
 
 def cold_value(inst, subset):
     """A fresh oracle's cold transport value, bypassing every memo."""
-    units, den, _flows = LpOracle(inst)._transport(sorted(set(subset)), [F(1)] * inst.m)
-    return F(units, den)
+    oracle = LpOracle(inst)
+    units, _flows = oracle._transport(sorted(set(subset)))
+    return F(units, oracle.cost_den)
 
 
 @pytest.fixture
@@ -340,9 +346,9 @@ def warm_starts(monkeypatch):
     starts = []
     transport = LpOracle._transport
 
-    def recording(self, items, caps=None, start=None):
+    def recording(self, items, start=None):
         starts.append(start)
-        return transport(self, items, caps, start=start)
+        return transport(self, items, start=start)
 
     monkeypatch.setattr(LpOracle, "_transport", recording)
     return starts
@@ -474,7 +480,7 @@ def test_solution_does_not_depend_on_query_history(warm_starts):
             fresh_oracle = LpOracle(inst)
             if not kept.cold:
                 warm += 1
-                cold_flow = fresh_oracle._transport(sorted(subset), [F(1)] * inst.m)[2]
+                cold_flow = fresh_oracle._transport(sorted(subset))[1]
                 other_flow += kept.units != cold_flow
             before = len(warm_starts)
             x = oracle.solution(subset)
@@ -502,7 +508,7 @@ def push_check():
     net = _flow.FlowNetwork(2, [(0, 1, 1, -1)])
     net.cap[0] = 0  # the path below has no room left
     net._shortest_path = lambda s: ([0, -1], [-1, 0])
-    net.run(0, 1, stop_on_nonnegative=True)
+    net.run(0, 1)
 
 
 def saturation_succeeds():

@@ -210,6 +210,14 @@ def test_maximize_requires_capacity_and_valid_k():
         with pytest.raises(ValueError):
             maximize_with_reserve(f, ground, F(-2))
     assert maximize_with_reserve(f, [], F(0)) == frozenset()
+    # sizes that are not an int or Fraction, and capacities that are not
+    # finite, are named in a ValueError
+    with pytest.raises(ValueError, match="0.5"):
+        maximize_with_reserve(f, [GroundElement(1, 0.5)], F(2))
+    for capacity in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=str(capacity)):
+            maximize_with_reserve(f, elements, capacity)
+    assert maximize_with_reserve(f, elements, 2.0) == frozenset({1})  # converts exactly
 
 
 def test_search_is_exact_and_never_below_guess_greedy():
