@@ -9,6 +9,19 @@ clearing denominators the transportation problem is an integer min-cost
 flow whose optimum is attained at integral flows, so mapping the solution
 back yields the exact rational LP optimum.
 
+Closed form. For every item set, the LP value is at most the sum of each
+item's largest profit max_j p_ij, since sum_j(x_ij) <= 1, and equality
+forces every item with a positive profit wholly into a bin where that
+profit is attained. Where each such item has one strictly most profitable
+bin and those bins hold all of them whole, that assignment is feasible,
+so it is the unique optimum: every exact solver, the cold and the warm
+successive shortest paths included, returns exactly that flow.
+:meth:`LpOracle._closed_form` writes it down without a network: the same
+units and the same flows, in the same order, as a transport solve. Items
+without a positive profit have no arc and ship nothing either way. Other
+sets, a tie for an item's best profit or an overflowing best bin, are
+solved as below.
+
 Warm start. Next to the memo of values, the oracle keeps the optimal
 flows of the last ``_FLOWS_KEPT`` sets it solved. On a miss for S,
 :meth:`LpOracle.value` looks for the largest of those sets that is a
@@ -29,8 +42,9 @@ Why nothing downstream can change: the LP optimum value is unique even
 where the optimal flow is not, so a warm value equals the cold one and the
 selection search, which reads only values, makes the same choices.
 :meth:`LpOracle.solution`, the one caller that reads a flow, reuses the
-kept flow only when that flow was solved cold, and is then
-byte-identical to a fresh cold solve; otherwise it solves cold itself.
+kept flow only when that flow was solved cold or in closed form, and is
+then byte-identical to a fresh cold solve; otherwise it takes the closed
+form or solves cold itself.
 :meth:`LpOracle.value_with_capacities` always solves cold.
 """
 
@@ -55,7 +69,8 @@ _FLOWS_KEPT = 1024
 
 class _Flow(NamedTuple):
     """An all-caps-1 optimal flow, as ``_transport`` returns it, and whether
-    it was solved cold, from the zero flow."""
+    it is the cold solve's flow: solved from the zero flow, or in closed
+    form."""
 
     units: dict[tuple[int, int], int]
     cold: bool
@@ -67,9 +82,12 @@ class LpOracle:
     Values are cached per item-id set, since the submodular search issues
     many repeated queries, and so are the optimal flows of the latest
     solves; :meth:`value` writes both, so one oracle serves one instance in
-    one thread. A miss is re-optimised from the largest kept proper subset
-    holding at least half of its items, or solved cold when there is none
-    (see the module docstring); either way the value is the LP optimum.
+    one thread. A miss is answered in closed form where every item with a
+    positive profit fits its unique most profitable bin; otherwise it is
+    re-optimised from the largest kept proper subset holding at least half
+    of its items, or solved cold when there is none (see the module
+    docstring). Either way the value is the LP optimum. A closed-form flow
+    is kept as a cold one, since it is the cold solve's flow.
     :meth:`solution` reuses a kept flow only if it was solved cold.
 
     The integer tables of the transportation network are built once per
@@ -87,7 +105,9 @@ class LpOracle:
     caps' common unit and solves on its own. Against a table built for the
     queried subset alone, every capacity and every cost is multiplied by
     one positive constant each, so Bellman-Ford's strict comparisons pick
-    the same paths and the flows and values come out the same.
+    the same paths and the flows and values come out the same. The build
+    also records each item's most profitable bin, if unique, for the
+    closed form; it reads each profit once, in the same loop.
 
     With every cap 1 the LP value is ``-cost / cost_den``, so the memo and
     the warm-start gains are ints in units of ``1 / cost_den``; a Fraction
@@ -106,16 +126,31 @@ class LpOracle:
         # Per item, (bin, num, den): the unit profit p_ij / shat[i] in lowest
         # terms, for the bins with p_ij > 0 in ascending order. p_ij's own
         # terms are lowest, so only shat[i] can share a factor with its
-        # numerator.
+        # numerator. Alongside, in ``top``, each item's most profitable bin
+        # with p_ij's own num and den, or None on a tie for it or with no
+        # p_ij > 0. Fraction's numerator and denominator are properties, so
+        # each is read once.
         profit = inst.profits.get
         units = {}
+        top = {}
         for i, supply in shat.items():
             row = units[i] = []
+            best, best_num, best_den, unique = None, 0, 1, False
             for j in range(inst.m):
                 p = profit((i, j))
-                if p is not None and p.numerator > 0:
-                    g = gcd(p.numerator, supply)
-                    row.append((j, p.numerator // g, p.denominator * (supply // g)))
+                if p is None:
+                    continue
+                num = p.numerator
+                if num > 0:
+                    den = p.denominator
+                    g = gcd(num, supply)
+                    row.append((j, num // g, den * (supply // g)))
+                    ahead = num * best_den - best_num * den
+                    if ahead > 0:
+                        best, best_num, best_den, unique = j, num, den, True
+                    elif ahead == 0:
+                        unique = False
+            top[i] = (best, best_num, best_den) if unique else None
         cost_den = lcm(*(den for row in units.values() for _j, _num, den in row))
         self._scale = scale
         self._shat = shat
@@ -126,6 +161,12 @@ class LpOracle:
         # Per item, (bin, integer arc cost) in ascending bin order.
         self._arcs = {
             i: [(j, -num * (cost_den // den)) for j, num, den in row] for i, row in units.items()
+        }
+        # Per item, (bin, p_ij * cost_den) for its unique most profitable bin j,
+        # or None: what the closed form of :meth:`_closed_form` ships and earns.
+        self._top = {
+            i: None if best is None else (best[0], best[1] * (cost_den // best[2]))
+            for i, best in top.items()
         }
 
     @property
@@ -140,8 +181,11 @@ class LpOracle:
         units = self._memo.get(key)
         if units is None:
             items = self._known(key)
-            base = self._base(key)
-            if base is None:
+            solved = self._closed_form(items)
+            base = None if solved is not None else self._base(key)
+            if solved is not None:
+                units, y = solved
+            elif base is None:
                 units, y = self._transport(items)
             else:
                 gain, y = self._transport(items, start=self._flows[base].units)
@@ -213,8 +257,10 @@ class LpOracle:
         capacity (items by ascending id, bins by ascending index). Such flow
         is always profit-neutral at an optimum, so the value is preserved.
         The optimum is a copy of the kept flow if :meth:`value` solved this
-        set cold and its flow is still kept, and a cold solve otherwise, so
-        the result never depends on earlier queries.
+        set cold or in closed form and its flow is still kept; otherwise it
+        is the closed form where that applies, and a cold solve where not.
+        All three are the same flow, so the result never depends on earlier
+        queries.
         """
         items = self._known(item_ids)
         total = sum((self.inst.size(i) for i in items), ZERO)
@@ -229,7 +275,7 @@ class LpOracle:
         if kept is not None and kept.cold:
             units, y = self._memo[key], dict(kept.units)
         else:
-            units, y = self._transport(items)
+            units, y = self._closed_form(items) or self._transport(items)
         value = Fraction(units, self._cost_den)
         scale, shat = self._scale, self._shat
         used = [0] * self.inst.m
@@ -264,6 +310,34 @@ class LpOracle:
         if unknown:
             raise ValueError(f"unknown item ids: {unknown}")
         return items
+
+    def _closed_form(self, items: list[int]) -> tuple[int, dict[tuple[int, int], int]] | None:
+        """The all-caps-1 optimum of ``items`` as ``_transport`` returns it, or
+        None where the closed form does not apply.
+
+        It applies when every item with a positive profit has a unique most
+        profitable bin and those bins hold all such items whole: each item
+        then ships its whole supply to that bin, the unique optimum (see the
+        module docstring). Items without a positive profit ship nothing.
+        """
+        top, arcs, shat, scale = self._top, self._arcs, self._shat, self._scale
+        load = [0] * self.inst.m
+        units = 0
+        y = {}
+        for i in items:
+            best = top[i]
+            if best is None:
+                if arcs[i]:  # two bins tie for the item's best profit
+                    return None
+                continue
+            j, earned = best
+            supply = shat[i]
+            load[j] += supply
+            if load[j] > scale:
+                return None
+            units += earned
+            y[(i, j)] = supply
+        return units, y
 
     def _transport(
         self, items: list[int], start: dict[tuple[int, int], int] | None = None

@@ -58,7 +58,9 @@ class SolveReport:
 
 def upper_bound(inst: Instance) -> Fraction:
     """LP value over all items: relaxes integrality and the group coupling,
-    so it upper-bounds the true optimum."""
+    so it upper-bounds the true optimum. Raises ``ValidationError`` on an
+    invalid instance (the group-size cap is not needed)."""
+    validate_instance(inst)
     return LpOracle(inst).value(inst.item_ids)
 
 

@@ -373,24 +373,28 @@ def random_history(rng, ids, length):
 
 
 def test_warm_values_equal_cold_values_over_random_histories(warm_starts):
+    # Sets that take the closed form start no warm run: 80 histories keep
+    # more than 100 warm starts.
     rng = random.Random(29)
     queries = 0
-    for _ in range(60):
+    for _ in range(80):
         inst = random_instance(rng, n_max=10, m_max=4)
         oracle = LpOracle(inst)
         for subset in random_history(rng, sorted(inst.item_ids), 12):
             assert oracle.value(subset) == cold_value(inst, subset)
             queries += 1
     warm = sum(start is not None for start in warm_starts)
-    assert queries == 720 and warm > 100
+    assert queries == 960 and warm > 100
 
 
 def test_half_rule_picks_the_largest_qualifying_base(warm_starts):
+    # Each item earns the same in both bins: with that tie no non-empty set
+    # takes the closed form, so every one is solved by a transport run.
     inst = make_instance(
         2,
         {i: F(1, 8) for i in range(1, 7)},
         [[1, 2, 3], [4, 5, 6]],
-        {(i, i % 2): F(i) for i in range(1, 7)},
+        {(i, j): F(i) for i in range(1, 7) for j in range(2)},
     )
     oracle = LpOracle(inst)
     oracle.value([1])
@@ -500,7 +504,8 @@ from groupgap.model import Assignment, FractionalSolution, Group, Instance, Item
 
 
 def instance():
-    items = (Item(1, F(1, 2)), Item(2, F(1, 4)))
+    # Items 1 and 2 overflow the bin together, so {1, 2} has no closed form.
+    items = (Item(1, F(1, 2)), Item(2, F(3, 4)))
     return Instance(1, items, (Group(0, (1, 2)),), {(1, 0): F(5), (2, 0): F(3)})
 
 
@@ -584,3 +589,100 @@ def test_invariant_checks_survive_python_O():
         "selection_fits_half raised",
         "",
     ]
+
+
+def test_closed_form_equals_transport_on_every_subset():
+    """Wherever the closed form answers, it is the transport solve's answer:
+    the same units and the same flows, in the same order."""
+    rng = random.Random(43)
+    closed = fell_through = 0
+    for _ in range(120):
+        inst = random_instance(rng, n_max=7, m_max=4)
+        oracle = LpOracle(inst)
+        ids = sorted(inst.item_ids)
+        for r in range(len(ids) + 1):
+            for items in map(list, combinations(ids, r)):
+                got = oracle._closed_form(items)
+                if got is None:
+                    fell_through += 1
+                    continue
+                closed += 1
+                units, y = oracle._transport(items)
+                assert got[0] == units
+                assert list(got[1].items()) == list(y.items())
+    assert closed > 3000 and fell_through > 1000
+
+
+def test_closed_form_falls_through_on_a_tie_or_an_overflow(warm_starts):
+    # Item 1 earns 4 in both bins; item 2's best bin is 0 by a strict margin,
+    # and bin 1 and 2 tie below it, which does not matter.
+    tie = make_instance(
+        3,
+        {1: F(1, 2), 2: F(1, 2)},
+        [[1], [2]],
+        {(1, 0): F(4), (1, 1): F(4), (2, 0): F(5), (2, 1): F(3), (2, 2): F(3)},
+    )
+    oracle = LpOracle(tie)
+    assert oracle._closed_form([1]) is None
+    assert oracle._closed_form([1, 2]) is None
+    assert oracle._closed_form([2]) == (5 * oracle.cost_den, {(2, 0): oracle._shat[2]})
+    assert oracle.value([2]) == 5 and warm_starts == []
+    assert oracle.value([1]) == 4 and warm_starts == [None]
+    assert oracle.value([1, 2]) == 9 and len(warm_starts) == 2
+    # Items 1 and 2 both earn most in bin 0 but overflow it together.
+    overflow = make_instance(
+        2,
+        {1: F(3, 4), 2: F(1, 2)},
+        [[1, 2]],
+        {(1, 0): F(6), (1, 1): F(2), (2, 0): F(4), (2, 1): F(1)},
+    )
+    oracle = LpOracle(overflow)
+    assert oracle._closed_form([1]) is not None and oracle._closed_form([2]) is not None
+    assert oracle._closed_form([1, 2]) is None
+    del warm_starts[:]
+    # Item 2 whole in bin 0, item 1 two thirds there and a third in bin 1.
+    assert oracle.value([1, 2]) == 4 + F(2, 3) * 6 + F(1, 3) * 2
+    assert warm_starts == [None]
+    assert oracle.value([1, 2]) == cold_value(overflow, [1, 2])
+
+
+def test_closed_form_skips_items_without_profit():
+    # Item 2 earns nothing anywhere and takes a whole bin's size: it ships
+    # nothing and loads no bin, and the saturation pass places it.
+    inst = make_instance(
+        2,
+        {1: F(1, 2), 2: F(1), 3: F(1, 4)},
+        [[1], [2], [3]],
+        {(1, 0): F(3), (2, 1): F(0), (3, 0): F(1), (3, 1): F(2)},
+    )
+    oracle = LpOracle(inst)
+    shat = oracle._shat
+    got = oracle._closed_form([1, 2, 3])
+    assert got == (5 * oracle.cost_den, {(1, 0): shat[1], (3, 1): shat[3]})
+    assert got == oracle._transport([1, 2, 3])
+    assert oracle._closed_form([2]) == (0, {})
+    x = oracle.solution([1, 2, 3])
+    assert x.value == 5
+    assert dict(x.entries) == {(1, 0): F(1), (3, 1): F(1), (2, 0): F(1, 2), (2, 1): F(1, 2)}
+
+
+def test_solution_after_a_closed_form_value_matches_a_fresh_one(warm_starts):
+    rng = random.Random(47)
+    reused = 0
+    for _ in range(60):
+        inst = random_instance(rng, n_max=8, m_max=4)
+        oracle = LpOracle(inst)
+        for subset in random_history(rng, sorted(inst.item_ids), 8):
+            if oracle._closed_form(sorted(subset)) is None or inst.total_size(subset) > inst.m:
+                continue
+            oracle.value(subset)
+            assert oracle._flows[subset].cold
+            before = len(warm_starts)
+            x = oracle.solution(subset)
+            fresh = LpOracle(inst).solution(subset)
+            # Neither the kept flow nor a fresh closed form runs a transport.
+            assert len(warm_starts) == before
+            assert list(x.entries.items()) == list(fresh.entries.items())
+            assert x.value == fresh.value == oracle.value(subset)
+            reused += 1
+    assert reused > 200

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from groupgap._flow import FlowNetwork
-from groupgap.errors import OversizedGroup
+from groupgap.errors import BadBinIndex, BadSize, OversizedGroup
 from groupgap.exact import solve_exact
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
@@ -86,6 +86,15 @@ def test_upper_bound_examples():
         1, {1: F(3, 4), 2: F(1, 2)}, [[1, 2]], {(1, 0): F(4), (2, 0): F(3)}
     )
     assert upper_bound(mixed) == F(17, 3)
+
+
+def test_upper_bound_rejects_invalid_instances():
+    oversized = make_instance(1, {1: F(2)}, [[1]], {(1, 0): F(1)})
+    with pytest.raises(BadSize):
+        upper_bound(oversized)
+    stray_bin = make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(1), (1, 4): F(7)})
+    with pytest.raises(BadBinIndex):
+        upper_bound(stray_bin)
 
 
 def test_upper_bound_dominates_exact_optimum():
@@ -189,12 +198,13 @@ def test_warm_lp_solves_cut_shortest_path_passes(monkeypatch):
 
 
 def test_solution_reuses_the_selection_flow(monkeypatch):
-    # Two groups: the selection solves the empty set and each group, all cold,
-    # and the upper bound warm from the larger group. The selected group's
-    # fractional solution then reuses its kept flow, so 4 solves in all
-    # (5 when the solution was solved again).
+    # Two groups: the selection answers the empty set in closed form and
+    # solves each group cold (neither fits its items' best bins), and the
+    # upper bound warm from the larger group. The selected group's
+    # fractional solution then reuses its kept flow, so 3 solves in all
+    # (4 when the solution was solved again).
     solves = count_calls(monkeypatch, LpOracle, "_transport")
     inst = generate(GeneratorSpec(seed=1, n=120, groups=2, bins=16, flavor="uniform"))
     _assignment, report = solve(inst)
     assert report.all_certified()
-    assert solves["n"] == 4
+    assert solves["n"] == 3
