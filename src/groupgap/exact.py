@@ -2,8 +2,9 @@
 
 These deliberately take different routes than the production code: the
 exact grouped-assignment optimum enumerates group subsets and placements,
-and the partial-matching value function runs a bitmask DP rather than a
-flow computation, so each side can vouch for the other.
+pruned by a bound of its own, and the partial-matching value function runs
+a bitmask DP rather than a flow computation. Neither calls the LP oracle or
+the flow solver, so each side can vouch for the other.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import LimitExceeded
-from .lp_oracle import LpOracle
 from .model import ONE, ZERO, Assignment, Instance, validate_instance
 from .submodular import GroundElement
 
@@ -31,15 +31,18 @@ class SearchLimits:
 def solve_exact(
     inst: Instance,
     limits: SearchLimits = SearchLimits(),
-    use_lp_pruning: bool = True,
+    use_pruning: bool = True,
 ) -> tuple[Fraction, Assignment]:
     """Exact optimum profit over satisfied group subsets, with a witness.
 
     Enumerates group subsets by ascending total size (anything above the
     total capacity cannot be fully packed), then branch-and-bounds over
-    item placements for each subset. The LP value of the unplaced items
-    against the residual bin capacities is an admissible bound; disabling
-    it falls back to complete enumeration.
+    item placements for each subset. A node's bound is its profit so far
+    plus, per unplaced item, the item's largest profit over the bins whose
+    residual capacity still holds it (0 if none). Residual capacities only
+    shrink along a branch, so every completion puts each unplaced item in
+    a bin with at least that room now, and the bound is admissible.
+    ``use_pruning=False`` falls back to complete enumeration.
     """
     validate_instance(inst, strict=False)
     if len(inst.items) > limits.max_items:
@@ -49,7 +52,6 @@ def solve_exact(
     if inst.m > limits.max_bins:
         raise LimitExceeded(f"{inst.m} bins > limit {limits.max_bins}")
 
-    oracle = LpOracle(inst)
     group_ids = sorted(g.id for g in inst.groups)
     subsets = []
     for r in range(len(group_ids) + 1):
@@ -87,8 +89,12 @@ def solve_exact(
                         packed[b].add(item)
                     best_bins = tuple(frozenset(b) for b in packed)
                 return
-            if use_lp_pruning:
-                bound = profit + oracle.value_with_capacities(items[depth:], caps)
+            if use_pruning:
+                bound = profit
+                for i in items[depth:]:
+                    size = inst.size(i)
+                    fits = [inst.profit(i, j) for j in range(inst.m) if caps[j] >= size]
+                    bound += max(fits, default=ZERO)
                 if bound <= best_value:
                     return
             item = items[depth]

@@ -45,15 +45,13 @@ selection search, which reads only values, makes the same choices.
 kept flow only when that flow was solved cold or in closed form, and is
 then byte-identical to a fresh cold solve; otherwise it takes the closed
 form or solves cold itself.
-:meth:`LpOracle.value_with_capacities` always solves cold.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from ._flow import reoptimize, transport
 from .errors import InsufficientCapacity, InvariantViolated
@@ -68,9 +66,8 @@ _FLOWS_KEPT = 1024
 
 
 class _Flow(NamedTuple):
-    """An all-caps-1 optimal flow, as ``_transport`` returns it, and whether
-    it is the cold solve's flow: solved from the zero flow, or in closed
-    form."""
+    """An optimal flow, as ``_transport`` returns it, and whether it is the
+    cold solve's flow: solved from the zero flow, or in closed form."""
 
     units: dict[tuple[int, int], int]
     cold: bool
@@ -98,21 +95,20 @@ class LpOracle:
     integers only: with p_ij = num / den in lowest terms and
     ``g = gcd(num, shat[i])``, the unit profit in lowest terms is
     ``(num / g) / (den * shat[i] / g)``, so no rational is ever multiplied
-    or divided (profits may be ints too). The queries with every cap 1
-    (:meth:`value`, :meth:`solution`) share one solve path,
-    :meth:`_transport`, which only copies ints and reuses the per-instance
-    demand list; :meth:`value_with_capacities` scales the tables by its
-    caps' common unit and solves on its own. Against a table built for the
-    queried subset alone, every capacity and every cost is multiplied by
-    one positive constant each, so Bellman-Ford's strict comparisons pick
-    the same paths and the flows and values come out the same. The build
-    also records each item's most profitable bin, if unique, for the
-    closed form; it reads each profit once, in the same loop.
+    or divided (profits may be ints too). Every query (:meth:`value`,
+    :meth:`solution`) goes through one solve path, :meth:`_transport`,
+    which only copies ints and reuses the per-instance demand list. Against
+    a table built for the queried subset alone, every capacity and every
+    cost is multiplied by one positive constant each, so Bellman-Ford's
+    strict comparisons pick the same paths and the flows and values come
+    out the same. The build also records each item's most profitable bin,
+    if unique, for the closed form; it reads each profit once, in the same
+    loop.
 
-    With every cap 1 the LP value is ``-cost / cost_den``, so the memo and
-    the warm-start gains are ints in units of ``1 / cost_den``; a Fraction
-    is built only where :meth:`value` returns. The read-only
-    :attr:`cost_den` lets a caller take values in those units as well.
+    The LP value is ``-cost / cost_den``, so the memo and the warm-start
+    gains are ints in units of ``1 / cost_den``; a Fraction is built only
+    where :meth:`value` returns. The read-only :attr:`cost_den` lets a
+    caller take values in those units as well.
     """
 
     def __init__(self, inst: Instance):
@@ -156,7 +152,7 @@ class LpOracle:
         self._shat = shat
         self._cost_den = cost_den
         # Each bin's capacity of 1, in units of 1 / scale: the demands of
-        # every query with all caps 1.
+        # every query.
         self._demand = [scale] * inst.m
         # Per item, (bin, integer arc cost) in ascending bin order.
         self._arcs = {
@@ -171,8 +167,8 @@ class LpOracle:
 
     @property
     def cost_den(self) -> int:
-        """The common denominator of every all-caps-1 LP value: ``value(S) *
-        cost_den`` is an int for every item set S."""
+        """The common denominator of every LP value: ``value(S) * cost_den``
+        is an int for every item set S."""
         return self._cost_den
 
     def value(self, item_ids: Iterable[int]) -> Fraction:
@@ -220,34 +216,6 @@ class LpOracle:
             unknown = sorted(set(group_ids) - self.inst.group_map.keys())
             raise ValueError(f"unknown group ids: {unknown}") from None
         return self.value(items)
-
-    def value_with_capacities(self, item_ids: Iterable[int], caps: Sequence[Fraction]) -> Fraction:
-        """LP value with per-bin residual capacities; used as a search bound.
-
-        ``caps`` holds one capacity >= 0 per bin, each an int or a
-        Fraction; any other shape or value raises ``ValueError``. The
-        network is :meth:`_transport`'s with every quantity in units of
-        1/(scale * c), where ``c = lcm(scale, cap denominators) // scale``
-        is 1 unless ``caps`` has denominators that ``scale`` lacks: item i
-        supplies ``shat[i] * c`` units, bin j accepts ``caps[j] * scale * c``
-        and only bins with a positive cap get arcs. The flow cost is
-        ``-value * cost_den * c``. Always solved cold, and never memoised.
-        """
-        caps = list(caps)
-        if len(caps) != self.inst.m:
-            raise ValueError(f"expected {self.inst.m} bin capacities, got {caps}")
-        for cap in caps:
-            if not isinstance(cap, Rational) or cap < 0:
-                raise ValueError(f"bin capacity {cap!r} is not an int or Fraction >= 0")
-        items = self._known(item_ids)
-        c = lcm(self._scale, *(cap.denominator for cap in caps)) // self._scale
-        # Integer arithmetic only (scale * c is a multiple of every cap's
-        # denominator): Fraction products here cost about 5x as much.
-        per_bin = self._scale * c
-        demand = [cap.numerator * (per_bin // cap.denominator) for cap in caps]
-        arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i] if demand[j]]
-        _flow, cost, _flows = transport([self._shat[i] * c for i in items], demand, arcs)
-        return Fraction(-cost, self._cost_den * c)
 
     def solution(self, item_ids: Iterable[int]) -> FractionalSolution:
         """An optimal fractional solution in which every item is fully assigned.
@@ -312,7 +280,7 @@ class LpOracle:
         return items
 
     def _closed_form(self, items: list[int]) -> tuple[int, dict[tuple[int, int], int]] | None:
-        """The all-caps-1 optimum of ``items`` as ``_transport`` returns it, or
+        """The optimum of ``items`` as ``_transport`` returns it, or
         None where the closed form does not apply.
 
         It applies when every item with a positive profit has a unique most
@@ -342,7 +310,7 @@ class LpOracle:
     def _transport(
         self, items: list[int], start: dict[tuple[int, int], int] | None = None
     ) -> tuple[int, dict[tuple[int, int], int]]:
-        """Solve the transportation problem with every cap 1; returns (units, flows).
+        """Solve the transportation problem; returns (units, flows).
 
         The value is ``units / cost_den``. Flows are keyed (item id, bin
         index) in units of 1/scale bin capacity. The network comes from the

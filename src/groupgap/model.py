@@ -198,15 +198,22 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
     ``strict`` additionally enforces the group-size cap s(G) <= m/2 that the
     end-to-end profit guarantee requires.
     """
-    if inst.m < 1:
-        raise ValidationError(f"bin count must be positive, got {inst.m}")
+    if not isinstance(inst.m, int) or inst.m < 1:
+        raise ValidationError(f"bin count m must be a positive int, got {inst.m!r}")
     seen_items: set[int] = set()
     for it in inst.items:
         if it.id in seen_items:
             raise BadPartition(f"duplicate item id {it.id}")
         seen_items.add(it.id)
         # Integer tests on the lowest-terms rational (its denominator is > 0).
-        if not 0 < it.size.numerator <= it.size.denominator:
+        # A size without them (a float, say) is not an exact rational.
+        try:
+            fits = 0 < it.size.numerator <= it.size.denominator
+        except AttributeError:
+            raise ValidationError(
+                f"item {it.id} has size {it.size!r}, not an int or Fraction"
+            ) from None
+        if not fits:
             raise BadSize(it.id, it.size)
     grouped: set[int] = set()
     for g in inst.groups:
@@ -226,7 +233,13 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
             raise BadPartition(f"profit entry references unknown item {i}")
         if not 0 <= j < inst.m:
             raise BadBinIndex(i, j, inst.m)
-        if p.numerator < 0:
+        try:
+            negative = p.numerator < 0
+        except AttributeError:
+            raise ValidationError(
+                f"profit for item {i} in bin {j + 1} is {p!r}, not an int or Fraction"
+            ) from None
+        if negative:
             raise NegativeProfit(i, j, p)
     if strict:
         cap = Fraction(inst.m, 2)

@@ -11,8 +11,10 @@ from groupgap.exact import (
     matching_value_table,
     solve_exact,
 )
+from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
+from groupgap.pipeline import solve, upper_bound
 from groupgap.submodular import GroundElement
 
 from conftest import F, make_instance, random_instance, worked_example
@@ -59,11 +61,30 @@ def test_witness_rescored_and_feasible():
 
 def test_pruning_never_changes_the_optimum():
     rng = random.Random(67)
-    for _ in range(10):
-        inst = random_instance(rng, n_max=6, m_max=3, l_max=3)
-        pruned, _ = solve_exact(inst, use_lp_pruning=True)
-        plain, _ = solve_exact(inst, use_lp_pruning=False)
+    instances = [random_instance(rng, n_max=8, m_max=3, l_max=4) for _ in range(60)]
+    instances += [
+        generate(GeneratorSpec(seed=seed, n=8, groups=groups, bins=3, flavor=flavor))
+        for seed in range(6)
+        for flavor, groups in (("uniform", 4), ("vod", 3))
+    ]
+    for inst in instances:
+        pruned, _ = solve_exact(inst, use_pruning=True)
+        plain, _ = solve_exact(inst, use_pruning=False)
         assert pruned == plain
+
+
+def test_optimum_at_the_desk_limit_brackets_the_pipeline():
+    """12 items on 4 bins, the default limits: the search finishes, and its
+    optimum lies between the pipeline's profit (within its factor 6) and
+    the LP upper bound."""
+    for seed in range(3):
+        for flavor, groups in (("uniform", 6), ("vod", 4)):
+            inst = generate(GeneratorSpec(seed=seed, n=12, groups=groups, bins=4, flavor=flavor))
+            optimum, witness = solve_exact(inst)
+            assert is_feasible(inst, witness)
+            _assignment, report = solve(inst)
+            assert report.final_profit <= optimum <= 6 * report.final_profit
+            assert optimum <= upper_bound(inst)
 
 
 def test_limits_rejected():
@@ -81,7 +102,7 @@ def test_node_budget_carries_partial_result():
     rng = random.Random(71)
     inst = random_instance(rng, n_max=8, m_max=3, l_max=2)
     with pytest.raises(LimitExceeded) as err:
-        solve_exact(inst, SearchLimits(node_budget=3), use_lp_pruning=False)
+        solve_exact(inst, SearchLimits(node_budget=3), use_pruning=False)
     assert err.value.best_value is not None
 
 

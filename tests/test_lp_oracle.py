@@ -154,18 +154,6 @@ def test_diminishing_returns_spot():
         assert gain_small >= gain_large
 
 
-def test_value_with_capacities_bounds():
-    rng = random.Random(17)
-    for _ in range(15):
-        inst = random_instance(rng, n_max=6, m_max=3)
-        oracle = LpOracle(inst)
-        ids = sorted(inst.item_ids)
-        full = [F(1)] * inst.m
-        assert oracle.value_with_capacities(ids, full) == oracle.value(ids)
-        reduced = [F(rng.randint(0, 4), 4) for _ in range(inst.m)]
-        assert oracle.value_with_capacities(ids, reduced) <= oracle.value(ids)
-
-
 def test_lp_value_equals_unit_expansion_matching():
     from conftest import scaled_matching_graph
 
@@ -180,20 +168,6 @@ def test_lp_value_equals_unit_expansion_matching():
     assert LpOracle(inst).value([1, 2, 3]) == expected
 
 
-def test_value_with_capacities_rejects_wrong_shape():
-    inst = make_instance(2, {1: F(1, 2)}, [[1]], {(1, 0): F(2), (1, 1): F(3)})
-    oracle = LpOracle(inst)
-    for caps in ([F(1)], [F(1), F(1), F(1)], [F(-1), F(1)]):
-        with pytest.raises(ValueError):
-            oracle.value_with_capacities([1], caps)
-    # not an int or Fraction: named in the error, not an AttributeError
-    for caps, bad in (([0.5, 1.0], "0.5"), ([F(1), float("nan")], "nan"), ([1, "1"], "'1'")):
-        with pytest.raises(ValueError, match=bad):
-            oracle.value_with_capacities([1], caps)
-    assert oracle.value_with_capacities([1], [0, 1]) == 3
-    assert oracle.value_with_capacities([1], [F(0), F(1)]) == 3
-
-
 def test_unknown_ids_raise_value_error():
     inst = make_instance(
         2,
@@ -205,10 +179,9 @@ def test_unknown_ids_raise_value_error():
     calls = [
         lambda: oracle.value([999]),
         lambda: oracle.solution([999]),
-        lambda: oracle.value_with_capacities([999], [F(1), F(1)]),
         lambda: oracle.group_value([7]),
     ]
-    for call, unknown in zip(calls, ["999", "999", "999", "7"]):
+    for call, unknown in zip(calls, ["999", "999", "7"]):
         with pytest.raises(ValueError, match=rf"unknown .* ids: \[{unknown}\]"):
             call()
     with pytest.raises(ValueError, match=r"\[998, 999\]"):
@@ -233,13 +206,9 @@ def test_answers_do_not_depend_on_instance_scale():
             },
         )
         base, other = LpOracle(inst), LpOracle(wider)
-        caps = [F(rng.randint(0, 6), rng.choice([1, 2, 3, 5])) for _ in range(inst.m)]
         ids = sorted(inst.item_ids)
         for subset in (set(c) for r in range(len(ids) + 1) for c in combinations(ids, r)):
             assert other.value(subset) == base.value(subset)
-            assert other.value_with_capacities(subset, caps) == base.value_with_capacities(
-                subset, caps
-            )
             if inst.total_size(subset) <= inst.m:
                 assert other.solution(subset).entries == base.solution(subset).entries
 
@@ -287,15 +256,15 @@ def test_integer_tables_match_fraction_reference():
     assert without_profit >= 15
 
 
-def networkx_transport_value(nx, inst, items, caps):
+def networkx_transport_value(nx, inst, items):
     """LP value as a min-cost max-flow solved by networkx's network simplex.
 
     Same transportation network, built independently: item i supplies
-    s_i * scale units, bin j takes caps[j] * scale, a unit of i in j is worth
+    s_i * scale units, every bin takes scale, a unit of i in j is worth
     p_ij / (s_i * scale), and a free item-to-sink arc lets any supply go
     unassigned, so a max flow of least cost is an optimal transport.
     """
-    scale = lcm(*(inst.size(i).denominator for i in items), *(c.denominator for c in caps))
+    scale = lcm(*(inst.size(i).denominator for i in items))
     supply = {i: int(inst.size(i) * scale) for i in items}
     unit = {
         (i, j): inst.profit(i, j) / supply[i]
@@ -311,7 +280,7 @@ def networkx_transport_value(nx, inst, items, caps):
     for (i, j), u in unit.items():
         graph.add_edge(("item", i), ("bin", j), capacity=supply[i], weight=-int(u * cost_den))
     for j in range(inst.m):
-        graph.add_edge(("bin", j), "t", capacity=int(caps[j] * scale), weight=0)
+        graph.add_edge(("bin", j), "t", capacity=scale, weight=0)
     cost = nx.cost_of_flow(graph, nx.max_flow_min_cost(graph, "s", "t"))
     return F(-cost, cost_den)
 
@@ -325,12 +294,7 @@ def test_value_matches_networkx_min_cost_flow():
         subset = [i for i in sorted(inst.item_ids) if rng.random() < 0.7] or [
             min(inst.item_ids)
         ]
-        full = [F(1)] * inst.m
-        assert oracle.value(subset) == networkx_transport_value(nx, inst, subset, full)
-        caps = [F(rng.randint(0, 6), rng.choice([1, 2, 3, 5])) for _ in range(inst.m)]
-        assert oracle.value_with_capacities(subset, caps) == networkx_transport_value(
-            nx, inst, subset, caps
-        )
+        assert oracle.value(subset) == networkx_transport_value(nx, inst, subset)
 
 
 def cold_value(inst, subset):
@@ -450,9 +414,8 @@ def test_warm_values_match_networkx():
     for _ in range(8):
         inst = random_instance(rng, n_max=9, m_max=3)
         oracle = LpOracle(inst)
-        full = [F(1)] * inst.m
         for subset in random_history(rng, sorted(inst.item_ids), 8):
-            expected = networkx_transport_value(nx, inst, sorted(subset), full) if subset else 0
+            expected = networkx_transport_value(nx, inst, sorted(subset)) if subset else 0
             assert oracle.value(subset) == expected
 
 

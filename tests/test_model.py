@@ -89,6 +89,31 @@ def test_validate_boundaries_and_messages():
     validate_instance(make_instance(3, over, [[1, 2, 3]], {}))
 
 
+def test_validate_rejects_bad_number_types():
+    """A float size or profit, or a non-int bin count, is a ValidationError
+    that names the item, the bin or m, from every entry point."""
+    item = groupgap.Item(id=1, size=F(1, 2))
+    group = groupgap.Group(id=0, members=(1,))
+    cases = [
+        (groupgap.Instance(2, (groupgap.Item(1, 0.5),), (group,), {}), r"^item 1 has size 0\.5,"),
+        (groupgap.Instance(2, (item,), (group,), {(1, 1): 3.0}), r"^profit .* 1 in bin 2 is 3\.0,"),
+        (groupgap.Instance(2.0, (item,), (group,), {}), r"^bin count m .* got 2\.0$"),
+        (groupgap.Instance("2", (item,), (group,), {}), r"^bin count m .* got '2'$"),
+    ]
+    entry_points = [
+        validate_instance,
+        groupgap.solve,
+        groupgap.upper_bound,
+        groupgap.solve_exact,
+    ]
+    for inst, message in cases:
+        for call in entry_points:
+            with pytest.raises(groupgap.ValidationError, match=message):
+                call(inst)
+    # ints are rationals too
+    validate_instance(groupgap.Instance(2, (groupgap.Item(1, 1),), (group,), {(1, 0): 4}))
+
+
 def test_assignment_profit_examples():
     inst = make_instance(
         2,
