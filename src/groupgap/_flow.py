@@ -42,6 +42,16 @@ the edges run from the source, along the arcs, then into the sink, each in
 the order given. Bellman-Ford breaks ties between equal-cost paths by node
 and edge order, so this layout decides which optimal flow comes out.
 
+``transport``'s ``preload`` resumes a run instead of starting one: the
+network is built with that flow on the arcs and the matching flow on the
+source and sink edges (``FlowNetwork``'s ``flows``). The residual graph is
+a function of the capacities alone, live lists included, so a preload that
+successive shortest paths themselves reached from zero, after their first
+k augmentations, leaves exactly the network that run had then. The run
+therefore goes on as the cold run would: the same paths, the same final
+flows, and the cold cost minus the preload's. The LP oracle preloads the
+paths it replays without Bellman-Ford (see :mod:`.lp_oracle`).
+
 :func:`reoptimize` re-solves the profit-maximising transport from a start
 flow instead of from zero: in practice a subset's optimum, to which more
 supplied left nodes are added. It preloads the start flow on the same
@@ -204,6 +214,7 @@ def transport(
     demand: list[int],
     arcs: list[tuple[int, int, int]],
     max_flow: int | None = None,
+    preload: list[int] | None = None,
 ) -> tuple[int, int, list[int]]:
     """Min-cost flow from left nodes with ``supply`` to right nodes with ``demand``.
 
@@ -211,10 +222,17 @@ def transport(
     ``demand``; an arc's capacity is its left node's supply. Without
     ``max_flow`` the flow maximises profit (``-cost``); with it, the flow
     ships up to ``max_flow`` units at least cost (see :meth:`FlowNetwork.run`).
+    ``preload``, one flow per arc, starts the run from that flow instead of
+    from zero (see the module docstring); the flow, the cost and
+    ``max_flow`` then count only what the run adds.
     Returns the flow, its cost and the flow on each arc.
     """
     sink = 1 + len(supply) + len(demand)
-    net = FlowNetwork(sink + 1, _edges(supply, demand, arcs, [0] * len(supply)))
+    flows = None
+    if preload is not None:
+        out, into = _loads(supply, demand, arcs, preload)
+        flows = out + preload + into
+    net = FlowNetwork(sink + 1, _edges(supply, demand, arcs, [0] * len(supply)), flows)
     flow, cost = net.run(0, sink, max_flow)
     return flow, cost, _arc_flows(net, supply, arcs)
 
@@ -237,11 +255,7 @@ def reoptimize(
     """
     sink = 1 + len(supply) + len(demand)
     source = sink + 1  # node 0 is the second source
-    out = [0] * len(supply)
-    into = [0] * len(demand)
-    for (i, j, _cost), units in zip(arcs, start):
-        out[i] += units
-        into[j] += units
+    out, into = _loads(supply, demand, arcs, start)
     edges = _edges(supply, demand, arcs, [source if units else 0 for units in out])
     edges.append((sink, source, sum(supply), 0))
     net = FlowNetwork(source + 1, edges, out + start + into + [sum(out)])
@@ -257,6 +271,16 @@ def _edges(supply, demand, arcs, feed):
     edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
     edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
     return edges
+
+
+def _loads(supply, demand, arcs, flows):
+    """The flow out of each left node and into each right node."""
+    out = [0] * len(supply)
+    into = [0] * len(demand)
+    for (i, j, _cost), units in zip(arcs, flows):
+        out[i] += units
+        into[j] += units
+    return out, into
 
 
 def _arc_flows(net, supply, arcs):

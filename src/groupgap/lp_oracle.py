@@ -9,31 +9,55 @@ clearing denominators the transportation problem is an integer min-cost
 flow whose optimum is attained at integral flows, so mapping the solution
 back yields the exact rational LP optimum.
 
-Closed form. For every item set, the LP value is at most the sum of each
-item's largest profit max_j p_ij, since sum_j(x_ij) <= 1, and equality
-forces every item with a positive profit wholly into a bin where that
-profit is attained. Where each such item has one strictly most profitable
-bin and those bins hold all of them whole, that assignment is feasible,
-so it is the unique optimum: every exact solver, the cold and the warm
-successive shortest paths included, returns exactly that flow.
-:meth:`LpOracle._closed_form` writes it down without a network: the same
-units and the same flows, in the same order, as a transport solve. Items
-without a positive profit have no arc and ship nothing either way. Other
-sets, a tie for an item's best profit or an overflowing best bin, are
-solved as below.
+Replay. Successive shortest paths from the zero flow (the cold solve)
+finds each augmenting path with a full Bellman-Ford search, and most of
+them are the direct path source -> item -> bin -> sink.
+:meth:`LpOracle._replay` takes those first paths without a search. It
+walks the queried items' arcs by (cost, bin, item) and ships each item not
+yet shipped whole along its first arc, its most profitable bin (the lowest
+on a tie). It stops before an arc into a full bin, and after a step that
+ships an item only in part. Each step is the path that Bellman-Ford finds
+in the state that the earlier steps leave:
+
+- Every shipped item sits whole on its cheapest arc. A path starts along
+  an arc of an unshipped item, and each detour that leaves a bin along the
+  twin of a shipped item's arc moves that item to another of its arcs,
+  which never costs less. So no path costs less than the cheapest arc of
+  an unshipped item, the walk's next arc, whose bin has room.
+- Bellman-Ford's first pass scans the source, then the items by position,
+  then the bins by index, then the sink. It gives each bin the cheapest
+  arc into it from an unshipped item, with the lowest-position such item
+  as parent, and the sink the lowest-index bin with room that such a
+  cheapest arc reaches: the walk's next arc, since an arc of the same cost
+  into a lower bin would have come first and stopped the walk. Later
+  passes can at most tie, and a tie replaces no parent.
+- The path's bottleneck is the item's supply or the bin's room, whichever
+  is smaller: the whole item, or the rest of the bin, and the walk stops.
+
+Where the walk ships every item with a positive profit whole, no path with
+room is left, so the replayed flow is the cold solve's optimum: the same
+units and the same flows, in the same order. That covers every set whose
+items each have one strictly most profitable bin and fit there, and ties
+for an item's best bin. Items without a positive profit have no arc and
+ship nothing either way. Otherwise :meth:`LpOracle._transport` preloads
+the replayed flow on the cold solve's network (``preload`` of
+:func:`._flow.transport`) and runs successive shortest paths on from
+there, to the cold solve's flows; the value is the replayed units plus the
+run's gain, which is never negative (a negative one raises
+``InvariantViolated``).
 
 Warm start. Next to the memo of values, the oracle keeps the optimal
 flows of the last ``_FLOWS_KEPT`` sets it solved. On a miss for S,
 :meth:`LpOracle.value` looks for the largest of those sets that is a
 non-empty proper subset B of S holding at least half of S's items
-(``2 * |B| >= |S|``) and re-optimises from B's flow
-(:func:`._flow.reoptimize`): ``value(S) = value(B) - cost / cost_den``,
-where the re-optimisation's cost is never positive (a positive one raises
-``InvariantViolated``). With no such B, S is solved cold from the zero
-flow. The half rule is a property of the query, not a setting: a warm run
-needs fewer augmenting paths, but each one reroutes through the preloaded
-flow and scans more of the network, so the saving shrinks as the share of
-new items grows. Warming from any subset made vod 36/6/12 solves (the
+(``2 * |B| >= |S|``) and, unless the replay finishes S, re-optimises
+from B's flow (:func:`._flow.reoptimize`): ``value(S) = value(B) - cost /
+cost_den``, where the re-optimisation's cost is never positive (a positive
+one raises ``InvariantViolated``). With no such B, S is solved cold: the
+replay and its continuation. The half rule is a property of the query, not
+a setting: a warm run needs fewer augmenting paths, but each one reroutes
+through the preloaded flow and scans more of the network, so the saving
+shrinks as the share of new items grows. Warming from any subset made vod 36/6/12 solves (the
 benchmark's oracle-heavy workload) about 16% slower than warming only from
 half-size ones. Keeping only the latest flows bounds their memory and
 the base search's scan on the selection's long fallback search.
@@ -42,9 +66,8 @@ Why nothing downstream can change: the LP optimum value is unique even
 where the optimal flow is not, so a warm value equals the cold one and the
 selection search, which reads only values, makes the same choices.
 :meth:`LpOracle.solution`, the one caller that reads a flow, reuses the
-kept flow only when that flow was solved cold or in closed form, and is
-then byte-identical to a fresh cold solve; otherwise it takes the closed
-form or solves cold itself.
+kept flow only when that flow was solved cold, and is then byte-identical
+to a fresh cold solve; otherwise it solves cold itself.
 """
 
 from __future__ import annotations
@@ -67,7 +90,7 @@ _FLOWS_KEPT = 1024
 
 class _Flow(NamedTuple):
     """An optimal flow, as ``_transport`` returns it, and whether it is the
-    cold solve's flow: solved from the zero flow, or in closed form."""
+    cold solve's flow: replayed and continued, not re-optimised."""
 
     units: dict[tuple[int, int], int]
     cold: bool
@@ -79,13 +102,14 @@ class LpOracle:
     Values are cached per item-id set, since the submodular search issues
     many repeated queries, and so are the optimal flows of the latest
     solves; :meth:`value` writes both, so one oracle serves one instance in
-    one thread. A miss is answered in closed form where every item with a
-    positive profit fits its unique most profitable bin; otherwise it is
+    one thread. A miss starts with the replay of the cold solve's first
+    augmenting paths, which answers it where every item with a positive
+    profit ships whole to a most profitable bin. Otherwise it is
     re-optimised from the largest kept proper subset holding at least half
-    of its items, or solved cold when there is none (see the module
-    docstring). Either way the value is the LP optimum. A closed-form flow
-    is kept as a cold one, since it is the cold solve's flow.
-    :meth:`solution` reuses a kept flow only if it was solved cold.
+    of its items, or the cold solve goes on from the replay when there is
+    none (see the module docstring). Either way the value is the LP
+    optimum. :meth:`solution` reuses a kept flow only if it was solved
+    cold.
 
     The integer tables of the transportation network are built once per
     instance: ``scale`` is the lcm of every item-size denominator, item i
@@ -96,14 +120,13 @@ class LpOracle:
     ``g = gcd(num, shat[i])``, the unit profit in lowest terms is
     ``(num / g) / (den * shat[i] / g)``, so no rational is ever multiplied
     or divided (profits may be ints too). Every query (:meth:`value`,
-    :meth:`solution`) goes through one solve path, :meth:`_transport`,
-    which only copies ints and reuses the per-instance demand list. Against
+    :meth:`solution`) goes through one solve path, :meth:`_optimum`: the
+    replay, then :meth:`_transport` where needed, which only copies ints
+    and reuses the per-instance demand list. Against
     a table built for the queried subset alone, every capacity and every
     cost is multiplied by one positive constant each, so Bellman-Ford's
     strict comparisons pick the same paths and the flows and values come
-    out the same. The build also records each item's most profitable bin,
-    if unique, for the closed form; it reads each profit once, in the same
-    loop.
+    out the same; so do the replay's, which compares costs and ids only.
 
     The LP value is ``-cost / cost_den``, so the memo and the warm-start
     gains are ints in units of ``1 / cost_den``; a Fraction is built only
@@ -122,31 +145,20 @@ class LpOracle:
         # Per item, (bin, num, den): the unit profit p_ij / shat[i] in lowest
         # terms, for the bins with p_ij > 0 in ascending order. p_ij's own
         # terms are lowest, so only shat[i] can share a factor with its
-        # numerator. Alongside, in ``top``, each item's most profitable bin
-        # with p_ij's own num and den, or None on a tie for it or with no
-        # p_ij > 0. Fraction's numerator and denominator are properties, so
+        # numerator. Fraction's numerator and denominator are properties, so
         # each is read once.
         profit = inst.profits.get
         units = {}
-        top = {}
         for i, supply in shat.items():
             row = units[i] = []
-            best, best_num, best_den, unique = None, 0, 1, False
             for j in range(inst.m):
                 p = profit((i, j))
                 if p is None:
                     continue
                 num = p.numerator
                 if num > 0:
-                    den = p.denominator
                     g = gcd(num, supply)
-                    row.append((j, num // g, den * (supply // g)))
-                    ahead = num * best_den - best_num * den
-                    if ahead > 0:
-                        best, best_num, best_den, unique = j, num, den, True
-                    elif ahead == 0:
-                        unique = False
-            top[i] = (best, best_num, best_den) if unique else None
+                    row.append((j, num // g, p.denominator * (supply // g)))
         cost_den = lcm(*(den for row in units.values() for _j, _num, den in row))
         self._scale = scale
         self._shat = shat
@@ -158,12 +170,10 @@ class LpOracle:
         self._arcs = {
             i: [(j, -num * (cost_den // den)) for j, num, den in row] for i, row in units.items()
         }
-        # Per item, (bin, p_ij * cost_den) for its unique most profitable bin j,
-        # or None: what the closed form of :meth:`_closed_form` ships and earns.
-        self._top = {
-            i: None if best is None else (best[0], best[1] * (cost_den // best[2]))
-            for i, best in top.items()
-        }
+        # Every arc as (cost, bin, item), ascending: the walk of
+        # :meth:`_replay`. Queried items are ascending ids, so sorting by id
+        # sorts by their position in the network too.
+        self._order = sorted((cost, j, i) for i, row in self._arcs.items() for j, cost in row)
 
     @property
     def cost_den(self) -> int:
@@ -176,26 +186,34 @@ class LpOracle:
         key = frozenset(item_ids)
         units = self._memo.get(key)
         if units is None:
-            items = self._known(key)
-            solved = self._closed_form(items)
-            base = None if solved is not None else self._base(key)
-            if solved is not None:
-                units, y = solved
-            elif base is None:
-                units, y = self._transport(items)
-            else:
-                gain, y = self._transport(items, start=self._flows[base].units)
-                if gain < 0:
-                    raise InvariantViolated(
-                        f"warm LP value fell by {Fraction(-gain, self._cost_den)}"
-                        " below a subset's value"
-                    )
-                units = self._memo[base] + gain
+            units, y, cold = self._optimum(self._known(key), key)
             self._memo[key] = units
-            self._flows[key] = _Flow(y, base is None)
+            self._flows[key] = _Flow(y, cold)
             if len(self._flows) > _FLOWS_KEPT:
                 del self._flows[next(iter(self._flows))]
         return Fraction(units, self._cost_den)
+
+    def _optimum(
+        self, items: list[int], key: frozenset[int] | None = None
+    ) -> tuple[int, dict[tuple[int, int], int], bool]:
+        """(units, flows, cold): the optimum of ``items``, the one path of
+        every query. The replay, where it finishes; otherwise re-optimised
+        from the base of ``key`` (:meth:`value`'s misses) if there is one,
+        and else the cold solve continued from the replay. ``cold`` is
+        False only for the re-optimised flow."""
+        units, y, done = self._replay(items)
+        if done:
+            return units, y, True
+        base = None if key is None else self._base(key)
+        if base is not None:
+            units, y = self._memo[base], self._flows[base].units
+        gain, y = self._transport(items, y, warm=base is not None)
+        if gain < 0:
+            raise InvariantViolated(
+                f"LP value fell by {Fraction(-gain, self._cost_den)} below"
+                f" the {'subset' if base is not None else 'replayed'} flow's"
+            )
+        return units + gain, y, base is None
 
     def _base(self, key: frozenset[int]) -> frozenset[int] | None:
         """The largest set with a kept flow that is a proper subset of ``key``
@@ -225,10 +243,9 @@ class LpOracle:
         capacity (items by ascending id, bins by ascending index). Such flow
         is always profit-neutral at an optimum, so the value is preserved.
         The optimum is a copy of the kept flow if :meth:`value` solved this
-        set cold or in closed form and its flow is still kept; otherwise it
-        is the closed form where that applies, and a cold solve where not.
-        All three are the same flow, so the result never depends on earlier
-        queries.
+        set cold and its flow is still kept; otherwise it is a cold solve:
+        the replay and, where it stops short, its continuation. Both are
+        the same flow, so the result never depends on earlier queries.
         """
         items = self._known(item_ids)
         total = sum((self.inst.size(i) for i in items), ZERO)
@@ -243,7 +260,7 @@ class LpOracle:
         if kept is not None and kept.cold:
             units, y = self._memo[key], dict(kept.units)
         else:
-            units, y = self._closed_form(items) or self._transport(items)
+            units, y, _cold = self._optimum(items)
         value = Fraction(units, self._cost_den)
         scale, shat = self._scale, self._shat
         used = [0] * self.inst.m
@@ -279,57 +296,66 @@ class LpOracle:
             raise ValueError(f"unknown item ids: {unknown}")
         return items
 
-    def _closed_form(self, items: list[int]) -> tuple[int, dict[tuple[int, int], int]] | None:
-        """The optimum of ``items`` as ``_transport`` returns it, or
-        None where the closed form does not apply.
+    def _replay(self, items: list[int]) -> tuple[int, dict[tuple[int, int], int], bool]:
+        """The first augmenting paths of a cold solve of ``items``, without
+        Bellman-Ford: (units, flows, done), flows in ``_transport``'s order.
 
-        It applies when every item with a positive profit has a unique most
-        profitable bin and those bins hold all such items whole: each item
-        then ships its whole supply to that bin, the unique optimum (see the
-        module docstring). Items without a positive profit ship nothing.
+        It walks the arcs of ``items`` by (cost, bin, item) and ships each
+        item not yet shipped whole along its first arc. It stops before an
+        arc into a full bin and after a step that ships an item only in
+        part: up to there, each step is the path that Bellman-Ford takes
+        (see the module docstring). ``done`` says that every item with a
+        positive profit is shipped whole: the flow is then the optimum.
         """
-        top, arcs, shat, scale = self._top, self._arcs, self._shat, self._scale
-        load = [0] * self.inst.m
+        scale, arcs = self._scale, self._arcs
+        left = {i: self._shat[i] for i in items if arcs[i]}  # unshipped supplies
         units = 0
-        y = {}
-        for i in items:
-            best = top[i]
-            if best is None:
-                if arcs[i]:  # two bins tie for the item's best profit
-                    return None
-                continue
-            j, earned = best
-            supply = shat[i]
-            load[j] += supply
-            if load[j] > scale:
-                return None
-            units += earned
-            y[(i, j)] = supply
-        return units, y
+        placed = {}
+        if left:
+            load = [0] * self.inst.m
+            for cost, j, i in self._order:
+                if i not in left:  # not queried, or already shipped
+                    continue
+                room = scale - load[j]
+                if not room:
+                    break
+                supply = left.pop(i)
+                ship = supply if supply <= room else room
+                load[j] += ship
+                units -= ship * cost
+                placed[i] = (j, ship)
+                if ship < supply:  # the bin is full with the item in part
+                    left[i] = supply - ship
+                    break
+                if not left:
+                    break
+        y = {(i, j): ship for i, (j, ship) in sorted(placed.items())}
+        return units, y, not left
 
     def _transport(
-        self, items: list[int], start: dict[tuple[int, int], int] | None = None
+        self, items: list[int], start: dict[tuple[int, int], int], warm: bool = False
     ) -> tuple[int, dict[tuple[int, int], int]]:
-        """Solve the transportation problem; returns (units, flows).
+        """Solve the transportation problem from the flows ``start``;
+        returns (gain, flows).
 
-        The value is ``units / cost_den``. Flows are keyed (item id, bin
-        index) in units of 1/scale bin capacity. The network comes from the
-        per-instance tables as they are: item i supplies ``shat[i]`` units
-        and every bin accepts ``scale``. Arcs run items ascending, then bins
-        ascending: the order that Bellman-Ford's tie-breaks depend on.
+        The value gained over ``start``'s is ``gain / cost_den``. Flows are
+        keyed (item id, bin index) in units of 1/scale bin capacity. The
+        network comes from the per-instance tables as they are: item i
+        supplies ``shat[i]`` units and every bin accepts ``scale``. Arcs run
+        items ascending, then bins ascending: the order that Bellman-Ford's
+        tie-breaks depend on.
 
-        With ``start``, the optimal flows of a subset of ``items``, the
-        problem is re-optimised from those flows and the value returned is
-        the gain over theirs.
+        ``start`` is a state of the cold solve, such as the empty flow or
+        :meth:`_replay`'s, which the solve continues. With ``warm``, it is
+        instead the optimal flows of a subset of ``items``, from which the
+        problem is re-optimised.
         """
-        if not items:
-            return 0, {}
         supply = [self._shat[i] for i in items]
         arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i]]
-        if start is None:
-            _flow, cost, flows = transport(supply, self._demand, arcs)
-        else:
-            preload = [start.get((items[k], j), 0) for k, j, _cost in arcs]
+        preload = [start.get((items[k], j), 0) for k, j, _cost in arcs]
+        if warm:
             _flow, cost, flows = reoptimize(supply, self._demand, arcs, preload)
+        else:
+            _flow, cost, flows = transport(supply, self._demand, arcs, preload=preload)
         y = {(items[k], j): units for (k, j, _cost), units in zip(arcs, flows) if units > 0}
         return -cost, y

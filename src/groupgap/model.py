@@ -198,7 +198,7 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
     ``strict`` additionally enforces the group-size cap s(G) <= m/2 that the
     end-to-end profit guarantee requires.
     """
-    if not isinstance(inst.m, int) or inst.m < 1:
+    if isinstance(inst.m, bool) or not isinstance(inst.m, int) or inst.m < 1:
         raise ValidationError(f"bin count m must be a positive int, got {inst.m!r}")
     seen_items: set[int] = set()
     for it in inst.items:
@@ -206,13 +206,14 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
             raise BadPartition(f"duplicate item id {it.id}")
         seen_items.add(it.id)
         # Integer tests on the lowest-terms rational (its denominator is > 0).
-        # A size without them (a float, say) is not an exact rational.
+        # A size without them (a float, say) is not an exact rational, and a
+        # bool, although an int, is no number either (io rejects it too).
         try:
             fits = 0 < it.size.numerator <= it.size.denominator
         except AttributeError:
-            raise ValidationError(
-                f"item {it.id} has size {it.size!r}, not an int or Fraction"
-            ) from None
+            fits = None
+        if fits is None or isinstance(it.size, bool):
+            raise ValidationError(f"item {it.id} has size {it.size!r}, not an int or Fraction")
         if not fits:
             raise BadSize(it.id, it.size)
     grouped: set[int] = set()
@@ -236,9 +237,11 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
         try:
             negative = p.numerator < 0
         except AttributeError:
+            negative = None
+        if negative is None or isinstance(p, bool):
             raise ValidationError(
                 f"profit for item {i} in bin {j + 1} is {p!r}, not an int or Fraction"
-            ) from None
+            )
         if negative:
             raise NegativeProfit(i, j, p)
     if strict:

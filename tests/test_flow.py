@@ -319,3 +319,67 @@ def test_negative_cycle_raises_instead_of_looping():
     supply, demand, arcs = [2, 1], [2, 2], [(0, 0, -1), (0, 1, -3), (1, 0, -1)]
     with pytest.raises(InvariantViolated, match="negative cycle"):
         reoptimize(supply, demand, arcs, [2, 0, 0])
+
+
+def bipartite_states(supply, demand, arcs, max_flow=None):
+    """Successive shortest paths on ``transport``'s layout, driven by the
+    full-scan reference: after each of its k augmentations (k = 0 first),
+    the flow on each arc and the flow and cost shipped so far."""
+    right = 1 + len(supply)
+    sink = right + len(demand)
+    edges = [(0, 1 + i, units, 0) for i, units in enumerate(supply)]
+    edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
+    edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
+    net = FlowNetwork(sink + 1, edges)
+    first = 2 * len(supply)
+
+    def arc_flows():
+        return net.cap[first + 1 : first + 2 * len(arcs) : 2]
+
+    flow = cost = 0
+    states = [(arc_flows(), flow, cost)]
+    while max_flow is None or flow < max_flow:
+        dist, parent = full_scan_shortest_path(net, 0)
+        if dist[sink] is None or (max_flow is None and dist[sink] >= 0):
+            break
+        push = augment(net, 0, sink, parent, None if max_flow is None else max_flow - flow)
+        flow += push
+        cost += push * dist[sink]
+        states.append((arc_flows(), flow, cost))
+    return states
+
+
+@pytest.mark.parametrize("mode", ["profit", "max_flow"])
+def test_preloaded_transport_resumes_the_cold_run(mode):
+    """Preloaded with the cold run's state after any number of its
+    augmentations, ``transport`` ends at the cold run's flows, and the
+    preload's cost plus the run's is the cold cost."""
+    rng = random.Random(89 if mode == "profit" else 97)
+    resumed = 0
+    for _ in range(200):
+        supply, demand, arcs = random_bipartite(rng)
+        max_flow = None if mode == "profit" else rng.randint(1, sum(supply) + 1)
+        states = bipartite_states(supply, demand, arcs, max_flow)
+        cold_flows, cold_flow, cold_cost = states[-1]
+        assert transport(supply, demand, arcs, max_flow) == (cold_flow, cold_cost, cold_flows)
+        for preload, flow, cost in states:
+            rest = None if max_flow is None else max_flow - flow
+            got = transport(supply, demand, arcs, rest, preload=preload)
+            assert got == (cold_flow - flow, cold_cost - cost, cold_flows)
+            resumed += 0 < flow < cold_flow
+    assert resumed > 100
+
+
+def test_preload_outside_the_capacities_raises():
+    supply, demand, arcs = [2, 1], [2, 2], [(0, 0, -1), (0, 1, -3), (1, 0, -1)]
+    assert transport(supply, demand, arcs, preload=[0, 0, 0]) == transport(supply, demand, arcs)
+    bad = (
+        [-1, 0, 0],  # a negative arc flow
+        [0, 0, 2],  # more than left node 1 supplies
+        [1, 2, 0],  # the arcs out of left node 0 carry more than it supplies
+        [2, 0, 1],  # more than right node 0 takes
+        [0, 0],  # not one flow per arc
+    )
+    for preload in bad:
+        with pytest.raises(ValueError):
+            transport(supply, demand, arcs, preload=preload)

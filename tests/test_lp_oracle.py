@@ -10,6 +10,7 @@ import pytest
 
 import groupgap
 from groupgap import lp_oracle, rounding
+from groupgap._flow import FlowNetwork, transport
 from groupgap.errors import InsufficientCapacity
 from groupgap.exact import matching_value
 from groupgap.lp_oracle import LpOracle
@@ -297,22 +298,32 @@ def test_value_matches_networkx_min_cost_flow():
         assert oracle.value(subset) == networkx_transport_value(nx, inst, subset)
 
 
+def zero_flow_transport(oracle, items):
+    """The cold solve of ``items`` by ``_flow.transport`` from the zero flow,
+    on the oracle's tables: (units, flows) as ``_transport`` returns them."""
+    supply = [oracle._shat[i] for i in items]
+    arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in oracle._arcs[i]]
+    _flow, cost, flows = transport(supply, oracle._demand, arcs)
+    return -cost, {(items[k], j): units for (k, j, _c), units in zip(arcs, flows) if units > 0}
+
+
 def cold_value(inst, subset):
     """A fresh oracle's cold transport value, bypassing every memo."""
     oracle = LpOracle(inst)
-    units, _flows = oracle._transport(sorted(set(subset)))
+    units, _flows = zero_flow_transport(oracle, sorted(set(subset)))
     return F(units, oracle.cost_den)
 
 
 @pytest.fixture
 def warm_starts(monkeypatch):
-    """Records, per ``_transport`` call, the start flows it got (None if cold)."""
+    """Records, per ``_transport`` call, the start flows of a warm run, or
+    None for a cold one (which continues the replay)."""
     starts = []
-    transport = LpOracle._transport
+    original = LpOracle._transport
 
-    def recording(self, items, start=None):
-        starts.append(start)
-        return transport(self, items, start=start)
+    def recording(self, items, start, warm=False):
+        starts.append(start if warm else None)
+        return original(self, items, start, warm)
 
     monkeypatch.setattr(LpOracle, "_transport", recording)
     return starts
@@ -337,7 +348,7 @@ def random_history(rng, ids, length):
 
 
 def test_warm_values_equal_cold_values_over_random_histories(warm_starts):
-    # Sets that take the closed form start no warm run: 80 histories keep
+    # Sets that the replay finishes start no warm run: 80 histories keep
     # more than 100 warm starts.
     rng = random.Random(29)
     queries = 0
@@ -352,25 +363,31 @@ def test_warm_values_equal_cold_values_over_random_histories(warm_starts):
 
 
 def test_half_rule_picks_the_largest_qualifying_base(warm_starts):
-    # Each item earns the same in both bins: with that tie no non-empty set
-    # takes the closed form, so every one is solved by a transport run.
+    # Any two items overflow a bin, so the replay finishes only the
+    # singletons, which no transport run solves: every larger set is
+    # solved by one, and {1, 2, 5, 6} makes up the sixth run.
     inst = make_instance(
         2,
-        {i: F(1, 8) for i in range(1, 7)},
+        {i: F(5, 8) for i in range(1, 7)},
         [[1, 2, 3], [4, 5, 6]],
         {(i, j): F(i) for i in range(1, 7) for j in range(2)},
     )
     oracle = LpOracle(inst)
     oracle.value([1])
-    oracle.value([1, 2])
+    assert warm_starts == []
+    oracle.value([1, 2])  # base {1}: exactly half
+    assert warm_starts[-1] is oracle._flows[frozenset({1})].units
     oracle.value([1, 2, 3, 4])  # base {1, 2}: exactly half
     assert warm_starts[-1] is oracle._flows[frozenset({1, 2})].units
     oracle.value([1, 2, 3, 4, 5])  # largest base {1, 2, 3, 4}
     assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3, 4})].units
     oracle.value([5, 6])
+    assert warm_starts[-1] is None
     oracle.value([1, 5, 6])  # base {5, 6}; {1} is smaller
     assert warm_starts[-1] is oracle._flows[frozenset({5, 6})].units
-    oracle.value([5, 4, 3, 2, 1])  # repeated key: no solve
+    oracle.value([1, 2, 5, 6])  # largest base {1, 5, 6}
+    assert warm_starts[-1] is oracle._flows[frozenset({1, 5, 6})].units
+    oracle.value([6, 5, 2, 1])  # repeated key: no solve
     assert len(warm_starts) == 6
     oracle.value([1, 3, 4, 6])  # only {1} is a subset: 1 item of 4, under half
     oracle.value([2, 3, 4, 5, 6])  # {5, 6}: 2 of 5, under half
@@ -437,7 +454,7 @@ def test_solution_does_not_depend_on_query_history(warm_starts):
         oracle = LpOracle(inst)
         ids = sorted(inst.item_ids)
         # End on a half-size set, then all items: a warm start with many new items.
-        history = random_history(rng, ids, 8)
+        history = random_history(rng, ids, 12)
         history += [frozenset(rng.sample(ids, (len(ids) + 1) // 2)), frozenset(ids)]
         for subset in history:
             oracle.value(subset)
@@ -447,7 +464,7 @@ def test_solution_does_not_depend_on_query_history(warm_starts):
             fresh_oracle = LpOracle(inst)
             if not kept.cold:
                 warm += 1
-                cold_flow = fresh_oracle._transport(sorted(subset))[1]
+                cold_flow = zero_flow_transport(fresh_oracle, sorted(subset))[1]
                 other_flow += kept.units != cold_flow
             before = len(warm_starts)
             x = oracle.solution(subset)
@@ -467,7 +484,8 @@ from groupgap.model import Assignment, FractionalSolution, Group, Instance, Item
 
 
 def instance():
-    # Items 1 and 2 overflow the bin together, so {1, 2} has no closed form.
+    # Items 1 and 2 overflow the bin together, so the replay stops short on
+    # {1, 2} and a transport run finishes it.
     items = (Item(1, F(1, 2)), Item(2, F(3, 4)))
     return Instance(1, items, (Group(0, (1, 2)),), {(1, 0): F(5), (2, 0): F(3)})
 
@@ -497,6 +515,11 @@ def warm_gain_nonnegative():
     oracle.value([1, 2])
 
 
+def continued_gain_nonnegative():
+    lp_oracle.transport = lambda supply, demand, arcs, preload: (1, 1, preload)
+    lp_oracle.LpOracle(instance()).value([1, 2])
+
+
 def evict_only_small():
     big = Instance(1, (Item(1, F(3, 4)),), (Group(0, (1,)),), {})
     filling._FillState(big, Assignment((frozenset({1}),))).evict([1])
@@ -518,6 +541,7 @@ CHECKS = (
     saturation_succeeds,
     saturation_profit_neutral,
     warm_gain_nonnegative,
+    continued_gain_nonnegative,
     evict_only_small,
     rounding_places_the_support,
     selection_fits_half,
@@ -547,6 +571,7 @@ def test_invariant_checks_survive_python_O():
         "saturation_succeeds raised",
         "saturation_profit_neutral raised",
         "warm_gain_nonnegative raised",
+        "continued_gain_nonnegative raised",
         "evict_only_small raised",
         "rounding_places_the_support raised",
         "selection_fits_half raised",
@@ -554,62 +579,101 @@ def test_invariant_checks_survive_python_O():
     ]
 
 
-def test_closed_form_equals_transport_on_every_subset():
-    """Wherever the closed form answers, it is the transport solve's answer:
-    the same units and the same flows, in the same order."""
+def first_augmentations(oracle, items, k):
+    """The arc flows after the cold solve's first ``k`` augmenting paths,
+    each found by Bellman-Ford, keyed as ``_transport`` keys them."""
+    supply = [oracle._shat[i] for i in items]
+    arcs = [(p, j, cost) for p, i in enumerate(items) for j, cost in oracle._arcs[i]]
+    right = 1 + len(items)
+    sink = right + oracle.inst.m
+    edges = [(0, 1 + p, units, 0) for p, units in enumerate(supply)]
+    edges += [(1 + p, right + j, supply[p], cost) for p, j, cost in arcs]
+    edges += [(right + j, sink, oracle._scale, 0) for j in range(oracle.inst.m)]
+    net = FlowNetwork(sink + 1, edges)
+    for _ in range(k):
+        dist, parent = net._shortest_path(0)
+        assert dist[sink] is not None and dist[sink] < 0
+        net._augment(0, sink, parent)
+    first = 2 * len(items)
+    flows = net.cap[first + 1 : first + 2 * len(arcs) : 2]
+    return {(items[p], j): units for (p, j, _c), units in zip(arcs, flows) if units > 0}
+
+
+def replay_outcome(oracle, items):
+    """How the replay of ``items`` ended: "done", "partial" (an item shipped
+    in part) or "full" (before an arc into a full bin)."""
+    _units, y, done = oracle._replay(items)
+    if done:
+        return "done"
+    partial = any(units < oracle._shat[i] for (i, _j), units in y.items())
+    return "partial" if partial else "full"
+
+
+def test_replay_and_its_continuation_equal_a_zero_flow_transport_on_every_subset():
+    """The replay is the cold solve's first augmenting paths, one per item
+    it ships; where it finishes, it is the optimum, and where it stops, the
+    transport run from it ends there too: the same units and the same flows,
+    in the same order. Random and tie-heavy instances, every subset."""
     rng = random.Random(43)
-    closed = fell_through = 0
-    for _ in range(120):
-        inst = random_instance(rng, n_max=7, m_max=4)
+    outcomes = {"done": 0, "partial": 0, "full": 0}
+    for trial in range(160):
+        inst = random_instance(rng, n_max=7, m_max=4) if trial % 2 else tied_instance(rng)
         oracle = LpOracle(inst)
         ids = sorted(inst.item_ids)
         for r in range(len(ids) + 1):
             for items in map(list, combinations(ids, r)):
-                got = oracle._closed_form(items)
-                if got is None:
-                    fell_through += 1
-                    continue
-                closed += 1
-                units, y = oracle._transport(items)
-                assert got[0] == units
-                assert list(got[1].items()) == list(y.items())
-    assert closed > 3000 and fell_through > 1000
+                expected = zero_flow_transport(oracle, items)
+                units, y, done = oracle._replay(items)
+                assert list(y.items()) == list(first_augmentations(oracle, items, len(y)).items())
+                if not done:
+                    gain, flows = oracle._transport(items, y)
+                    units, y = units + gain, flows
+                assert units == expected[0]
+                assert list(y.items()) == list(expected[1].items())
+                outcomes[replay_outcome(oracle, items)] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
-def test_closed_form_falls_through_on_a_tie_or_an_overflow(warm_starts):
-    # Item 1 earns 4 in both bins; item 2's best bin is 0 by a strict margin,
-    # and bin 1 and 2 tie below it, which does not matter.
-    tie = make_instance(
-        3,
-        {1: F(1, 2), 2: F(1, 2)},
-        [[1], [2]],
-        {(1, 0): F(4), (1, 1): F(4), (2, 0): F(5), (2, 1): F(3), (2, 2): F(3)},
+def test_replay_breaks_ties_for_the_lower_bin_and_the_lower_item():
+    # Item 1 earns 4 in bins 1 and 2: the lower bin takes it whole.
+    inst = make_instance(3, {1: F(1, 2)}, [[1]], {(1, 1): F(4), (1, 2): F(4)})
+    oracle = LpOracle(inst)
+    expected = (4 * oracle.cost_den, {(1, 1): oracle._shat[1]}, True)
+    assert oracle._replay([1]) == expected
+    assert zero_flow_transport(oracle, [1]) == expected[:2]
+    # Items 1 and 2 earn the same per unit of bin 0 and overflow it: the
+    # lower item ships whole, the other in part, and the replay stops.
+    inst = make_instance(
+        1, {1: F(3, 4), 2: F(3, 4)}, [[1], [2]], {(1, 0): F(3), (2, 0): F(3)}
     )
-    oracle = LpOracle(tie)
-    assert oracle._closed_form([1]) is None
-    assert oracle._closed_form([1, 2]) is None
-    assert oracle._closed_form([2]) == (5 * oracle.cost_den, {(2, 0): oracle._shat[2]})
-    assert oracle.value([2]) == 5 and warm_starts == []
-    assert oracle.value([1]) == 4 and warm_starts == [None]
-    assert oracle.value([1, 2]) == 9 and len(warm_starts) == 2
-    # Items 1 and 2 both earn most in bin 0 but overflow it together.
-    overflow = make_instance(
+    oracle = LpOracle(inst)
+    units, y, done = oracle._replay([1, 2])
+    assert y == {(1, 0): oracle._shat[1], (2, 0): oracle._scale - oracle._shat[1]}
+    assert not done and replay_outcome(oracle, [1, 2]) == "partial"
+    assert F(units, oracle.cost_den) == 4 == oracle.value([1, 2])
+    assert oracle._transport([1, 2], y) == (0, y)
+
+
+def test_replay_stops_before_a_full_bin(warm_starts):
+    # Item 1 fills bin 0; item 2's best arc leads there too, so the replay
+    # stops, and the transport run moves item 2 to bin 1.
+    inst = make_instance(
         2,
-        {1: F(3, 4), 2: F(1, 2)},
-        [[1, 2]],
-        {(1, 0): F(6), (1, 1): F(2), (2, 0): F(4), (2, 1): F(1)},
+        {1: F(1), 2: F(1, 2)},
+        [[1], [2]],
+        {(1, 0): F(8), (2, 0): F(3), (2, 1): F(1)},
     )
-    oracle = LpOracle(overflow)
-    assert oracle._closed_form([1]) is not None and oracle._closed_form([2]) is not None
-    assert oracle._closed_form([1, 2]) is None
-    del warm_starts[:]
-    # Item 2 whole in bin 0, item 1 two thirds there and a third in bin 1.
-    assert oracle.value([1, 2]) == 4 + F(2, 3) * 6 + F(1, 3) * 2
-    assert warm_starts == [None]
-    assert oracle.value([1, 2]) == cold_value(overflow, [1, 2])
+    oracle = LpOracle(inst)
+    assert replay_outcome(oracle, [1, 2]) == "full"
+    assert oracle._replay([1, 2])[1] == {(1, 0): oracle._shat[1]}
+    assert oracle.value([1, 2]) == 9 and warm_starts == [None]
+    assert oracle._flows[frozenset({1, 2})] == (
+        {(1, 0): oracle._shat[1], (2, 1): oracle._shat[2]},
+        True,
+    )
 
 
-def test_closed_form_skips_items_without_profit():
+def test_replay_skips_items_without_profit():
     # Item 2 earns nothing anywhere and takes a whole bin's size: it ships
     # nothing and loads no bin, and the saturation pass places it.
     inst = make_instance(
@@ -620,30 +684,30 @@ def test_closed_form_skips_items_without_profit():
     )
     oracle = LpOracle(inst)
     shat = oracle._shat
-    got = oracle._closed_form([1, 2, 3])
-    assert got == (5 * oracle.cost_den, {(1, 0): shat[1], (3, 1): shat[3]})
-    assert got == oracle._transport([1, 2, 3])
-    assert oracle._closed_form([2]) == (0, {})
+    units, y, done = oracle._replay([1, 2, 3])
+    assert (units, y, done) == (5 * oracle.cost_den, {(1, 0): shat[1], (3, 1): shat[3]}, True)
+    assert (units, y) == zero_flow_transport(oracle, [1, 2, 3])
+    assert oracle._replay([2]) == (0, {}, True)
     x = oracle.solution([1, 2, 3])
     assert x.value == 5
     assert dict(x.entries) == {(1, 0): F(1), (3, 1): F(1), (2, 0): F(1, 2), (2, 1): F(1, 2)}
 
 
-def test_solution_after_a_closed_form_value_matches_a_fresh_one(warm_starts):
+def test_solution_after_a_replayed_value_matches_a_fresh_one(warm_starts):
     rng = random.Random(47)
     reused = 0
     for _ in range(60):
         inst = random_instance(rng, n_max=8, m_max=4)
         oracle = LpOracle(inst)
         for subset in random_history(rng, sorted(inst.item_ids), 8):
-            if oracle._closed_form(sorted(subset)) is None or inst.total_size(subset) > inst.m:
+            if not oracle._replay(sorted(subset))[2] or inst.total_size(subset) > inst.m:
                 continue
             oracle.value(subset)
             assert oracle._flows[subset].cold
             before = len(warm_starts)
             x = oracle.solution(subset)
             fresh = LpOracle(inst).solution(subset)
-            # Neither the kept flow nor a fresh closed form runs a transport.
+            # Neither the kept flow nor a fresh replay runs a transport.
             assert len(warm_starts) == before
             assert list(x.entries.items()) == list(fresh.entries.items())
             assert x.value == fresh.value == oracle.value(subset)

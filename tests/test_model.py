@@ -90,8 +90,9 @@ def test_validate_boundaries_and_messages():
 
 
 def test_validate_rejects_bad_number_types():
-    """A float size or profit, or a non-int bin count, is a ValidationError
-    that names the item, the bin or m, from every entry point."""
+    """A float or bool size or profit, or a bin count that is not an int
+    (a bool included), is a ValidationError that names the item, the bin or
+    m, from every entry point."""
     item = groupgap.Item(id=1, size=F(1, 2))
     group = groupgap.Group(id=0, members=(1,))
     cases = [
@@ -99,6 +100,10 @@ def test_validate_rejects_bad_number_types():
         (groupgap.Instance(2, (item,), (group,), {(1, 1): 3.0}), r"^profit .* 1 in bin 2 is 3\.0,"),
         (groupgap.Instance(2.0, (item,), (group,), {}), r"^bin count m .* got 2\.0$"),
         (groupgap.Instance("2", (item,), (group,), {}), r"^bin count m .* got '2'$"),
+        # bools are ints to Python, but not numbers in an instance file
+        (groupgap.Instance(True, (item,), (group,), {}), r"^bin count m .* got True$"),
+        (groupgap.Instance(2, (groupgap.Item(1, True),), (group,), {}), r"^item 1 has size True,"),
+        (groupgap.Instance(2, (item,), (group,), {(1, 0): True}), r"^profit .* bin 1 is True,"),
     ]
     entry_points = [
         validate_instance,

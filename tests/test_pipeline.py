@@ -156,9 +156,8 @@ def test_selection_reads_lp_values_as_ints_in_one_unit():
 
 
 def test_selection_solve_count_at_scale(monkeypatch):
-    # The branch-and-bound needs 141 transport solves here, and the pipeline
-    # two more (its solution and its upper bound): 143 in all. The
-    # guess-greedy alone needs 40,303.
+    # 58 transport solves in all here, the pipeline's solution and upper
+    # bound included. The guess-greedy alone needs 22,627.
     solves = 0
     transport = LpOracle._transport
 
@@ -188,8 +187,9 @@ def count_calls(monkeypatch, owner, name):
 
 
 def test_warm_lp_solves_cut_shortest_path_passes(monkeypatch):
-    # Each LP re-optimised from a kept subset's flow needs fewer
-    # Bellman-Ford searches: 1,536 here, 5,694 when every LP ran cold.
+    # Each LP re-optimised from a kept subset's flow, or continued from its
+    # replayed paths, needs fewer Bellman-Ford searches: 759 here, 5,694
+    # when every LP ran cold from the zero flow.
     passes = count_calls(monkeypatch, FlowNetwork, "_shortest_path")
     inst = generate(GeneratorSpec(seed=1, n=120, groups=32, bins=16, flavor="uniform"))
     _assignment, report = solve(inst)
@@ -198,8 +198,8 @@ def test_warm_lp_solves_cut_shortest_path_passes(monkeypatch):
 
 
 def test_solution_reuses_the_selection_flow(monkeypatch):
-    # Two groups: the selection answers the empty set in closed form and
-    # solves each group cold (neither fits its items' best bins), and the
+    # Two groups: the replay answers the empty set and stops short on each
+    # group (neither fits its items' best bins), which is solved cold, and the
     # upper bound warm from the larger group. The selected group's
     # fractional solution then reuses its kept flow, so 3 solves in all
     # (4 when the solution was solved again).
