@@ -42,6 +42,47 @@ the edges run from the source, along the arcs, then into the sink, each in
 the order given. Bellman-Ford breaks ties between equal-cost paths by node
 and edge order, so this layout decides which optimal flow comes out.
 
+Replay. Most augmenting paths of a cold run, successive shortest paths
+from the zero flow on that layout, are direct: source -> left node ->
+right node -> sink. :func:`replay` takes those first paths without a
+search. It walks the arcs by (cost, right node, left node) and ships each
+left node not yet shipped whole along its first arc: its cheapest, into
+the lowest right node on a tie. It stops before an arc into a full right
+node, after a step that ships a left node only in part, and, in profit
+mode, before an arc of cost >= 0. Up to there, each step is the path that
+Bellman-Ford finds in the state that the earlier steps leave, in both
+modes:
+
+- Every shipped left node sits whole on its cheapest arc. A path leaves
+  the source for a left node not shipped yet (the source edges of the
+  others are full) and takes one of its arcs. Each detour after that
+  leaves a right node along the twin of a shipped node's arc and goes on
+  along another arc of that node, which never costs less. So no path
+  costs less than the cheapest arc of an unshipped left node, the walk's
+  next arc. Nothing here depends on the sign of a cost: cost-0 arcs, and
+  the costs of either sign that matching mode accepts, behave alike.
+- Bellman-Ford's first pass scans the source, the left nodes by index,
+  the right nodes by index, then the sink. An unshipped left node is
+  reached from the source alone, at distance 0. The pass gives each right
+  node the cheapest arc into it from an unshipped left node, with the
+  lowest-index such node as parent, and gives the sink the lowest-index
+  right node with room that such a cheapest arc reaches: the walk's next
+  arc, since an arc of the same cost into a lower right node would have
+  come first and, that node being full, stopped the walk. Later passes
+  can at most tie, and a tie replaces no parent.
+- The path's bottleneck is the smallest of the left node's supply, the
+  right node's room and, in matching mode, what is left of ``max_flow``.
+
+A left node's index is its position in ``supply``; the LP oracle lists its
+items by ascending id, the rounding its slot graph's items in ``g.items``
+order, each with unit supply, into slots of unit demand. The walk ends
+the cold run where that run would stop in the same state: when every left
+node with an arc is shipped whole, or no arc of an unshipped node is left
+(no path is), in profit mode at an arc of cost >= 0 (no path costs less),
+and in matching mode once ``max_flow`` units are shipped. The replayed
+flow is then the cold run's result: the same flow, cost and arc flows.
+Left nodes without an arc ship nothing either way.
+
 ``transport``'s ``preload`` resumes a run instead of starting one: the
 network is built with that flow on the arcs and the matching flow on the
 source and sink edges (``FlowNetwork``'s ``flows``). The residual graph is
@@ -49,8 +90,9 @@ a function of the capacities alone, live lists included, so a preload that
 successive shortest paths themselves reached from zero, after their first
 k augmentations, leaves exactly the network that run had then. The run
 therefore goes on as the cold run would: the same paths, the same final
-flows, and the cold cost minus the preload's. The LP oracle preloads the
-paths it replays without Bellman-Ford (see :mod:`.lp_oracle`).
+flows, and the cold cost minus the preload's. A ``transport`` from zero
+replays first and, where the walk stops short, preloads what it shipped;
+the LP oracle does the same with its own pre-sorted arcs.
 
 :func:`reoptimize` re-solves the profit-maximising transport from a start
 flow instead of from zero: in practice a subset's optimum, to which more
@@ -83,6 +125,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from itertools import repeat
+from typing import Iterable
 
 from .errors import InvariantViolated
 
@@ -219,22 +262,91 @@ def transport(
     """Min-cost flow from left nodes with ``supply`` to right nodes with ``demand``.
 
     ``arcs`` holds ``(left, right, cost)``, indices into ``supply`` and
-    ``demand``; an arc's capacity is its left node's supply. Without
-    ``max_flow`` the flow maximises profit (``-cost``); with it, the flow
-    ships up to ``max_flow`` units at least cost (see :meth:`FlowNetwork.run`).
-    ``preload``, one flow per arc, starts the run from that flow instead of
-    from zero (see the module docstring); the flow, the cost and
-    ``max_flow`` then count only what the run adds.
+    ``demand``, at most one arc per pair (``ValueError`` otherwise); an
+    arc's capacity is its left node's supply. Without ``max_flow`` the flow
+    maximises profit (``-cost``); with it, the flow ships up to
+    ``max_flow`` units at least cost (see :meth:`FlowNetwork.run`).
+    From zero, the run starts with :func:`replay` and builds a network
+    only where the walk stops short. ``preload``, one flow per arc, starts
+    the run from that flow instead (see the module docstring); the flow,
+    the cost and ``max_flow`` then count only what the run adds.
     Returns the flow, its cost and the flow on each arc.
     """
+    if preload is None:
+        index = {(i, j): k for k, (i, j, _cost) in enumerate(arcs)}
+        if len(index) < len(arcs):
+            raise ValueError("two arcs join the same left and right nodes")
+        order = sorted((cost, j, i) for i, j, cost in arcs)
+        supplied = {i: units for i, units in enumerate(supply) if units}
+        flow, cost, shipped, left = replay(supplied, demand, order, max_flow)
+        flows = [0] * len(arcs)
+        for i, (j, units) in shipped.items():
+            flows[index[i, j]] = units
+        if not left:
+            return flow, cost, flows
+        rest = None if max_flow is None else max_flow - flow
+        more, more_cost, flows = transport(supply, demand, arcs, rest, flows)
+        return flow + more, cost + more_cost, flows
     sink = 1 + len(supply) + len(demand)
-    flows = None
-    if preload is not None:
-        out, into = _loads(supply, demand, arcs, preload)
-        flows = out + preload + into
-    net = FlowNetwork(sink + 1, _edges(supply, demand, arcs, [0] * len(supply)), flows)
+    out, into = _loads(supply, demand, arcs, preload)
+    edges = _edges(supply, demand, arcs, [0] * len(supply))
+    net = FlowNetwork(sink + 1, edges, out + preload + into)
     flow, cost = net.run(0, sink, max_flow)
     return flow, cost, _arc_flows(net, supply, arcs)
+
+
+def replay(
+    supply: dict[int, int],
+    demand: list[int],
+    order: Iterable[tuple[int, int, int]],
+    max_flow: int | None = None,
+) -> tuple[int, int, dict[int, tuple[int, int]], dict[int, int]]:
+    """The first augmenting paths of a cold :func:`transport` run, without
+    Bellman-Ford (see the module docstring).
+
+    ``supply`` maps every left node of the network that has a positive
+    supply and an arc to that supply. ``order`` holds the network's arcs as
+    ``(cost, right, left)``, ascending, at most one per pair. Arcs of left
+    nodes outside ``supply`` are skipped, so the LP oracle passes the
+    sorted arcs of its whole instance.
+    ``max_flow`` sets the mode, as in :meth:`FlowNetwork.run`.
+    Returns ``(flow, cost, shipped, left)``: the flow and cost shipped,
+    each shipped left node's ``(right, units)`` in the order shipped, and
+    the units still to ship of each left node not shipped whole. ``left``
+    is empty exactly when the walk has ended the cold run.
+    """
+    left = dict(supply)
+    room = list(demand)
+    flow = cost = 0
+    shipped = {}
+    if left:
+        for c, j, i in order:
+            if i not in left:  # outside the query, or already shipped
+                continue
+            if max_flow is None:
+                if c >= 0:
+                    break
+            elif flow >= max_flow:
+                break
+            r = room[j]
+            if not r:
+                return flow, cost, shipped, left
+            units = left.pop(i)
+            ship = units if units <= r else r
+            if max_flow is not None and ship > max_flow - flow:
+                ship = max_flow - flow
+            room[j] = r - ship
+            flow += ship
+            cost += ship * c
+            shipped[i] = (j, ship)
+            if ship < units:  # shipped in part: a full right node or max_flow
+                left[i] = units - ship
+                if flow != max_flow:
+                    return flow, cost, shipped, left
+                break
+            if not left:
+                break
+    return flow, cost, shipped, {}
 
 
 def reoptimize(

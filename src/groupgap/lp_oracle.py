@@ -12,55 +12,46 @@ back yields the exact rational LP optimum.
 Replay. Successive shortest paths from the zero flow (the cold solve)
 finds each augmenting path with a full Bellman-Ford search, and most of
 them are the direct path source -> item -> bin -> sink.
-:meth:`LpOracle._replay` takes those first paths without a search. It
-walks the queried items' arcs by (cost, bin, item) and ships each item not
-yet shipped whole along its first arc, its most profitable bin (the lowest
-on a tie). It stops before an arc into a full bin, and after a step that
-ships an item only in part. Each step is the path that Bellman-Ford finds
-in the state that the earlier steps leave:
-
-- Every shipped item sits whole on its cheapest arc. A path starts along
-  an arc of an unshipped item, and each detour that leaves a bin along the
-  twin of a shipped item's arc moves that item to another of its arcs,
-  which never costs less. So no path costs less than the cheapest arc of
-  an unshipped item, the walk's next arc, whose bin has room.
-- Bellman-Ford's first pass scans the source, then the items by position,
-  then the bins by index, then the sink. It gives each bin the cheapest
-  arc into it from an unshipped item, with the lowest-position such item
-  as parent, and the sink the lowest-index bin with room that such a
-  cheapest arc reaches: the walk's next arc, since an arc of the same cost
-  into a lower bin would have come first and stopped the walk. Later
-  passes can at most tie, and a tie replaces no parent.
-- The path's bottleneck is the item's supply or the bin's room, whichever
-  is smaller: the whole item, or the rest of the bin, and the walk stops.
-
-Where the walk ships every item with a positive profit whole, no path with
-room is left, so the replayed flow is the cold solve's optimum: the same
-units and the same flows, in the same order. That covers every set whose
-items each have one strictly most profitable bin and fit there, and ties
-for an item's best bin. Items without a positive profit have no arc and
-ship nothing either way. Otherwise :meth:`LpOracle._transport` preloads
-the replayed flow on the cold solve's network (``preload`` of
-:func:`._flow.transport`) and runs successive shortest paths on from
-there, to the cold solve's flows; the value is the replayed units plus the
-run's gain, which is never negative (a negative one raises
-``InvariantViolated``).
+:meth:`LpOracle._replay` takes those first paths without a search, by
+:func:`._flow.replay` over the instance's arcs sorted once by (cost, bin,
+item): it ships each queried item not yet shipped whole to its most
+profitable bin (the lowest on a tie), and stops before an arc into a full
+bin or after shipping an item in part. The argument that each step is the
+path Bellman-Ford takes is in the :mod:`._flow` docstring; items sort by
+id, which is their position in the network. Where the replay ships every
+item with a positive profit whole, it is the cold solve's optimum: the
+same units and the same flows, in the same order. That covers every set
+whose items each fit into one of their most profitable bins. Items
+without a positive profit have no arc and ship nothing either way.
 
 Warm start. Next to the memo of values, the oracle keeps the optimal
-flows of the last ``_FLOWS_KEPT`` sets it solved. On a miss for S,
-:meth:`LpOracle.value` looks for the largest of those sets that is a
-non-empty proper subset B of S holding at least half of S's items
-(``2 * |B| >= |S|``) and, unless the replay finishes S, re-optimises
-from B's flow (:func:`._flow.reoptimize`): ``value(S) = value(B) - cost /
-cost_den``, where the re-optimisation's cost is never positive (a positive
-one raises ``InvariantViolated``). With no such B, S is solved cold: the
-replay and its continuation. The half rule is a property of the query, not
-a setting: a warm run needs fewer augmenting paths, but each one reroutes
+flows of the last ``_FLOWS_KEPT`` sets it solved. A miss for S that the
+replay does not finish leaves some items unshipped: those with a positive
+profit that it did not ship whole. S is then re-optimised from the flow
+of a kept base B (:func:`._flow.reoptimize`), ``value(S) = value(B) -
+cost / cost_den``, when B is the largest kept non-empty proper subset of
+S such that
+
+- B holds at least half of S's items (``2 * |B| >= |S|``), and
+- B lacks fewer of S's items than the replay left unshipped
+  (``|S| - |B| < unshipped``).
+
+Otherwise :meth:`LpOracle._transport` preloads the replayed flow on the
+cold solve's network (``preload`` of :func:`._flow.transport`) and runs
+successive shortest paths on from there, to the cold solve's flows. A
+warm re-optimisation's cost, or a continued run's, that loses value
+raises ``InvariantViolated``. Both rules are properties of the query, not
+settings. A warm run needs fewer augmenting paths, but each one reroutes
 through the preloaded flow and scans more of the network, so the saving
-shrinks as the share of new items grows. Warming from any subset made vod 36/6/12 solves (the
-benchmark's oracle-heavy workload) about 16% slower than warming only from
-half-size ones. Keeping only the latest flows bounds their memory and
-the base search's scan on the selection's long fallback search.
+shrinks as the share of new items grows: warming from any subset made vod
+36/6/12 solves (the benchmark's oracle-heavy workload) about 16% slower
+than warming only from half-size ones. And each item still to ship takes
+an augmenting path: an unshipped one in a continued run, one that B lacks
+in a warm run. Where B lacks as many items, the continued run takes no
+more paths, each scanning less, and its flow is cold, so
+:meth:`LpOracle.solution` can reuse it. Keeping only the latest flows
+bounds their memory and the base search's scan on the selection's long
+fallback search.
 
 Why nothing downstream can change: the LP optimum value is unique even
 where the optimal flow is not, so a warm value equals the cold one and the
@@ -76,7 +67,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from ._flow import reoptimize, transport
+from ._flow import reoptimize, replay, transport
 from .errors import InsufficientCapacity, InvariantViolated
 from .model import ZERO, FractionalSolution, Instance
 
@@ -105,11 +96,11 @@ class LpOracle:
     one thread. A miss starts with the replay of the cold solve's first
     augmenting paths, which answers it where every item with a positive
     profit ships whole to a most profitable bin. Otherwise it is
-    re-optimised from the largest kept proper subset holding at least half
-    of its items, or the cold solve goes on from the replay when there is
-    none (see the module docstring). Either way the value is the LP
-    optimum. :meth:`solution` reuses a kept flow only if it was solved
-    cold.
+    re-optimised from the largest kept proper subset that holds at least
+    half of its items and lacks fewer of them than the replay left
+    unshipped, or the cold solve goes on from the replay when there is none
+    (see the module docstring). Either way the value is the LP optimum.
+    :meth:`solution` reuses a kept flow only if it was solved cold.
 
     The integer tables of the transportation network are built once per
     instance: ``scale`` is the lcm of every item-size denominator, item i
@@ -201,10 +192,10 @@ class LpOracle:
         from the base of ``key`` (:meth:`value`'s misses) if there is one,
         and else the cold solve continued from the replay. ``cold`` is
         False only for the re-optimised flow."""
-        units, y, done = self._replay(items)
-        if done:
+        units, y, unshipped = self._replay(items)
+        if not unshipped:
             return units, y, True
-        base = None if key is None else self._base(key)
+        base = None if key is None else self._base(key, unshipped)
         if base is not None:
             units, y = self._memo[base], self._flows[base].units
         gain, y = self._transport(items, y, warm=base is not None)
@@ -215,12 +206,16 @@ class LpOracle:
             )
         return units + gain, y, base is None
 
-    def _base(self, key: frozenset[int]) -> frozenset[int] | None:
-        """The largest set with a kept flow that is a proper subset of ``key``
-        holding at least half its items, the first solved among equals."""
+    def _base(self, key: frozenset[int], unshipped: int) -> frozenset[int] | None:
+        """The largest set with a kept flow that is a proper subset of ``key``,
+        holds at least half its items and lacks fewer of them than
+        ``unshipped``, the first solved among equals."""
+        least = max((len(key) + 1) // 2, len(key) - unshipped + 1)
+        if least >= len(key):
+            return None
         best = None
         for other in self._flows:
-            if 2 * len(other) >= len(key) and (best is None or len(other) > len(best)):
+            if len(other) >= least and (best is None or len(other) > len(best)):
                 if other < key:
                     best = other
         return best
@@ -296,41 +291,17 @@ class LpOracle:
             raise ValueError(f"unknown item ids: {unknown}")
         return items
 
-    def _replay(self, items: list[int]) -> tuple[int, dict[tuple[int, int], int], bool]:
-        """The first augmenting paths of a cold solve of ``items``, without
-        Bellman-Ford: (units, flows, done), flows in ``_transport``'s order.
-
-        It walks the arcs of ``items`` by (cost, bin, item) and ships each
-        item not yet shipped whole along its first arc. It stops before an
-        arc into a full bin and after a step that ships an item only in
-        part: up to there, each step is the path that Bellman-Ford takes
-        (see the module docstring). ``done`` says that every item with a
-        positive profit is shipped whole: the flow is then the optimum.
-        """
-        scale, arcs = self._scale, self._arcs
-        left = {i: self._shat[i] for i in items if arcs[i]}  # unshipped supplies
-        units = 0
-        placed = {}
-        if left:
-            load = [0] * self.inst.m
-            for cost, j, i in self._order:
-                if i not in left:  # not queried, or already shipped
-                    continue
-                room = scale - load[j]
-                if not room:
-                    break
-                supply = left.pop(i)
-                ship = supply if supply <= room else room
-                load[j] += ship
-                units -= ship * cost
-                placed[i] = (j, ship)
-                if ship < supply:  # the bin is full with the item in part
-                    left[i] = supply - ship
-                    break
-                if not left:
-                    break
-        y = {(i, j): ship for i, (j, ship) in sorted(placed.items())}
-        return units, y, not left
+    def _replay(self, items: list[int]) -> tuple[int, dict[tuple[int, int], int], int]:
+        """:func:`._flow.replay` of a cold solve of ``items``, over the
+        per-instance sorted arcs: (units, flows, unshipped), flows in
+        ``_transport``'s order. ``unshipped`` counts the items with a
+        positive profit that it did not ship whole; at 0 the flows are the
+        optimum."""
+        arcs, shat = self._arcs, self._shat
+        supply = {i: shat[i] for i in items if arcs[i]}
+        _flow, cost, shipped, left = replay(supply, self._demand, self._order)
+        y = {(i, j): units for i, (j, units) in sorted(shipped.items())}
+        return -cost, y, len(left)
 
     def _transport(
         self, items: list[int], start: dict[tuple[int, int], int], warm: bool = False

@@ -62,11 +62,16 @@ def random_instance(rng: random.Random, n_max=8, m_max=4, den=16, l_max=None):
     budget = F(m, 2)
     sizes = {}
     for members in groups:
+        # A group with more members than the budget holds steps of 1/den
+        # (m = 1 and nine items at den 16) draws on a finer grid.
+        grid = den
+        while len(members) > budget * grid:
+            grid *= 2
         left = budget
         for pos, i in enumerate(members):
-            reserve = F(len(members) - pos - 1, den)
-            num = rng.randint(1, min(den, int((left - reserve) * den)))
-            sizes[i] = F(num, den)
+            reserve = F(len(members) - pos - 1, grid)
+            num = rng.randint(1, min(grid, int((left - reserve) * grid)))
+            sizes[i] = F(num, grid)
             left -= sizes[i]
     profits = {}
     for i in range(1, n + 1):

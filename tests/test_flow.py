@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from groupgap._flow import FlowNetwork, reoptimize, transport
+from groupgap._flow import FlowNetwork, reoptimize, replay, transport
 from groupgap.errors import InvariantViolated
 
 
@@ -150,10 +150,12 @@ def test_live_lists_follow_every_capacity_change(monkeypatch):
         FlowNetwork(n, edges).run(0, n - 1)
         FlowNetwork(n, edges).run(0, n - 1, max_flow=rng.randint(1, 8))
         supply, demand, arcs = random_bipartite(rng)
-        transport(supply, demand, arcs)
-        transport(supply, demand, arcs, max_flow=rng.randint(1, sum(supply) + 1))
+        # From the zero flow without the replay, so every call builds a network.
+        zero = [0] * len(arcs)
+        transport(supply, demand, arcs, preload=zero)
+        transport(supply, demand, arcs, max_flow=rng.randint(1, sum(supply) + 1), preload=zero)
         old = [units if rng.random() < 0.6 else 0 for units in supply]
-        _flow, _cost, start = transport(old, demand, arcs)
+        _flow, _cost, start = transport(old, demand, arcs, preload=zero)
         reoptimize(supply, demand, arcs, start)
     assert counts["built"] == 1200 and counts["augmented"] > 900
     assert counts["filled"] > 1000 and counts["inserted_before_last"] > 800
@@ -383,3 +385,87 @@ def test_preload_outside_the_capacities_raises():
     for preload in bad:
         with pytest.raises(ValueError):
             transport(supply, demand, arcs, preload=preload)
+
+
+def tied_bipartite(rng):
+    """Bipartite inputs with few distinct costs, 0 among them, so many
+    paths tie; unit supplies and demands (as in the rounding) half the time."""
+    unit = rng.random() < 0.5
+    supply = [1 if unit else rng.randint(0, 4) for _ in range(rng.randint(1, 6))]
+    demand = [1 if unit else rng.randint(0, 4) for _ in range(rng.randint(1, 6))]
+    costs = rng.choice([(-1, 0), (-2, -1, 0), (-1, 0, 1), (0, 1), (0,)])
+    pairs = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+    arcs = [(i, j, rng.choice(costs)) for i, j in rng.sample(pairs, rng.randint(0, len(pairs)))]
+    return supply, demand, arcs
+
+
+def count_runs(monkeypatch):
+    """Count the networks that run from here on; returns a live counter."""
+    runs = {"n": 0}
+    run = FlowNetwork.run
+
+    def counting(net, *args, **kwargs):
+        runs["n"] += 1
+        return run(net, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "run", counting)
+    return runs
+
+
+@pytest.mark.parametrize("mode", ["profit", "max_flow"])
+def test_transport_from_zero_equals_the_reference_run(mode, monkeypatch):
+    """Each step of the replay is the next augmentation of the full-scan
+    reference run; where the walk ends the run, the reference stops there
+    too, and otherwise the network run from the replayed flow ends where the
+    reference does. Ties, cost-0 arcs, unit and general supplies."""
+    built = count_runs(monkeypatch)
+    rng = random.Random(101 if mode == "profit" else 103)
+    outcomes = {"done": 0, "stopped": 0, "stopped after a step": 0}
+    for trial in range(600):
+        supply, demand, arcs = (tied_bipartite if trial % 3 else random_bipartite)(rng)
+        max_flow = None if mode == "profit" else rng.randint(0, sum(supply) + 1)
+        states = bipartite_states(supply, demand, arcs, max_flow)
+        supplied = {i: units for i, units in enumerate(supply) if units}
+        order = sorted((cost, j, i) for i, j, cost in arcs)
+        flow, cost, shipped, left = replay(supplied, demand, order, max_flow)
+        placed = {(i, j): units for i, (j, units) in shipped.items()}
+        flows = [placed.get((i, j), 0) for i, j, _cost in arcs]
+        assert (flows, flow, cost) == states[len(shipped)]
+        if not left:
+            assert len(states) == len(shipped) + 1
+        runs = built["n"]
+        final_flows, final_flow, final_cost = states[-1]
+        assert transport(supply, demand, arcs, max_flow) == (final_flow, final_cost, final_flows)
+        assert built["n"] == runs + (len(left) > 0)
+        if not left:
+            outcomes["done"] += 1
+        else:
+            outcomes["stopped after a step" if shipped else "stopped"] += 1
+    assert min(outcomes.values()) > 30, outcomes
+
+
+def test_replay_that_finishes_builds_no_network(monkeypatch):
+    built = count_runs(monkeypatch)
+    # Each left node's cheapest arc has room, so direct paths end the run;
+    # left node 2 has only an arc of cost 0, which profit mode leaves empty.
+    supply, demand = [1, 1, 1], [1, 1, 1]
+    arcs = [(0, 0, -3), (0, 1, -1), (1, 1, -2), (1, 0, 0), (2, 2, 0)]
+    assert transport(supply, demand, arcs, max_flow=3) == (3, -5, [1, 0, 1, 0, 1])
+    assert transport(supply, demand, arcs) == (2, -5, [1, 0, 1, 0, 0])
+    assert built["n"] == 0
+    # Left node 1's cheapest arc leads into right node 0, which node 0 fills:
+    # the walk stops there and a network moves node 1 on.
+    arcs = [(0, 0, -3), (1, 0, -2), (1, 1, -1)]
+    assert transport(supply, demand, arcs) == (2, -4, [1, 0, 1])
+    assert replay({0: 1, 1: 1}, demand, sorted((c, j, i) for i, j, c in arcs)) == (
+        1,
+        -3,
+        {0: (0, 1)},
+        {1: 1},
+    )
+    assert built["n"] == 1
+
+
+def test_transport_rejects_parallel_arcs():
+    with pytest.raises(ValueError, match="same left and right"):
+        transport([1], [1], [(0, 0, -1), (0, 0, -2)])

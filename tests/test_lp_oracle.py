@@ -330,42 +330,52 @@ def warm_starts(monkeypatch):
 
 
 def random_history(rng, ids, length):
-    """Queries mixing growing chains, random subsets, the empty set and repeats."""
+    """Queries mixing growing chains, random subsets, the empty set and repeats.
+
+    Each random subset of two or more items comes right after the same set
+    one item short, the base that a warm start needs most often: one that
+    lacks fewer items than the replay leaves unshipped.
+    """
     history, last = [], frozenset()
-    for _ in range(length):
+    while len(history) < length:
         roll = rng.random()
         if roll < 0.4 and len(last) < len(ids):
             grow = [i for i in ids if i not in last]
             last = last | set(rng.sample(grow, rng.randint(1, min(3, len(grow)))))
         elif roll < 0.75:
-            last = frozenset(i for i in ids if rng.random() < 0.5)
+            last = frozenset(i for i in ids if rng.random() < 0.7)
+            if len(last) > 1:
+                history.append(last - {rng.choice(sorted(last))})
         elif roll < 0.85:
             last = frozenset()
         elif history:
             last = rng.choice(history)
         history.append(last)
-    return history
+    return history[:length]
 
 
 def test_warm_values_equal_cold_values_over_random_histories(warm_starts):
-    # Sets that the replay finishes start no warm run: 80 histories keep
-    # more than 100 warm starts.
+    # Sets that the replay finishes start no warm run, nor do sets whose
+    # base lacks as many items as the replay leaves unshipped: 120
+    # histories keep more than 100 warm starts.
     rng = random.Random(29)
     queries = 0
-    for _ in range(80):
+    for _ in range(120):
         inst = random_instance(rng, n_max=10, m_max=4)
         oracle = LpOracle(inst)
         for subset in random_history(rng, sorted(inst.item_ids), 12):
             assert oracle.value(subset) == cold_value(inst, subset)
             queries += 1
     warm = sum(start is not None for start in warm_starts)
-    assert queries == 960 and warm > 100
+    assert queries == 1440 and warm > 100
 
 
 def test_half_rule_picks_the_largest_qualifying_base(warm_starts):
     # Any two items overflow a bin, so the replay finishes only the
     # singletons, which no transport run solves: every larger set is
-    # solved by one, and {1, 2, 5, 6} makes up the sixth run.
+    # solved by one, and {1, 2, 5, 6} makes up the sixth run. The replay
+    # ships the best item whole and the next in part, so it leaves all but
+    # one item unshipped, and every base of two or more items lacks fewer.
     inst = make_instance(
         2,
         {i: F(5, 8) for i in range(1, 7)},
@@ -375,8 +385,8 @@ def test_half_rule_picks_the_largest_qualifying_base(warm_starts):
     oracle = LpOracle(inst)
     oracle.value([1])
     assert warm_starts == []
-    oracle.value([1, 2])  # base {1}: exactly half
-    assert warm_starts[-1] is oracle._flows[frozenset({1})].units
+    oracle.value([1, 2])  # {1} is exactly half, but lacks as many as 1 unshipped
+    assert warm_starts[-1] is None
     oracle.value([1, 2, 3, 4])  # base {1, 2}: exactly half
     assert warm_starts[-1] is oracle._flows[frozenset({1, 2})].units
     oracle.value([1, 2, 3, 4, 5])  # largest base {1, 2, 3, 4}
@@ -398,8 +408,50 @@ def test_half_rule_picks_the_largest_qualifying_base(warm_starts):
     assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3, 4, 5})].units
     for key, units in oracle._memo.items():
         assert F(units, oracle.cost_den) == cold_value(inst, key)
-        cold = len(key) < 2 or key in ({5, 6}, {1, 3, 4, 6}, {2, 3, 4, 5, 6})
+        cold = len(key) <= 2 or key in ({1, 3, 4, 6}, {2, 3, 4, 5, 6})
         assert oracle._flows[key].cold == cold
+
+
+def test_warm_start_needs_a_base_lacking_fewer_items_than_the_replay_leaves(warm_starts):
+    # Bin 0 pays more per unit than bin 1 for every item, most for items
+    # 1, 2, 5, 3, 4 in that order. It holds items 1 and 2 with room for half
+    # of item 3, so the replay stops after shipping item 3 in part.
+    sizes = {1: F(1, 4), 2: F(1, 4), 3: F(3, 4), 4: F(3, 4), 5: F(1, 8)}
+    profits = {(i, 0): F(p) for i, p in {1: 8, 2: 6, 3: 6, 4: 3, 5: 2}.items()}
+    profits.update({(i, 1): size for i, size in sizes.items()})
+    inst = make_instance(2, sizes, [[1, 2], [3], [4], [5]], profits)
+
+    def solution_runs(oracle, items):
+        """The transport runs of ``oracle.solution``, whose result must
+        equal a fresh oracle's."""
+        before = len(warm_starts)
+        x = oracle.solution(items)
+        runs = len(warm_starts) - before
+        assert list(x.entries.items()) == list(LpOracle(inst).solution(items).entries.items())
+        return runs
+
+    oracle = LpOracle(inst)
+    oracle.value([1, 2])  # fits bin 0: the replay finishes it
+    assert warm_starts == []
+    # As many: {1, 2} lacks one item of {1, 2, 3}, the replay leaves item 3.
+    assert oracle._replay([1, 2, 3])[2] == 1
+    oracle.value([1, 2, 3])
+    assert warm_starts == [None] and oracle._flows[frozenset({1, 2, 3})].cold
+    assert solution_runs(oracle, [1, 2, 3]) == 0  # reuses the kept flow
+    # Fewer: {1, 2, 3} lacks one item of {1, 2, 3, 4}, the replay leaves two.
+    assert oracle._replay([1, 2, 3, 4])[2] == 2
+    oracle.value([1, 2, 3, 4])
+    assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3})].units
+    assert not oracle._flows[frozenset({1, 2, 3, 4})].cold
+    assert solution_runs(oracle, [1, 2, 3, 4]) == 1  # a warm flow is solved again cold
+    # More: {1, 2} holds half of {1, 2, 3, 5} but lacks two; the replay leaves one.
+    oracle = LpOracle(inst)
+    oracle.value([1, 2])
+    assert oracle._replay([1, 2, 3, 5])[2] == 1
+    oracle.value([1, 2, 3, 5])
+    assert warm_starts[-1] is None and oracle._flows[frozenset({1, 2, 3, 5})].cold
+    for key, units in oracle._memo.items():
+        assert F(units, oracle.cost_den) == cold_value(inst, key)
 
 
 def test_oracle_keeps_only_the_latest_flows(warm_starts, monkeypatch):
@@ -449,13 +501,14 @@ def tied_instance(rng):
 def test_solution_does_not_depend_on_query_history(warm_starts):
     rng = random.Random(37)
     reused = warm = other_flow = 0
-    for trial in range(120):
+    for trial in range(160):
         inst = random_instance(rng, n_max=9, m_max=4) if trial % 2 else tied_instance(rng)
         oracle = LpOracle(inst)
         ids = sorted(inst.item_ids)
-        # End on a half-size set, then all items: a warm start with many new items.
+        # End on all items but one, then all items: a warm start wherever
+        # the replay leaves two or more items unshipped.
         history = random_history(rng, ids, 12)
-        history += [frozenset(rng.sample(ids, (len(ids) + 1) // 2)), frozenset(ids)]
+        history += [frozenset(ids) - {rng.choice(ids)}, frozenset(ids)]
         for subset in history:
             oracle.value(subset)
         for subset, kept in list(oracle._flows.items()):
@@ -485,9 +538,11 @@ from groupgap.model import Assignment, FractionalSolution, Group, Instance, Item
 
 def instance():
     # Items 1 and 2 overflow the bin together, so the replay stops short on
-    # {1, 2} and a transport run finishes it.
-    items = (Item(1, F(1, 2)), Item(2, F(3, 4)))
-    return Instance(1, items, (Group(0, (1, 2)),), {(1, 0): F(5), (2, 0): F(3)})
+    # {1, 2}, leaving item 2 unshipped, and a transport run finishes it. On
+    # {1, 2, 3} it leaves items 2 and 3, more than {1, 2} lacks: a warm start.
+    items = (Item(1, F(1, 2)), Item(2, F(3, 4)), Item(3, F(3, 4)))
+    groups = (Group(0, (1, 2)), Group(1, (3,)))
+    return Instance(1, items, groups, {(1, 0): F(5), (2, 0): F(3), (3, 0): F(3)})
 
 
 def push_check():
@@ -511,8 +566,8 @@ def saturation_profit_neutral():
 def warm_gain_nonnegative():
     lp_oracle.reoptimize = lambda supply, demand, arcs, start: (1, 1, start)
     oracle = lp_oracle.LpOracle(instance())
-    oracle.value([1])
     oracle.value([1, 2])
+    oracle.value([1, 2, 3])
 
 
 def continued_gain_nonnegative():
@@ -602,8 +657,8 @@ def first_augmentations(oracle, items, k):
 def replay_outcome(oracle, items):
     """How the replay of ``items`` ended: "done", "partial" (an item shipped
     in part) or "full" (before an arc into a full bin)."""
-    _units, y, done = oracle._replay(items)
-    if done:
+    _units, y, unshipped = oracle._replay(items)
+    if not unshipped:
         return "done"
     partial = any(units < oracle._shat[i] for (i, _j), units in y.items())
     return "partial" if partial else "full"
@@ -623,9 +678,9 @@ def test_replay_and_its_continuation_equal_a_zero_flow_transport_on_every_subset
         for r in range(len(ids) + 1):
             for items in map(list, combinations(ids, r)):
                 expected = zero_flow_transport(oracle, items)
-                units, y, done = oracle._replay(items)
+                units, y, unshipped = oracle._replay(items)
                 assert list(y.items()) == list(first_augmentations(oracle, items, len(y)).items())
-                if not done:
+                if unshipped:
                     gain, flows = oracle._transport(items, y)
                     units, y = units + gain, flows
                 assert units == expected[0]
@@ -638,7 +693,7 @@ def test_replay_breaks_ties_for_the_lower_bin_and_the_lower_item():
     # Item 1 earns 4 in bins 1 and 2: the lower bin takes it whole.
     inst = make_instance(3, {1: F(1, 2)}, [[1]], {(1, 1): F(4), (1, 2): F(4)})
     oracle = LpOracle(inst)
-    expected = (4 * oracle.cost_den, {(1, 1): oracle._shat[1]}, True)
+    expected = (4 * oracle.cost_den, {(1, 1): oracle._shat[1]}, 0)
     assert oracle._replay([1]) == expected
     assert zero_flow_transport(oracle, [1]) == expected[:2]
     # Items 1 and 2 earn the same per unit of bin 0 and overflow it: the
@@ -647,9 +702,9 @@ def test_replay_breaks_ties_for_the_lower_bin_and_the_lower_item():
         1, {1: F(3, 4), 2: F(3, 4)}, [[1], [2]], {(1, 0): F(3), (2, 0): F(3)}
     )
     oracle = LpOracle(inst)
-    units, y, done = oracle._replay([1, 2])
+    units, y, unshipped = oracle._replay([1, 2])
     assert y == {(1, 0): oracle._shat[1], (2, 0): oracle._scale - oracle._shat[1]}
-    assert not done and replay_outcome(oracle, [1, 2]) == "partial"
+    assert unshipped == 1 and replay_outcome(oracle, [1, 2]) == "partial"
     assert F(units, oracle.cost_den) == 4 == oracle.value([1, 2])
     assert oracle._transport([1, 2], y) == (0, y)
 
@@ -684,10 +739,10 @@ def test_replay_skips_items_without_profit():
     )
     oracle = LpOracle(inst)
     shat = oracle._shat
-    units, y, done = oracle._replay([1, 2, 3])
-    assert (units, y, done) == (5 * oracle.cost_den, {(1, 0): shat[1], (3, 1): shat[3]}, True)
+    units, y, unshipped = oracle._replay([1, 2, 3])
+    assert (units, y, unshipped) == (5 * oracle.cost_den, {(1, 0): shat[1], (3, 1): shat[3]}, 0)
     assert (units, y) == zero_flow_transport(oracle, [1, 2, 3])
-    assert oracle._replay([2]) == (0, {}, True)
+    assert oracle._replay([2]) == (0, {}, 0)
     x = oracle.solution([1, 2, 3])
     assert x.value == 5
     assert dict(x.entries) == {(1, 0): F(1), (3, 1): F(1), (2, 0): F(1, 2), (2, 1): F(1, 2)}
@@ -700,7 +755,7 @@ def test_solution_after_a_replayed_value_matches_a_fresh_one(warm_starts):
         inst = random_instance(rng, n_max=8, m_max=4)
         oracle = LpOracle(inst)
         for subset in random_history(rng, sorted(inst.item_ids), 8):
-            if not oracle._replay(sorted(subset))[2] or inst.total_size(subset) > inst.m:
+            if oracle._replay(sorted(subset))[2] or inst.total_size(subset) > inst.m:
                 continue
             oracle.value(subset)
             assert oracle._flows[subset].cold

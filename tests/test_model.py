@@ -21,7 +21,7 @@ from groupgap.model import (
     validate_instance,
 )
 
-from conftest import F, make_instance
+from conftest import F, make_instance, random_instance
 
 
 @given(st.fractions())
@@ -38,6 +38,16 @@ def test_parse_rational_rejects_malformed(text):
 def test_validate_small_instance_ok():
     inst = make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(5)})
     validate_instance(inst, strict=True)
+
+
+@pytest.mark.parametrize("seed", [917, 987, 1031, 1097, 1216])
+def test_random_instance_fits_a_group_too_large_for_its_grid(seed):
+    # One bin and a group of nine items: at 1/16 steps the half-capacity
+    # budget holds only eight, so the helper draws that group at 1/32.
+    inst = random_instance(random.Random(seed), n_max=9, m_max=4)
+    validate_instance(inst, strict=True)
+    assert inst.m == 1 and [len(g.members) for g in inst.groups] == [9]
+    assert all(32 % it.size.denominator == 0 for it in inst.items)
 
 
 def test_validate_oversized_group_strict_only():

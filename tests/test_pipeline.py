@@ -188,7 +188,7 @@ def count_calls(monkeypatch, owner, name):
 
 def test_warm_lp_solves_cut_shortest_path_passes(monkeypatch):
     # Each LP re-optimised from a kept subset's flow, or continued from its
-    # replayed paths, needs fewer Bellman-Ford searches: 759 here, 5,694
+    # replayed paths, needs fewer Bellman-Ford searches: 528 here, 5,694
     # when every LP ran cold from the zero flow.
     passes = count_calls(monkeypatch, FlowNetwork, "_shortest_path")
     inst = generate(GeneratorSpec(seed=1, n=120, groups=32, bins=16, flavor="uniform"))
@@ -199,8 +199,9 @@ def test_warm_lp_solves_cut_shortest_path_passes(monkeypatch):
 
 def test_solution_reuses_the_selection_flow(monkeypatch):
     # Two groups: the replay answers the empty set and stops short on each
-    # group (neither fits its items' best bins), which is solved cold, and the
-    # upper bound warm from the larger group. The selected group's
+    # group (neither fits its items' best bins), which is solved cold, and so
+    # is the upper bound: the larger group lacks 18 items, more than the 15
+    # that the replay of all items leaves unshipped. The selected group's
     # fractional solution then reuses its kept flow, so 3 solves in all
     # (4 when the solution was solved again).
     solves = count_calls(monkeypatch, LpOracle, "_transport")

@@ -1,7 +1,9 @@
 import random
+from math import lcm
 
 import pytest
 
+from groupgap._flow import FlowNetwork, transport
 from groupgap.errors import UnsaturatedInput
 from groupgap.model import (
     FractionalSolution,
@@ -127,6 +129,56 @@ def test_matching_weight_at_least_fractional_value_fuzz():
         assert len(set(matching.values())) == len(matching)
         weight = sum((inst.profit(i, s.bin) for i, s in matching.items()), F(0))
         assert weight >= x.value
+
+
+def network_matching(g):
+    """The complete matching of a network run from the zero flow, on the
+    arcs ``complete_matching`` builds: the min-cost flow without the replay."""
+    den = lcm(*(e.weight.denominator for e in g.edges))
+    item_pos = {i: k for k, i in enumerate(g.items)}
+    slot_pos = {s: k for k, s in enumerate(g.slots)}
+    arcs = [(item_pos[e.item], slot_pos[e.slot], -int(e.weight * den)) for e in g.edges]
+    n = len(g.items)
+    _flow, _cost, flows = transport(
+        [1] * n, [1] * len(g.slots), arcs, max_flow=n, preload=[0] * len(arcs)
+    )
+    return {e.item: e.slot for e, units in zip(g.edges, flows) if units > 0}
+
+
+def test_complete_matching_equals_the_zero_flow_network_run(monkeypatch):
+    runs = {"n": 0}
+    run = FlowNetwork.run
+
+    def counting(net, *args, **kwargs):
+        runs["n"] += 1
+        return run(net, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "run", counting)
+    rng = random.Random(53)
+    replayed = matched = 0
+    for _ in range(300):
+        inst = random_instance(rng, n_max=10, m_max=4)
+        g = build_slot_graph(inst, random_saturated_solution(rng, inst))
+        if not g.items:
+            continue
+        before = runs["n"]
+        matching = complete_matching(g)
+        replayed += runs["n"] == before
+        assert matching == network_matching(g)
+        assert list(matching) == list(network_matching(g))
+        matched += 1
+    # The replay alone matches most graphs; the rest still need a network.
+    assert matched > 250 and 50 < replayed < matched
+
+
+def test_complete_matching_by_replay_alone_builds_no_network(split_pair, monkeypatch):
+    # Item 1 takes slot (0, 1) and item 2 slot (0, 2), each its best.
+    def no_network(*args):
+        raise AssertionError("built a network")
+
+    monkeypatch.setattr(FlowNetwork, "__init__", no_network)
+    inst, x = split_pair
+    assert complete_matching(build_slot_graph(inst, x)) == {1: Slot(0, 1), 2: Slot(0, 2)}
 
 
 def test_round_integral_solution_identity():
