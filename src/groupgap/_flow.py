@@ -2,10 +2,15 @@
 
 Callers clear rational denominators before building the network, so
 capacities and costs are plain (arbitrary-precision) ints and every
-optimum maps back to an exact rational. Augmenting paths are found with
-Bellman-Ford over the residual graph; starting from the zero flow and
-always augmenting along a cheapest path keeps the residual graph free of
-negative cycles, so Bellman-Ford stays valid throughout.
+optimum maps back to an exact rational. Every run maximises profit: it
+augments along a cheapest path while that path costs < 0, and stops at the
+first one of cost >= 0 or when no path is left. (The rounding, which must
+ship every unit, lowers its costs by a node potential that makes every
+path negative; see :func:`groupgap.rounding.complete_matching`.)
+Augmenting paths are found with Bellman-Ford over the residual graph;
+starting from the zero flow and always augmenting along a cheapest path
+keeps the residual graph free of negative cycles, so Bellman-Ford stays
+valid throughout.
 
 Each Bellman-Ford pass visits nodes in index order but scans the out-edges
 only of "dirty" nodes, whose distance dropped since they were last scanned
@@ -29,12 +34,6 @@ that gains room goes into its tail's list at its sorted position. Most of
 the edges left out are twins without flow: every arc into a right node has
 one there, so a right node's full list is mostly dead weight.
 
-A run has one of two modes, set by ``max_flow`` alone. Without it the run
-maximises profit: it augments while the cheapest path costs < 0 and stops
-at the first one of cost >= 0 (the LP oracle's transports). With it the
-run ships up to ``max_flow`` units at least cost, along paths of any cost
-(the rounding's matching).
-
 :func:`transport` lays out the bipartite network of both callers, items to
 bins for the LP value and items to slots for the rounding matching: node 0
 is the source, then come the left nodes, the right nodes and the sink, and
@@ -48,10 +47,9 @@ right node -> sink. :func:`replay` takes those first paths without a
 search. It walks the arcs by (cost, right node, left node) and ships each
 left node not yet shipped whole along its first arc: its cheapest, into
 the lowest right node on a tie. It stops before an arc into a full right
-node, after a step that ships a left node only in part, and, in profit
-mode, before an arc of cost >= 0. Up to there, each step is the path that
-Bellman-Ford finds in the state that the earlier steps leave, in both
-modes:
+node, after a step that ships a left node only in part, and before an arc
+of cost >= 0. Up to there, each step is the path that Bellman-Ford finds
+in the state that the earlier steps leave:
 
 - Every shipped left node sits whole on its cheapest arc. A path leaves
   the source for a left node not shipped yet (the source edges of the
@@ -59,8 +57,7 @@ modes:
   leaves a right node along the twin of a shipped node's arc and goes on
   along another arc of that node, which never costs less. So no path
   costs less than the cheapest arc of an unshipped left node, the walk's
-  next arc. Nothing here depends on the sign of a cost: cost-0 arcs, and
-  the costs of either sign that matching mode accepts, behave alike.
+  next arc. Nothing here depends on the sign of a cost.
 - Bellman-Ford's first pass scans the source, the left nodes by index,
   the right nodes by index, then the sink. An unshipped left node is
   reached from the source alone, at distance 0. The pass gives each right
@@ -70,18 +67,17 @@ modes:
   arc, since an arc of the same cost into a lower right node would have
   come first and, that node being full, stopped the walk. Later passes
   can at most tie, and a tie replaces no parent.
-- The path's bottleneck is the smallest of the left node's supply, the
-  right node's room and, in matching mode, what is left of ``max_flow``.
+- The path's bottleneck is the smaller of the left node's supply and
+  the right node's room.
 
 A left node's index is its position in ``supply``; the LP oracle lists its
 items by ascending id, the rounding its slot graph's items in ``g.items``
 order, each with unit supply, into slots of unit demand. The walk ends
 the cold run where that run would stop in the same state: when every left
 node with an arc is shipped whole, or no arc of an unshipped node is left
-(no path is), in profit mode at an arc of cost >= 0 (no path costs less),
-and in matching mode once ``max_flow`` units are shipped. The replayed
-flow is then the cold run's result: the same flow, cost and arc flows.
-Left nodes without an arc ship nothing either way.
+(no path is), or at an arc of cost >= 0 (no path costs less). The
+replayed flow is then the cold run's result: the same flow, cost and arc
+flows. Left nodes without an arc ship nothing either way.
 
 ``transport``'s ``preload`` resumes a run instead of starting one: the
 network is built with that flow on the arcs and the matching flow on the
@@ -202,9 +198,9 @@ class FlowNetwork:
             raise InvariantViolated("negative cycle in the residual graph")
         return dist, parent
 
-    def _augment(self, s: int, t: int, parent: list[int], limit: int | None = None) -> int:
-        """Push the bottleneck of the parent path from s to t, at most
-        ``limit`` units, and keep ``live`` in step; returns the units pushed."""
+    def _augment(self, s: int, t: int, parent: list[int]) -> int:
+        """Push the bottleneck of the parent path from s to t and keep
+        ``live`` in step; returns the units pushed."""
         cap, to, live = self.cap, self.to, self.live
         push = None
         v = t
@@ -214,8 +210,6 @@ class FlowNetwork:
             v = to[e ^ 1]
         if push is None or push <= 0:
             raise InvariantViolated(f"augmenting path can push {push} units")
-        if limit is not None:
-            push = min(push, limit)
         v = t
         while v != s:
             e = parent[v]
@@ -230,23 +224,18 @@ class FlowNetwork:
             v = u
         return push
 
-    def run(self, s: int, t: int, max_flow: int | None = None) -> tuple[int, int]:
-        """Push flow from s to t along successively cheapest paths.
-
-        Without ``max_flow`` the loop ends at the first cheapest path of
-        cost >= 0 (profit-maximising mode); with it, once that many units
-        have been shipped or no path is left. Returns (flow, cost).
+    def run(self, s: int, t: int) -> tuple[int, int]:
+        """Push flow from s to t along successively cheapest paths, up to
+        the first path of cost >= 0 or until no path is left.
+        Returns (flow, cost).
         """
         total_flow = 0
         total_cost = 0
-        while max_flow is None or total_flow < max_flow:
+        while True:
             dist, parent = self._shortest_path(s)
-            if dist[t] is None:
+            if dist[t] is None or dist[t] >= 0:
                 break
-            if max_flow is None and dist[t] >= 0:
-                break
-            limit = None if max_flow is None else max_flow - total_flow
-            push = self._augment(s, t, parent, limit)
+            push = self._augment(s, t, parent)
             total_flow += push
             total_cost += push * dist[t]
         return total_flow, total_cost
@@ -256,20 +245,19 @@ def transport(
     supply: list[int],
     demand: list[int],
     arcs: list[tuple[int, int, int]],
-    max_flow: int | None = None,
     preload: list[int] | None = None,
 ) -> tuple[int, int, list[int]]:
-    """Min-cost flow from left nodes with ``supply`` to right nodes with ``demand``.
+    """Profit-maximising flow from left nodes with ``supply`` to right
+    nodes with ``demand``: the flow of least cost, where ``-cost`` is the
+    profit (see :meth:`FlowNetwork.run`).
 
     ``arcs`` holds ``(left, right, cost)``, indices into ``supply`` and
     ``demand``, at most one arc per pair (``ValueError`` otherwise); an
-    arc's capacity is its left node's supply. Without ``max_flow`` the flow
-    maximises profit (``-cost``); with it, the flow ships up to
-    ``max_flow`` units at least cost (see :meth:`FlowNetwork.run`).
+    arc's capacity is its left node's supply.
     From zero, the run starts with :func:`replay` and builds a network
     only where the walk stops short. ``preload``, one flow per arc, starts
-    the run from that flow instead (see the module docstring); the flow,
-    the cost and ``max_flow`` then count only what the run adds.
+    the run from that flow instead (see the module docstring); the flow
+    and the cost then count only what the run adds.
     Returns the flow, its cost and the flow on each arc.
     """
     if preload is None:
@@ -278,20 +266,19 @@ def transport(
             raise ValueError("two arcs join the same left and right nodes")
         order = sorted((cost, j, i) for i, j, cost in arcs)
         supplied = {i: units for i, units in enumerate(supply) if units}
-        flow, cost, shipped, left = replay(supplied, demand, order, max_flow)
+        flow, cost, shipped, left = replay(supplied, demand, order)
         flows = [0] * len(arcs)
         for i, (j, units) in shipped.items():
             flows[index[i, j]] = units
         if not left:
             return flow, cost, flows
-        rest = None if max_flow is None else max_flow - flow
-        more, more_cost, flows = transport(supply, demand, arcs, rest, flows)
+        more, more_cost, flows = transport(supply, demand, arcs, flows)
         return flow + more, cost + more_cost, flows
     sink = 1 + len(supply) + len(demand)
     out, into = _loads(supply, demand, arcs, preload)
     edges = _edges(supply, demand, arcs, [0] * len(supply))
     net = FlowNetwork(sink + 1, edges, out + preload + into)
-    flow, cost = net.run(0, sink, max_flow)
+    flow, cost = net.run(0, sink)
     return flow, cost, _arc_flows(net, supply, arcs)
 
 
@@ -299,7 +286,6 @@ def replay(
     supply: dict[int, int],
     demand: list[int],
     order: Iterable[tuple[int, int, int]],
-    max_flow: int | None = None,
 ) -> tuple[int, int, dict[int, tuple[int, int]], dict[int, int]]:
     """The first augmenting paths of a cold :func:`transport` run, without
     Bellman-Ford (see the module docstring).
@@ -309,7 +295,6 @@ def replay(
     ``(cost, right, left)``, ascending, at most one per pair. Arcs of left
     nodes outside ``supply`` are skipped, so the LP oracle passes the
     sorted arcs of its whole instance.
-    ``max_flow`` sets the mode, as in :meth:`FlowNetwork.run`.
     Returns ``(flow, cost, shipped, left)``: the flow and cost shipped,
     each shipped left node's ``(right, units)`` in the order shipped, and
     the units still to ship of each left node not shipped whole. ``left``
@@ -323,27 +308,20 @@ def replay(
         for c, j, i in order:
             if i not in left:  # outside the query, or already shipped
                 continue
-            if max_flow is None:
-                if c >= 0:
-                    break
-            elif flow >= max_flow:
+            if c >= 0:
                 break
             r = room[j]
             if not r:
                 return flow, cost, shipped, left
             units = left.pop(i)
             ship = units if units <= r else r
-            if max_flow is not None and ship > max_flow - flow:
-                ship = max_flow - flow
             room[j] = r - ship
             flow += ship
             cost += ship * c
             shipped[i] = (j, ship)
-            if ship < units:  # shipped in part: a full right node or max_flow
+            if ship < units:  # shipped in part: the right node is full
                 left[i] = units - ship
-                if flow != max_flow:
-                    return flow, cost, shipped, left
-                break
+                return flow, cost, shipped, left
             if not left:
                 break
     return flow, cost, shipped, {}
@@ -359,7 +337,7 @@ def reoptimize(
 
     ``start`` holds one flow per arc and must be optimal once the supply of
     every left node without start flow is set to 0, as the flow that
-    ``transport`` without ``max_flow`` returns for those supplies is.
+    ``transport`` returns for those supplies is.
     Otherwise the residual may hold a negative cycle, and one that the
     search reaches raises ``InvariantViolated``.
     Returns the extra flow, its cost (<= 0: the optimum's cost minus the

@@ -8,6 +8,23 @@ graph admits a fractional matching covering every item with weight equal
 to the LP objective, hence it also admits an integral matching covering
 every item with at least that weight. Reading an assignment off that
 matching overflows each bin by at most its rank-1 item.
+
+The matching is a min-cost flow of |items| units, and the flow layer only
+maximises profit: it stops at the first augmenting path of cost >= 0.
+Lowering every arc's cost by the same ``M`` turns one into the other. On
+the network, that is the node potential ``M`` on every slot and on the
+sink (the reduced costs of Edmonds and Karp, 1972): every path from the
+source to a node v changes cost by the same amount, which depends only on
+v. Bellman-Ford compares only paths to the same node, so it finds the same
+distances up to that shift, the same parents and the same augmenting
+paths, and the replay walks the arcs in the same (cost, slot, item) order.
+A source-to-sink path therefore costs its old cost minus ``M``. Its old
+cost is at most the sum of the weights it crosses backwards (weights are
+profits, so >= 0), and ``M`` is one more than the sum of all weights, so
+every such path costs < 0 and the run ships until no path is left: the
+same units along the same paths as the unshifted min-cost flow of
+|items| units. A smaller ``M``, such as the largest weight, does not do:
+a path that undoes a heavy edge can cost up to the sum of the weights.
 """
 
 from __future__ import annotations
@@ -94,19 +111,23 @@ def build_slot_graph(inst: Instance, x: FractionalSolution) -> SlotGraph:
 def complete_matching(g: SlotGraph) -> dict[int, Slot]:
     """Max-weight matching of slots that covers every item.
 
-    Solved by :func:`~groupgap._flow.transport` as a min-cost flow of
-    exactly |items| units: every item supplies and every slot accepts one
-    unit, and each slot edge, in ``g.edges`` order, is an arc whose cost is
-    its weight negated and scaled to an integer.
+    Solved by the profit-maximising :func:`~groupgap._flow.transport`:
+    every item supplies and every slot accepts one unit, and each slot
+    edge, in ``g.edges`` order, is an arc of cost ``-(w + M)``, where ``w``
+    is its weight scaled to an integer and ``M = 1 + sum(w)`` (see the
+    module docstring for why that ships every unit without changing the
+    min-cost flow of that many units).
     """
     n = len(g.items)
     if n == 0:
         return {}
     den = lcm(*(e.weight.denominator for e in g.edges))
+    weights = [e.weight.numerator * (den // e.weight.denominator) for e in g.edges]
+    shift = 1 + sum(weights)
     item_pos = {i: k for k, i in enumerate(g.items)}
     slot_pos = {s: k for k, s in enumerate(g.slots)}
-    arcs = [(item_pos[e.item], slot_pos[e.slot], -int(e.weight * den)) for e in g.edges]
-    flow, _cost, flows = transport([1] * n, [1] * len(g.slots), arcs, max_flow=n)
+    arcs = [(item_pos[e.item], slot_pos[e.slot], -w - shift) for e, w in zip(g.edges, weights)]
+    flow, _cost, flows = transport([1] * n, [1] * len(g.slots), arcs)
     if flow != n:
         raise NoCompleteMatching(f"matched only {flow} of {n} items; slot graph invariant broken")
     return {e.item: e.slot for e, units in zip(g.edges, flows) if units > 0}

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import settings
 
+from groupgap._flow import FlowNetwork
 from groupgap.model import (
     Assignment,
     FractionalSolution,
@@ -305,3 +306,89 @@ def random_ground(rng: random.Random, n_max=8, cap_max=4):
         GroundElement(i, F(rng.randint(1, half_num), den)) for i in range(1, n + 1)
     ]
     return elements, cap
+
+
+def adjacency(net):
+    """Every edge out of each node, live or not, in id order (edge e leaves
+    ``to[e ^ 1]``)."""
+    adj = [[] for _ in range(net.n)]
+    for e in range(len(net.to)):
+        adj[net.to[e ^ 1]].append(e)
+    return adj
+
+
+def full_scan_shortest_path(net, s):
+    """Reference Bellman-Ford: every pass scans every reached node in index order."""
+    adj = adjacency(net)
+    dist = [None] * net.n
+    parent = [-1] * net.n
+    dist[s] = 0
+    for _ in range(net.n):
+        changed = False
+        for u in range(net.n):
+            du = dist[u]
+            if du is None:
+                continue
+            for e in adj[u]:
+                if net.cap[e] <= 0:
+                    continue
+                v = net.to[e]
+                nd = du + net.cost[e]
+                dv = dist[v]
+                if dv is None or nd < dv:
+                    dist[v] = nd
+                    parent[v] = e
+                    changed = True
+        if not changed:
+            break
+    return dist, parent
+
+
+def augment(net, s, t, parent, limit=None):
+    """Push the bottleneck (capped at ``limit``) along the parent path to t."""
+    path = []
+    v = t
+    while v != s:
+        path.append(parent[v])
+        v = net.to[parent[v] ^ 1]
+    push = min(net.cap[e] for e in path)
+    if limit is not None:
+        push = min(push, limit)
+    for e in path:
+        net.cap[e] -= push
+        net.cap[e ^ 1] += push
+    return push
+
+
+def bipartite_states(supply, demand, arcs, max_flow=None):
+    """Successive shortest paths on ``_flow.transport``'s layout, driven by
+    the full-scan reference: after each of its k augmentations (k = 0
+    first), the flow on each arc and the flow and cost shipped so far.
+
+    Without ``max_flow`` the run stops at the first path of cost >= 0, as
+    the library's runs do. With it, the run ships up to ``max_flow`` units
+    along paths of any cost: a min-cost flow of that many units, or of as
+    many as can be shipped.
+    """
+    right = 1 + len(supply)
+    sink = right + len(demand)
+    edges = [(0, 1 + i, units, 0) for i, units in enumerate(supply)]
+    edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
+    edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
+    net = FlowNetwork(sink + 1, edges)
+    first = 2 * len(supply)
+
+    def arc_flows():
+        return net.cap[first + 1 : first + 2 * len(arcs) : 2]
+
+    flow = cost = 0
+    states = [(arc_flows(), flow, cost)]
+    while max_flow is None or flow < max_flow:
+        dist, parent = full_scan_shortest_path(net, 0)
+        if dist[sink] is None or (max_flow is None and dist[sink] >= 0):
+            break
+        push = augment(net, 0, sink, parent, None if max_flow is None else max_flow - flow)
+        flow += push
+        cost += push * dist[sink]
+        states.append((arc_flows(), flow, cost))
+    return states

@@ -1,5 +1,6 @@
-"""FlowNetwork, transport and reoptimize against full-scan references, cold
-solves and an independent exact solver."""
+"""FlowNetwork, transport and reoptimize against full-scan references and
+cold solves, on plain costs and under the node potential that makes a run
+ship every unit (the rounding's matching)."""
 
 import random
 
@@ -8,79 +9,40 @@ import pytest
 from groupgap._flow import FlowNetwork, reoptimize, replay, transport
 from groupgap.errors import InvariantViolated
 
-
-def adjacency(net):
-    """Every edge out of each node, live or not, in id order (edge e leaves
-    ``to[e ^ 1]``)."""
-    adj = [[] for _ in range(net.n)]
-    for e in range(len(net.to)):
-        adj[net.to[e ^ 1]].append(e)
-    return adj
+from conftest import adjacency, augment, bipartite_states, full_scan_shortest_path
 
 
-def full_scan_shortest_path(net, s):
-    """Reference Bellman-Ford: every pass scans every reached node in index order."""
-    adj = adjacency(net)
-    dist = [None] * net.n
-    parent = [-1] * net.n
-    dist[s] = 0
-    for _ in range(net.n):
-        changed = False
-        for u in range(net.n):
-            du = dist[u]
-            if du is None:
-                continue
-            for e in adj[u]:
-                if net.cap[e] <= 0:
-                    continue
-                v = net.to[e]
-                nd = du + net.cost[e]
-                dv = dist[v]
-                if dv is None or nd < dv:
-                    dist[v] = nd
-                    parent[v] = e
-                    changed = True
-        if not changed:
-            break
-    return dist, parent
-
-
-def augment(net, s, t, parent, limit=None):
-    """Push the bottleneck (capped at ``limit``) along the parent path to t."""
-    path = []
-    v = t
-    while v != s:
-        path.append(parent[v])
-        v = net.to[parent[v] ^ 1]
-    push = min(net.cap[e] for e in path)
-    if limit is not None:
-        push = min(push, limit)
-    for e in path:
-        net.cap[e] -= push
-        net.cap[e ^ 1] += push
-    return push
-
-
-def reference_run(net, s, t, max_flow=None, stop_on_nonnegative=False):
-    """Successive shortest paths driven by the full-scan reference."""
+def reference_run(net, s, t, stop_on_nonnegative=False):
+    """Successive shortest paths driven by the full-scan reference, until no
+    path is left or, with ``stop_on_nonnegative``, up to a path of cost >= 0."""
     total_flow = total_cost = 0
-    while max_flow is None or total_flow < max_flow:
+    while True:
         dist, parent = full_scan_shortest_path(net, s)
         if dist[t] is None or (stop_on_nonnegative and dist[t] >= 0):
             break
-        limit = None if max_flow is None else max_flow - total_flow
-        push = augment(net, s, t, parent, limit)
+        push = augment(net, s, t, parent)
         total_flow += push
         total_cost += push * dist[t]
     return total_flow, total_cost
 
 
+def sink_shifted(n, edges):
+    """The edges with every cost into the sink ``n - 1`` lowered by M and
+    every cost out of it raised by M, M = 1 + the sum of |cost|; and M.
+    That is a node potential on the sink: a path to any other node keeps
+    its cost, and a path to the sink, which costs at most M - 1, now costs
+    M less, below 0, so a profit run ships until no path is left."""
+    shift = 1 + sum(abs(w) for _u, _v, _c, w in edges)
+    t = n - 1
+    return shift, [(u, v, c, w - shift * (v == t) + shift * (u == t)) for u, v, c, w in edges]
+
+
 def random_edges(rng):
     """A small network with many equal-cost paths; source 0, sink n - 1.
 
-    Half are DAGs with costs of both signs (as in profit mode), half are
-    general digraphs with nonnegative costs; neither has a negative cycle.
-    Parallel edges are allowed.
+    Half are DAGs with costs of both signs, half are general digraphs with
+    nonnegative costs; neither has a negative cycle. Parallel edges are
+    allowed.
     """
     n = rng.randint(3, 9)
     dag = rng.random() < 0.5
@@ -119,7 +81,7 @@ def assert_live_lists(net):
 
 def test_live_lists_follow_every_capacity_change(monkeypatch):
     """After construction, with and without preloaded flows, and after every
-    augmentation, in both modes of ``run`` and through ``transport`` and
+    augmentation, on plain and shifted costs and through ``transport`` and
     ``reoptimize`` (which build their networks internally)."""
     counts = {"built": 0, "augmented": 0, "filled": 0, "inserted_before_last": 0}
     run, augment_step = FlowNetwork.run, FlowNetwork._augment
@@ -129,9 +91,9 @@ def test_live_lists_follow_every_capacity_change(monkeypatch):
         counts["built"] += 1
         return run(net, *args, **kwargs)
 
-    def checked_augment(net, s, t, parent, limit=None):
+    def checked_augment(net, s, t, parent):
         before = list(net.cap)
-        push = augment_step(net, s, t, parent, limit)
+        push = augment_step(net, s, t, parent)
         assert_live_lists(net)
         counts["augmented"] += 1
         for e, (old, new) in enumerate(zip(before, net.cap)):
@@ -148,12 +110,12 @@ def test_live_lists_follow_every_capacity_change(monkeypatch):
         flows = [rng.randint(0, cap) for _u, _v, cap, _cost in edges]
         assert_live_lists(FlowNetwork(n, edges, flows))
         FlowNetwork(n, edges).run(0, n - 1)
-        FlowNetwork(n, edges).run(0, n - 1, max_flow=rng.randint(1, 8))
+        FlowNetwork(n, sink_shifted(n, edges)[1]).run(0, n - 1)
         supply, demand, arcs = random_bipartite(rng)
         # From the zero flow without the replay, so every call builds a network.
         zero = [0] * len(arcs)
         transport(supply, demand, arcs, preload=zero)
-        transport(supply, demand, arcs, max_flow=rng.randint(1, sum(supply) + 1), preload=zero)
+        transport(supply, demand, shifted(arcs)[1], preload=zero)
         old = [units if rng.random() < 0.6 else 0 for units in supply]
         _flow, _cost, start = transport(old, demand, arcs, preload=zero)
         reoptimize(supply, demand, arcs, start)
@@ -161,13 +123,11 @@ def test_live_lists_follow_every_capacity_change(monkeypatch):
     assert counts["filled"] > 1000 and counts["inserted_before_last"] > 800
 
 
-def test_mode_follows_max_flow():
-    """Without ``max_flow`` a run stops at the first path of cost >= 0, so a
-    lone zero-cost arc ships nothing; with ``max_flow`` it ships its unit."""
+def test_run_stops_at_a_zero_cost_path():
+    """A run stops at the first path of cost >= 0, so a lone zero-cost arc
+    ships nothing."""
     assert FlowNetwork(2, [(0, 1, 1, 0)]).run(0, 1) == (0, 0)
-    assert FlowNetwork(2, [(0, 1, 1, 0)]).run(0, 1, max_flow=1) == (1, 0)
     assert transport([1], [1], [(0, 0, 0)]) == (0, 0, [0])
-    assert transport([1], [1], [(0, 0, 0)], max_flow=1) == (1, 0, [1])
 
 
 def test_dirty_scan_matches_full_scan_on_fresh_and_residual_graphs():
@@ -187,37 +147,25 @@ def test_dirty_scan_matches_full_scan_on_fresh_and_residual_graphs():
     assert residual_checks > 100
 
 
-@pytest.mark.parametrize("mode", ["profit", "max_flow"])
+@pytest.mark.parametrize("mode", ["profit", "shifted"])
 def test_run_leaves_reference_flows(mode):
+    """A run stops where the full-scan reference does. On sink-shifted costs
+    it ships until no path is left, along the paths of the reference's full
+    run on the plain costs: the same flows, each unit M cheaper."""
     rng = random.Random(43 if mode == "profit" else 47)
     for _ in range(200):
         n, edges = random_edges(rng)
-        kwargs = {} if mode == "profit" else {"max_flow": rng.randint(1, 8)}
-        ref, net = FlowNetwork(n, edges), FlowNetwork(n, edges)
-        expected = reference_run(ref, 0, n - 1, stop_on_nonnegative=mode == "profit", **kwargs)
-        assert net.run(0, n - 1, **kwargs) == expected
+        ref = FlowNetwork(n, edges)
+        if mode == "profit":
+            net = FlowNetwork(n, edges)
+            expected = reference_run(ref, 0, n - 1, stop_on_nonnegative=True)
+        else:
+            shift, shifted_edges = sink_shifted(n, edges)
+            net = FlowNetwork(n, shifted_edges)
+            flow, cost = reference_run(ref, 0, n - 1)
+            expected = (flow, cost - shift * flow)
+        assert net.run(0, n - 1) == expected
         assert net.cap == ref.cap
-
-
-def test_max_flow_cost_matches_networkx():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(53)
-    for _ in range(50):
-        n = rng.randint(3, 9)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
-        edges = []
-        for _ in range(3 * n):
-            u, v = sorted(rng.sample(range(n), 2))  # a DAG: no negative cycle
-            if graph.has_edge(u, v):
-                continue
-            cap, cost = rng.randint(1, 5), rng.randint(-6, 6)
-            graph.add_edge(u, v, capacity=cap, weight=cost)
-            edges.append((u, v, cap, cost))
-        net = FlowNetwork(n, edges)
-        flow_value = nx.maximum_flow_value(graph, 0, n - 1)
-        expected_cost = nx.cost_of_flow(graph, nx.max_flow_min_cost(graph, 0, n - 1))
-        assert net.run(0, n - 1, max_flow=flow_value) == (flow_value, expected_cost)
 
 
 def random_bipartite(rng):
@@ -229,13 +177,35 @@ def random_bipartite(rng):
     return supply, demand, arcs
 
 
-@pytest.mark.parametrize("mode", ["profit", "max_flow"])
+def shifted(arcs):
+    """M = 1 + the sum of |cost|, and the arcs with every cost lowered by M:
+    the node potential of the rounding, M on the right nodes and the sink.
+    Every path to a node changes cost by an amount that depends only on the
+    node, and every path to the sink now costs < 0, so a profit run ships
+    until no path is left, along the paths of a full run on the plain arcs."""
+    shift = 1 + sum(abs(c) for _i, _j, c in arcs)
+    return shift, [(i, j, c - shift) for i, j, c in arcs]
+
+
+def reference_states(mode, supply, demand, arcs):
+    """The arcs ``transport`` gets and the reference states it must reach:
+    the profit run's on the plain arcs, or on shifted arcs the states of a
+    full run on the plain arcs, each unit M cheaper."""
+    if mode == "profit":
+        return arcs, bipartite_states(supply, demand, arcs)
+    states = bipartite_states(supply, demand, arcs, max_flow=sum(supply))
+    shift, arcs = shifted(arcs)
+    return arcs, [(flows, flow, cost - shift * flow) for flows, flow, cost in states]
+
+
+@pytest.mark.parametrize("mode", ["profit", "shifted"])
 def test_transport_arc_flows_respect_supplies_and_demands(mode):
     rng = random.Random(59 if mode == "profit" else 61)
     for _ in range(100):
         supply, demand, arcs = random_bipartite(rng)
-        kwargs = {} if mode == "profit" else {"max_flow": rng.randint(1, sum(supply) + 1)}
-        flow, cost, flows = transport(supply, demand, arcs, **kwargs)
+        if mode == "shifted":
+            arcs = shifted(arcs)[1]
+        flow, cost, flows = transport(supply, demand, arcs)
         assert len(flows) == len(arcs)
         sent, received = [0] * len(supply), [0] * len(demand)
         for (i, j, _cost), units in zip(arcs, flows):
@@ -246,27 +216,6 @@ def test_transport_arc_flows_respect_supplies_and_demands(mode):
         assert all(into <= cap for into, cap in zip(received, demand))
         assert sum(flows) == flow
         assert sum(c * units for (_i, _j, c), units in zip(arcs, flows)) == cost
-        if mode == "max_flow":
-            assert flow <= kwargs["max_flow"]
-
-
-def test_transport_max_flow_cost_matches_networkx():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(67)
-    for _ in range(100):
-        supply, demand, arcs = random_bipartite(rng)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(["s", "t"])
-        for i, units in enumerate(supply):
-            graph.add_edge("s", ("left", i), capacity=units, weight=0)
-        for i, j, cost in arcs:
-            graph.add_edge(("left", i), ("right", j), capacity=supply[i], weight=cost)
-        for j, units in enumerate(demand):
-            graph.add_edge(("right", j), "t", capacity=units, weight=0)
-        expected = nx.max_flow_min_cost(graph, "s", "t")
-        flow, cost, _flows = transport(supply, demand, arcs, max_flow=sum(supply) + 1)
-        assert flow == nx.maximum_flow_value(graph, "s", "t")
-        assert cost == nx.cost_of_flow(graph, expected)
 
 
 def test_preloaded_flows_fill_the_twins():
@@ -323,35 +272,7 @@ def test_negative_cycle_raises_instead_of_looping():
         reoptimize(supply, demand, arcs, [2, 0, 0])
 
 
-def bipartite_states(supply, demand, arcs, max_flow=None):
-    """Successive shortest paths on ``transport``'s layout, driven by the
-    full-scan reference: after each of its k augmentations (k = 0 first),
-    the flow on each arc and the flow and cost shipped so far."""
-    right = 1 + len(supply)
-    sink = right + len(demand)
-    edges = [(0, 1 + i, units, 0) for i, units in enumerate(supply)]
-    edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
-    edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
-    net = FlowNetwork(sink + 1, edges)
-    first = 2 * len(supply)
-
-    def arc_flows():
-        return net.cap[first + 1 : first + 2 * len(arcs) : 2]
-
-    flow = cost = 0
-    states = [(arc_flows(), flow, cost)]
-    while max_flow is None or flow < max_flow:
-        dist, parent = full_scan_shortest_path(net, 0)
-        if dist[sink] is None or (max_flow is None and dist[sink] >= 0):
-            break
-        push = augment(net, 0, sink, parent, None if max_flow is None else max_flow - flow)
-        flow += push
-        cost += push * dist[sink]
-        states.append((arc_flows(), flow, cost))
-    return states
-
-
-@pytest.mark.parametrize("mode", ["profit", "max_flow"])
+@pytest.mark.parametrize("mode", ["profit", "shifted"])
 def test_preloaded_transport_resumes_the_cold_run(mode):
     """Preloaded with the cold run's state after any number of its
     augmentations, ``transport`` ends at the cold run's flows, and the
@@ -360,13 +281,11 @@ def test_preloaded_transport_resumes_the_cold_run(mode):
     resumed = 0
     for _ in range(200):
         supply, demand, arcs = random_bipartite(rng)
-        max_flow = None if mode == "profit" else rng.randint(1, sum(supply) + 1)
-        states = bipartite_states(supply, demand, arcs, max_flow)
+        arcs, states = reference_states(mode, supply, demand, arcs)
         cold_flows, cold_flow, cold_cost = states[-1]
-        assert transport(supply, demand, arcs, max_flow) == (cold_flow, cold_cost, cold_flows)
+        assert transport(supply, demand, arcs) == (cold_flow, cold_cost, cold_flows)
         for preload, flow, cost in states:
-            rest = None if max_flow is None else max_flow - flow
-            got = transport(supply, demand, arcs, rest, preload=preload)
+            got = transport(supply, demand, arcs, preload=preload)
             assert got == (cold_flow - flow, cold_cost - cost, cold_flows)
             resumed += 0 < flow < cold_flow
     assert resumed > 100
@@ -412,7 +331,7 @@ def count_runs(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("mode", ["profit", "max_flow"])
+@pytest.mark.parametrize("mode", ["profit", "shifted"])
 def test_transport_from_zero_equals_the_reference_run(mode, monkeypatch):
     """Each step of the replay is the next augmentation of the full-scan
     reference run; where the walk ends the run, the reference stops there
@@ -423,11 +342,10 @@ def test_transport_from_zero_equals_the_reference_run(mode, monkeypatch):
     outcomes = {"done": 0, "stopped": 0, "stopped after a step": 0}
     for trial in range(600):
         supply, demand, arcs = (tied_bipartite if trial % 3 else random_bipartite)(rng)
-        max_flow = None if mode == "profit" else rng.randint(0, sum(supply) + 1)
-        states = bipartite_states(supply, demand, arcs, max_flow)
+        arcs, states = reference_states(mode, supply, demand, arcs)
         supplied = {i: units for i, units in enumerate(supply) if units}
         order = sorted((cost, j, i) for i, j, cost in arcs)
-        flow, cost, shipped, left = replay(supplied, demand, order, max_flow)
+        flow, cost, shipped, left = replay(supplied, demand, order)
         placed = {(i, j): units for i, (j, units) in shipped.items()}
         flows = [placed.get((i, j), 0) for i, j, _cost in arcs]
         assert (flows, flow, cost) == states[len(shipped)]
@@ -435,7 +353,7 @@ def test_transport_from_zero_equals_the_reference_run(mode, monkeypatch):
             assert len(states) == len(shipped) + 1
         runs = built["n"]
         final_flows, final_flow, final_cost = states[-1]
-        assert transport(supply, demand, arcs, max_flow) == (final_flow, final_cost, final_flows)
+        assert transport(supply, demand, arcs) == (final_flow, final_cost, final_flows)
         assert built["n"] == runs + (len(left) > 0)
         if not left:
             outcomes["done"] += 1
@@ -447,11 +365,13 @@ def test_transport_from_zero_equals_the_reference_run(mode, monkeypatch):
 def test_replay_that_finishes_builds_no_network(monkeypatch):
     built = count_runs(monkeypatch)
     # Each left node's cheapest arc has room, so direct paths end the run;
-    # left node 2 has only an arc of cost 0, which profit mode leaves empty.
+    # left node 2 has only an arc of cost 0, which a run leaves empty, and
+    # which ships once every cost is lowered by 4.
     supply, demand = [1, 1, 1], [1, 1, 1]
     arcs = [(0, 0, -3), (0, 1, -1), (1, 1, -2), (1, 0, 0), (2, 2, 0)]
-    assert transport(supply, demand, arcs, max_flow=3) == (3, -5, [1, 0, 1, 0, 1])
     assert transport(supply, demand, arcs) == (2, -5, [1, 0, 1, 0, 0])
+    lowered = [(i, j, c - 4) for i, j, c in arcs]
+    assert transport(supply, demand, lowered) == (3, -17, [1, 0, 1, 0, 1])
     assert built["n"] == 0
     # Left node 1's cheapest arc leads into right node 0, which node 0 fills:
     # the walk stops there and a network moves node 1 on.

@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from groupgap._flow import FlowNetwork, transport
+from groupgap._flow import FlowNetwork
 from groupgap.errors import UnsaturatedInput
 from groupgap.model import (
     FractionalSolution,
@@ -12,12 +12,20 @@ from groupgap.model import (
 )
 from groupgap.rounding import (
     Slot,
+    SlotEdge,
+    SlotGraph,
     build_slot_graph,
     complete_matching,
     round_to_assignment,
 )
 
-from conftest import F, make_instance, random_instance, random_saturated_solution
+from conftest import (
+    F,
+    bipartite_states,
+    make_instance,
+    random_instance,
+    random_saturated_solution,
+)
 
 
 @pytest.fixture
@@ -131,21 +139,28 @@ def test_matching_weight_at_least_fractional_value_fuzz():
         assert weight >= x.value
 
 
-def network_matching(g):
-    """The complete matching of a network run from the zero flow, on the
-    arcs ``complete_matching`` builds: the min-cost flow without the replay."""
+def unshifted_arcs(g):
+    """The slot edges as ``(item, slot, cost)`` arcs of cost minus the
+    weight, scaled to an integer: the costs without the potential."""
     den = lcm(*(e.weight.denominator for e in g.edges))
     item_pos = {i: k for k, i in enumerate(g.items)}
     slot_pos = {s: k for k, s in enumerate(g.slots)}
-    arcs = [(item_pos[e.item], slot_pos[e.slot], -int(e.weight * den)) for e in g.edges]
+    return [(item_pos[e.item], slot_pos[e.slot], -int(e.weight * den)) for e in g.edges]
+
+
+def network_matching(g):
+    """The complete matching of a min-cost flow of ``n`` units on the
+    unshifted arcs: full-scan successive shortest paths from the zero flow,
+    along paths of any cost, stopped at ``n`` units."""
     n = len(g.items)
-    _flow, _cost, flows = transport(
-        [1] * n, [1] * len(g.slots), arcs, max_flow=n, preload=[0] * len(arcs)
-    )
+    flows, _flow, _cost = bipartite_states([1] * n, [1] * len(g.slots), unshifted_arcs(g), n)[-1]
     return {e.item: e.slot for e, units in zip(g.edges, flows) if units > 0}
 
 
 def test_complete_matching_equals_the_zero_flow_network_run(monkeypatch):
+    """The shift keeps every path: the replay, then the profit run on shifted
+    costs, ends at the min-cost flow of ``n`` units on the unshifted costs,
+    with the matching's dict order."""
     runs = {"n": 0}
     run = FlowNetwork.run
 
@@ -164,11 +179,63 @@ def test_complete_matching_equals_the_zero_flow_network_run(monkeypatch):
         before = runs["n"]
         matching = complete_matching(g)
         replayed += runs["n"] == before
-        assert matching == network_matching(g)
-        assert list(matching) == list(network_matching(g))
+        expected = network_matching(g)
+        assert matching == expected
+        assert list(matching) == list(expected)
         matched += 1
     # The replay alone matches most graphs; the rest still need a network.
     assert matched > 250 and 50 < replayed < matched
+
+
+def test_shift_exceeds_the_cost_of_every_path():
+    """Item 1 sits on its heavy edge to s1 after the replay; item 2 reaches
+    s1 alone, so completing the matching moves item 1 to s2 along a path of
+    unshifted cost 0 + 10 + 0 = +10. Without the shift, or with a shift of
+    only the largest weight (10), that path costs >= 0 and the run stops at
+    one item."""
+    s1, s2 = Slot(0, 1), Slot(1, 1)
+    g = SlotGraph(
+        items=(1, 2),
+        slots=(s1, s2),
+        edges=(
+            SlotEdge(1, s1, F(10), F(1, 2)),
+            SlotEdge(1, s2, F(0), F(1, 2)),
+            SlotEdge(2, s1, F(0), F(1, 2)),
+        ),
+    )
+    matching = complete_matching(g)
+    assert matching == {1: s2, 2: s1}
+    assert list(matching) == [1, 2]
+
+
+def test_matching_weight_matches_networkx():
+    """The complete matching's weight is minus the cost of networkx's max
+    flow of least cost on the unshifted slot graph, and it covers every item
+    that networkx's max flow covers: all of them."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(100):
+        inst = random_instance(rng, n_max=10, m_max=4)
+        g = build_slot_graph(inst, random_saturated_solution(rng, inst))
+        if not g.items:
+            continue
+        arcs = unshifted_arcs(g)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(["s", "t"])
+        for i in range(len(g.items)):
+            graph.add_edge("s", ("item", i), capacity=1, weight=0)
+        for i, j, cost in arcs:
+            graph.add_edge(("item", i), ("slot", j), capacity=1, weight=cost)
+        for j in range(len(g.slots)):
+            graph.add_edge(("slot", j), "t", capacity=1, weight=0)
+        expected = nx.cost_of_flow(graph, nx.max_flow_min_cost(graph, "s", "t"))
+        matching = complete_matching(g)
+        cost = sum(c for e, (_i, _j, c) in zip(g.edges, arcs) if matching[e.item] == e.slot)
+        assert nx.maximum_flow_value(graph, "s", "t") == len(matching) == len(g.items)
+        assert cost == expected
+        checked += 1
+    assert checked > 80
 
 
 def test_complete_matching_by_replay_alone_builds_no_network(split_pair, monkeypatch):
