@@ -24,7 +24,6 @@ from .model import (
     validate_instance,
 )
 from .pipeline import SolveReport, solve, solve_traced, upper_bound
-from .submodular import OptConfig
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,6 @@ __all__ = [
     "Instance",
     "Item",
     "LpOracle",
-    "OptConfig",
     "SolveReport",
     "ValidationError",
     "assignment_profit",

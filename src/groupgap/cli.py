@@ -20,19 +20,12 @@ from .generate import GeneratorSpec, generate
 from .lp_oracle import LpOracle
 from .model import render_rational, validate_instance
 from .pipeline import solve_traced
-from .submodular import OptConfig, certify_ratio_bound
+from .submodular import certify_ratio_bound
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CERT_FAILED = 3
 EXIT_INTERNAL = 4
-
-
-def _seed_size(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _grid_step(text: str) -> float:
@@ -50,7 +43,7 @@ def _print_table(rows: list[tuple[str, str]]) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = io.load_instance(args.file)
-    assignment, report, trace = solve_traced(inst, OptConfig(k=args.k))
+    assignment, report, trace = solve_traced(inst)
     if args.trace:
         for step in trace:
             print(json.dumps(io.fill_step_to_dict(step), sort_keys=True), file=sys.stderr)
@@ -146,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the approximation pipeline on an instance file")
     p_solve.add_argument("file")
-    p_solve.add_argument(
-        "--k", type=_seed_size, default=6, help="seed-set size of the fallback guess-greedy"
-    )
     p_solve.add_argument(
         "--exact-compare", action="store_true", help="also solve exactly and report the ratio"
     )

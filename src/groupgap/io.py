@@ -28,6 +28,10 @@ from .pipeline import SolveReport
 
 
 def _field_rational(doc: Any, field: str) -> Fraction:
+    # A float is no exact rational: 0.3333333333333333 would load as
+    # 3333333333333333/10**16, not the 1/3 it stands for.
+    if isinstance(doc, float):
+        raise InstanceFormatError(f'{field}: expected a "p/q" string or an integer, got {doc!r}')
     try:
         return parse_rational(doc)
     except (ValueError, TypeError) as exc:

@@ -217,7 +217,11 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
         if not fits:
             raise BadSize(it.id, it.size)
     grouped: set[int] = set()
+    seen_groups: set[int] = set()
     for g in inst.groups:
+        if g.id in seen_groups:
+            raise BadPartition(f"duplicate group id {g.id}")
+        seen_groups.add(g.id)
         if not g.members:
             raise BadPartition(f"group {g.id} is empty")
         for i in g.members:

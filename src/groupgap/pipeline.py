@@ -35,7 +35,7 @@ from .model import (
     validate_instance,
 )
 from .rounding import round_to_assignment
-from .submodular import GroundElement, OptConfig, maximize_with_reserve
+from .submodular import GroundElement, maximize_with_reserve
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,14 @@ def _group_units(oracle: LpOracle) -> Callable[[Iterable[int]], int]:
     return units
 
 
-def solve_traced(
-    inst: Instance, config: OptConfig | None = None
-) -> tuple[Assignment, SolveReport, tuple[FillStep, ...]]:
+def solve_traced(inst: Instance) -> tuple[Assignment, SolveReport, tuple[FillStep, ...]]:
     """Run the full pipeline; also returns the filling step trace."""
     validate_instance(inst, strict=True)
     oracle = LpOracle(inst)
 
     t0 = time.perf_counter()
     ground = [GroundElement(g.id, inst.group_size(g.id)) for g in inst.groups]
-    selected = maximize_with_reserve(
-        _group_units(oracle), ground, Fraction(inst.m), config or OptConfig()
-    )
+    selected = maximize_with_reserve(_group_units(oracle), ground, Fraction(inst.m))
     t1 = time.perf_counter()
 
     selected_items = inst.group_items(selected)
@@ -151,9 +147,7 @@ def solve_traced(
     return final, report, trace
 
 
-def solve(
-    inst: Instance, config: OptConfig | None = None
-) -> tuple[Assignment, SolveReport]:
+def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
     """Solve an instance; requires strict validation (group sizes <= m/2)."""
-    assignment, report, _trace = solve_traced(inst, config)
+    assignment, report, _trace = solve_traced(inst)
     return assignment, report

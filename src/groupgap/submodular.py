@@ -30,21 +30,22 @@ comparisons touch them.
 
 The search has a fixed budget of oracle solves. Past it, the paper's
 guess-greedy runs from the search's best set: it enumerates every seed set
-of at most ``k`` elements that fits the capacity and every part of it, then
-extends the part with a density greedy in the remaining half capacity. That
-keeps the 1/3 guarantee with a polynomial number of solves on every
-instance. The greedy filters, then takes: each round it drops the elements
-that no longer fit and takes the densest of the rest. Room only shrinks, so
-this picks exactly what the skip-but-remove greedy of the analysis picks,
-without evaluating elements that could never join.
+of at most :data:`_SEED_SIZE` elements that fits the capacity and every part
+of it, then extends the part with a density greedy in the remaining half
+capacity. That keeps the 1/3 guarantee with a polynomial number of solves on
+every instance. The greedy filters, then takes: each round it drops the
+elements that no longer fit and takes the densest of the rest. Room only
+shrinks, so this picks exactly what the skip-but-remove greedy of the
+analysis picks, without evaluating elements that could never join.
 
 A numeric verifier for the closed-form bound behind that guarantee lives
-here as well (:func:`ratio_lower_bound`, :func:`certify_ratio_bound`).
+here as well (:func:`ratio_lower_bound`, :func:`certify_ratio_bound`). It
+reads the same seed size as the fallback, so the size the fallback runs
+with is the size the verifier certifies.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -66,17 +67,6 @@ DENOMINATOR_GUARD = 1e-9
 class GroundElement:
     id: int
     size: Fraction
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    """Search parameters: the seed-set size ``k`` of the fallback guess-greedy.
-
-    The knapsack capacity is not a parameter: it is an argument of
-    :func:`maximize_with_reserve`, and the pipeline passes the bin count.
-    """
-
-    k: int = 6
 
 
 def _mask_oracle(f: Oracle, ids: Sequence[int]) -> Callable[[int], Value]:
@@ -119,6 +109,10 @@ def _greedy_mask(
 # guess-greedy. The most any measured instance needed is 714 (generator
 # uniform 120 items / 32 groups / 16 bins, seed 2); the budget is over 5x that.
 _SOLVE_BUDGET = 4096
+
+# Seed-set size of the guess-greedy fallback, and the k of the ratio bound:
+# `check-lemma4` certifies the 1/3 floor at this value.
+_SEED_SIZE = 6
 
 
 class _BudgetSpent(Exception):
@@ -232,7 +226,6 @@ def maximize_with_reserve(
     f: Oracle,
     elements: Sequence[GroundElement],
     capacity: Fraction,
-    config: OptConfig = OptConfig(),
 ) -> frozenset[int]:
     """Max-value set of size at most ``capacity``/2 under a monotone submodular oracle.
 
@@ -241,8 +234,8 @@ def maximize_with_reserve(
     its candidates in the order it holds them (ascending ids at the root,
     the parent's density order below) and a set replaces the incumbent only
     when strictly better. If the search spends its solve budget first, the
-    guess-greedy with seed size ``config.k`` runs from the search's best
-    set; ``k`` shapes nothing else.
+    guess-greedy with seed size :data:`_SEED_SIZE` runs from the search's
+    best set.
 
     The branch-and-bound and the fallback work in integers: the sizes and
     ``capacity``/2 are scaled by the lcm of their denominators, and the
@@ -260,15 +253,8 @@ def maximize_with_reserve(
     size is at most half the capacity. Exactness relies on submodularity
     too. Deterministic.
     """
-    if config.k < 1:
-        raise ValueError(f"k must be >= 1, got {config.k}")
     if capacity < 0:
         raise ValueError(f"capacity must be non-negative, got {capacity}")
-    if config.k < 6:
-        warnings.warn(
-            f"k={config.k} < 6 weakens the 1/3 guarantee; use k>=6 for certified runs",
-            stacklevel=2,
-        )
     try:
         half = Fraction(capacity) / 2
     except (OverflowError, ValueError):  # an infinite or NaN float
@@ -291,7 +277,9 @@ def maximize_with_reserve(
 
     best_mask, best_val, finished = _branch_and_bound(value, units, weight, half_units)
     if not finished:
-        best_mask = _guess_greedy(value, units, weight, half_units, config.k, best_mask, best_val)
+        best_mask = _guess_greedy(
+            value, units, weight, half_units, _SEED_SIZE, best_mask, best_val
+        )
     result = frozenset(ids[b] for b in range(n) if best_mask >> b & 1)
     if sum(units[b] for b in range(n) if best_mask >> b & 1) > half_units:
         raise InvariantViolated(f"selected set {sorted(result)} exceeds half the capacity")
@@ -319,13 +307,12 @@ def _integer_sizes(
     return units, [common // size for size in units], scaled(half)
 
 
-def ratio_lower_bound(
-    p_a: float, p_b: float, s_a: float, s_b: float, k: int = 6
-) -> float:
+def ratio_lower_bound(p_a: float, p_b: float, s_a: float, s_b: float) -> float:
     """Closed-form bound on the fraction of the optimum one greedy extension keeps.
 
     ``p_a``/``p_b`` are the two parts' value shares of the optimum, and
-    ``s_a``/``s_b`` their sizes as fractions of the capacity. Undefined when
+    ``s_a``/``s_b`` their sizes as fractions of the capacity; the seeds have
+    at most :data:`_SEED_SIZE` elements, as in the fallback. Undefined when
     the sizes sum to (nearly) the whole capacity.
     """
     denom = 1.0 - s_a - s_b
@@ -334,7 +321,7 @@ def ratio_lower_bound(
     return (
         p_a
         + (1.0 - p_a - p_b) * (1.0 - exp(-(0.5 - s_a) / denom))
-        - (p_a + p_b) / k
+        - (p_a + p_b) / _SEED_SIZE
     )
 
 
@@ -354,12 +341,14 @@ def _axis(step: float, upper: float) -> list[float]:
     return points
 
 
-def certify_ratio_bound(step: float = 1.0 / 64.0, k: int = 6) -> GridCheckReport:
+def certify_ratio_bound(step: float = 1.0 / 64.0) -> GridCheckReport:
     """Grid-certify that max of the two ordered bounds stays >= 1/3.
 
-    Sweeps value shares in [0, 1/3] and size shares in [0, 1/2] at the given
-    resolution; grid points where the bound is undefined are skipped and
-    counted. Passes iff the grid minimum is >= 1/3 - 1e-9.
+    The bounds are :func:`ratio_lower_bound`'s at the fallback's seed size
+    :data:`_SEED_SIZE`. Sweeps value shares in [0, 1/3] and size shares in
+    [0, 1/2] at the given resolution; grid points where the bound is
+    undefined are skipped and counted. Passes iff the grid minimum is
+    >= 1/3 - 1e-9.
     """
     if not 0 < step <= 0.125:
         raise ValueError(f"step must be in (0, 1/8], got {step}")
@@ -380,7 +369,7 @@ def certify_ratio_bound(step: float = 1.0 / 64.0, k: int = 6) -> GridCheckReport
             for p1 in p_axis:
                 for p2 in p_axis:
                     both = p1 + p2
-                    penalty = both / k
+                    penalty = both / _SEED_SIZE
                     rest = 1.0 - both
                     v1 = p1 + rest * (1.0 - decay1) - penalty
                     v2 = p2 + rest * (1.0 - decay2) - penalty

@@ -35,26 +35,32 @@ def test_zero_profits_dropped_in_canonical_form():
     assert io.instance_to_dict(inst)["profits"] == []
 
 
+# Floats are malformed too: rationals in files are "p/q" strings or ints.
+MALFORMED_SIZES = ("1/0", 0.3333333333333333, 0.5)
+
+
 def test_malformed_rational_names_field():
-    doc = {
-        "m": 1,
-        "items": [{"id": 1, "size": "1/0"}],
-        "groups": [[1]],
-        "profits": [],
-    }
-    with pytest.raises(InstanceFormatError, match=r"items\[0\]\.size"):
-        io.instance_from_dict(doc)
+    for size in MALFORMED_SIZES:
+        doc = {
+            "m": 1,
+            "items": [{"id": 1, "size": size}],
+            "groups": [[1]],
+            "profits": [],
+        }
+        with pytest.raises(InstanceFormatError, match=r"items\[0\]\.size"):
+            io.instance_from_dict(doc)
 
 
 def test_malformed_profit_names_field():
-    doc = {
-        "m": 1,
-        "items": [{"id": 1, "size": "1/2"}],
-        "groups": [[1]],
-        "profits": [{"item": 1, "bin": 1, "value": "x"}],
-    }
-    with pytest.raises(InstanceFormatError, match=r"profits\[0\]\.value"):
-        io.instance_from_dict(doc)
+    for value in ("x", 2.5, 3.0):
+        doc = {
+            "m": 1,
+            "items": [{"id": 1, "size": "1/2"}],
+            "groups": [[1]],
+            "profits": [{"item": 1, "bin": 1, "value": value}],
+        }
+        with pytest.raises(InstanceFormatError, match=r"profits\[0\]\.value"):
+            io.instance_from_dict(doc)
 
 
 def test_report_json_round_trip():
@@ -138,18 +144,19 @@ def test_cli_solve_rejects_oversized(tmp_path, capsys):
 
 def test_cli_solve_rejects_malformed(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps(
-            {
-                "m": 1,
-                "items": [{"id": 1, "size": "1/0"}],
-                "groups": [[1]],
-                "profits": [],
-            }
+    for size in MALFORMED_SIZES:
+        path.write_text(
+            json.dumps(
+                {
+                    "m": 1,
+                    "items": [{"id": 1, "size": size}],
+                    "groups": [[1]],
+                    "profits": [],
+                }
+            )
         )
-    )
-    assert main(["solve", str(path)]) == 2
-    assert "items[0].size" in capsys.readouterr().err
+        assert main(["solve", str(path)]) == 2
+        assert "items[0].size" in capsys.readouterr().err
 
 
 def test_cli_gen_deterministic(tmp_path):
@@ -232,10 +239,10 @@ def test_cli_exact(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "inst.json", "--k", "0"],
-        ["solve", "inst.json", "--k", "-2"],
+        ["solve", "inst.json", "--k", "6"],  # no such option: the seed size is fixed
         ["check-lemma4", "--step", "0.5"],
         ["check-lemma4", "--step", "0"],
+        ["check-lemma4", "--step", "nan"],
     ],
 )
 def test_cli_rejects_bad_numeric_arguments(argv, capsys):

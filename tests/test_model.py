@@ -11,8 +11,12 @@ from groupgap.errors import (
     NegativeProfit,
     OversizedGroup,
 )
+from groupgap.exact import solve_exact
 from groupgap.model import (
     Assignment,
+    Group,
+    Instance,
+    Item,
     assignment_profit,
     is_almost_feasible,
     is_feasible,
@@ -20,6 +24,7 @@ from groupgap.model import (
     render_rational,
     validate_instance,
 )
+from groupgap.pipeline import solve, upper_bound
 
 from conftest import F, make_instance, random_instance
 
@@ -73,6 +78,17 @@ def test_validate_bad_partition():
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1, 9]], {}))
     with pytest.raises(BadPartition):  # empty group
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1], []], {}))
+    # Two groups with id 0: the first is larger than m/2, the second hides
+    # it from any lookup by id. make_instance numbers groups by position.
+    twice = Instance(
+        m=2,
+        items=(Item(1, F(1)), Item(2, F(1, 2)), Item(3, F(1, 2))),
+        groups=(Group(0, (1, 2)), Group(0, (3,))),
+        profits={(1, 0): F(1), (3, 1): F(2)},
+    )
+    for check in (lambda i: validate_instance(i, strict=True), solve, upper_bound, solve_exact):
+        with pytest.raises(BadPartition, match="duplicate group id 0"):
+            check(twice)
 
 
 def test_validate_profits():
@@ -189,7 +205,7 @@ def test_profit_invariant_under_bin_permutation_when_symmetric():
 
 PUBLIC_NAMES = """
     Assignment GeneratorSpec Group GroupGapError Instance Item LpOracle
-    OptConfig SolveReport ValidationError assignment_profit generate
+    SolveReport ValidationError assignment_profit generate
     is_feasible parse_rational render_rational solve solve_exact solve_traced
     upper_bound validate_instance
 """.split()

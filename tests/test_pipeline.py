@@ -9,7 +9,7 @@ from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
 from groupgap.pipeline import _group_units, solve, solve_traced, upper_bound
-from groupgap.submodular import GroundElement, OptConfig, maximize_with_reserve
+from groupgap.submodular import GroundElement, maximize_with_reserve
 
 from conftest import F, make_instance, random_instance, worked_example
 
@@ -120,17 +120,10 @@ def test_end_to_end_ratio_small_loop():
 
 def test_traced_solve_exposes_fill_steps():
     inst = worked_example(m=3)
-    _assignment, report, trace = solve_traced(inst, OptConfig(k=6))
+    _assignment, report, trace = solve_traced(inst)
     assert len(trace) == 1
     assert report.stage_seconds["total"] >= 0
     assert set(report.stage_seconds) == {"select", "lp", "round", "fill", "total"}
-
-
-def test_custom_k_still_certifies():
-    inst = worked_example(m=3)
-    with pytest.warns(UserWarning):
-        _assignment, report = solve(inst, OptConfig(k=2))
-    assert report.final_profit == 13
 
 
 def test_selection_reads_lp_values_as_ints_in_one_unit():

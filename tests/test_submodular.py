@@ -11,7 +11,7 @@ from groupgap.errors import DegenerateDenominator, ElementTooLarge
 from groupgap.exact import exhaustive_knapsack_max
 from groupgap.submodular import (
     GroundElement,
-    OptConfig,
+    _SEED_SIZE,
     _branch_and_bound,
     _BudgetSpent,
     _greedy_mask,
@@ -56,7 +56,7 @@ def density_greedy(f, elements, cap):
     return frozenset(e.id for b, e in enumerate(ordered) if mask >> b & 1)
 
 
-def guess_greedy(f, elements, cap, k=6):
+def guess_greedy(f, elements, cap, k=_SEED_SIZE):
     """The fallback guess-greedy alone, started from the empty set."""
     ordered = sorted(elements, key=lambda e: e.id)
     value = _mask_oracle(f, [e.id for e in ordered])
@@ -197,13 +197,9 @@ def test_maximize_rejects_oversized_element():
         maximize_with_reserve(modular({1: F(1)}), elements, F(2))
 
 
-def test_maximize_requires_capacity_and_valid_k():
+def test_maximize_requires_capacity():
     elements = [GroundElement(1, F(1, 2))]
     f = modular({1: F(1)})
-    with pytest.raises(ValueError):
-        maximize_with_reserve(f, elements, F(2), OptConfig(k=0))
-    with pytest.warns(UserWarning):
-        maximize_with_reserve(f, elements, F(2), OptConfig(k=2))
     # bad input, not an internal error (InvariantViolated) or an oversized
     # element (ElementTooLarge), with or without elements
     for ground in ([], elements):
