@@ -10,6 +10,13 @@ resolved immediately. When the input occupies at most half the total
 capacity, some move always applies while an overfull bin remains, and the
 evicted items always fit back somewhere at the end, so the result keeps
 every input item and at least half the input profit.
+
+Every load, profit and half test runs on the instance's integer view
+(``model._Units``): loads are ints over its ``scale``, so a bin is
+overfull when its load exceeds ``scale`` and semi-vacant when twice its
+load is below it, an item is big when twice its size exceeds ``scale``,
+and profits are ints over its ``profit_den``. A step's profits become
+``Fraction``s only in its :class:`FillStep`.
 """
 
 from __future__ import annotations
@@ -25,16 +32,7 @@ from .errors import (
     PreconditionViolated,
     ReinsertionFailed,
 )
-from .model import (
-    HALF,
-    ONE,
-    ZERO,
-    Assignment,
-    Instance,
-    assignment_profit,
-    bin_load,
-    is_almost_feasible,
-)
+from .model import ZERO, Assignment, Instance
 
 KEEP_BETTER_HALF = "keep-better-half"
 SWAP_WITH_VACANT = "swap-with-vacant"
@@ -57,11 +55,13 @@ class FillStep:
 
 def removal_witness(inst: Instance, bin_items: frozenset[int]) -> int | None:
     """Largest item whose removal brings the bin to load <= 1 (ties: lowest id)."""
-    load = inst.total_size(bin_items)
-    candidates = [i for i in bin_items if load - inst.size(i) <= ONE]
+    units = inst._units
+    sizes = units.sizes
+    load = units.load(bin_items)
+    candidates = [i for i in bin_items if load - sizes[i] <= units.scale]
     if not candidates:
         return None
-    return min(candidates, key=lambda i: (-inst.size(i), i))
+    return min(candidates, key=lambda i: (-sizes[i], i))
 
 
 def feasible_partition(
@@ -77,40 +77,46 @@ def feasible_partition(
     """
     if witness not in bin_items:
         raise ValueError(f"witness {witness} not in bin")
+    units = inst._units
+    sizes, scale = units.sizes, units.scale
     rest = bin_items - {witness}
-    if inst.total_size(rest) > ONE:
+    rest_load = units.load(rest)
+    if rest_load > scale:
         raise NotAlmostFeasible(
-            f"removing {witness} leaves load {inst.total_size(rest)} > 1"
+            f"removing {witness} leaves load {Fraction(rest_load, scale)} > 1"
         )
     side_a = {witness}
-    size_a = inst.size(witness)
+    size_a = sizes[witness]
     side_b: set[int] = set()
-    for i in sorted(rest, key=lambda i: (-inst.size(i), i)):
-        if inst.size(i) <= HALF and size_a + inst.size(i) <= ONE:
+    for i in sorted(rest, key=lambda i: (-sizes[i], i)):
+        if 2 * sizes[i] <= scale and size_a + sizes[i] <= scale:
             side_a.add(i)
-            size_a += inst.size(i)
+            size_a += sizes[i]
         else:
             side_b.add(i)
     return frozenset(side_a), frozenset(side_b)
 
 
 def _reinsert(
-    inst: Instance, bins: list[set[int]], loads: list[Fraction], items: Iterable[int]
+    inst: Instance, bins: list[set[int]], loads: list[int], items: Iterable[int]
 ) -> list[FillStep]:
     """Place items into bins with room, in place; one REINSERT step per item.
 
-    Items go in by descending size (ties by id); each picks the feasible bin
-    maximizing its own profit (ties by lowest bin index).
+    ``loads`` are the bins' loads in units of ``1 / scale``. Items go in by
+    descending size (ties by id); each picks the feasible bin maximizing
+    its own profit (ties by lowest bin index).
     """
+    units = inst._units
+    sizes, scale, profit = units.sizes, units.scale, units.profits.get
     steps = []
-    for i in sorted(items, key=lambda i: (-inst.size(i), i)):
-        size = inst.size(i)
+    for i in sorted(items, key=lambda i: (-sizes[i], i)):
+        size = sizes[i]
         best_j = None
         best_profit = None
         for j in range(inst.m):
-            if loads[j] + size > ONE:
+            if loads[j] + size > scale:
                 continue
-            p = inst.profit(i, j)
+            p = profit((i, j), 0)
             if best_profit is None or p > best_profit:
                 best_j = j
                 best_profit = p
@@ -118,7 +124,7 @@ def _reinsert(
             raise ReinsertionFailed(f"no bin has room for evicted item {i}")
         bins[best_j].add(i)
         loads[best_j] += size
-        steps.append(FillStep(REINSERT, (best_j,), (), ZERO, best_profit))
+        steps.append(FillStep(REINSERT, (best_j,), (), ZERO, inst.profit(i, best_j)))
     return steps
 
 
@@ -131,43 +137,52 @@ def reinsert_evicted(
     items are small and the grand total size is at most half the capacity.
     """
     bins = [set(b) for b in u.bins]
-    loads = [inst.total_size(b) for b in bins]
+    loads = [inst._units.load(b) for b in bins]
     _reinsert(inst, bins, loads, evicted)
     return Assignment(bins=tuple(frozenset(b) for b in bins))
 
 
 class _FillState:
+    """The bins during filling, with their loads (in units of ``1 / scale``)
+    and profits (in units of ``1 / profit_den``) as ints."""
+
     def __init__(self, inst: Instance, u: Assignment):
         self.inst = inst
+        self.units = units = inst._units
+        self.sizes, self.scale, self.profit = units.sizes, units.scale, units.profits.get
         self.bins: list[set[int]] = [set(b) for b in u.bins]
-        self.loads: list[Fraction] = [bin_load(inst, u, j) for j in range(inst.m)]
+        self.loads: list[int] = [units.load(b) for b in self.bins]
         self.resolved: set[int] = set()
         self.evicted: set[int] = set()
         self.trace: list[FillStep] = []
         # Semi-full bins never participate in a move; retire them up front.
-        for j in range(inst.m):
-            if HALF <= self.loads[j] <= ONE:
+        for j, load in enumerate(self.loads):
+            if self.scale <= 2 * load and load <= self.scale:
                 self.resolved.add(j)
 
     def overfull(self) -> list[int]:
         return [
             j
-            for j in range(self.inst.m)
-            if j not in self.resolved and self.loads[j] > ONE
+            for j, load in enumerate(self.loads)
+            if j not in self.resolved and load > self.scale
         ]
 
     def vacant(self) -> list[int]:
         return [
             j
-            for j in range(self.inst.m)
-            if j not in self.resolved and self.loads[j] < HALF
+            for j, load in enumerate(self.loads)
+            if j not in self.resolved and 2 * load < self.scale
         ]
 
-    def bigs(self, j: int) -> list[int]:
-        return sorted(i for i in self.bins[j] if self.inst.size(i) > HALF)
+    def is_big(self, i: int) -> bool:
+        return 2 * self.sizes[i] > self.scale
 
-    def bin_profit(self, j: int, items: Iterable[int]) -> Fraction:
-        return sum((self.inst.profit(i, j) for i in items), ZERO)
+    def bigs(self, j: int) -> list[int]:
+        return sorted(i for i in self.bins[j] if self.is_big(i))
+
+    def bin_profit(self, j: int, items: Iterable[int]) -> int:
+        profit = self.profit
+        return sum(profit((i, j), 0) for i in items)
 
     def partition(self, j: int) -> tuple[frozenset[int], frozenset[int]]:
         witness = removal_witness(self.inst, frozenset(self.bins[j]))
@@ -178,16 +193,17 @@ class _FillState:
     def evict(self, items: Iterable[int]) -> tuple[int, ...]:
         out = tuple(sorted(items))
         for i in out:
-            if self.inst.size(i) > HALF:
+            if self.is_big(i):
                 raise InvariantViolated(f"big item {i} evicted; only small items may be")
             self.evicted.add(i)
         return out
 
     def set_bin(self, j: int, items: Iterable[int]) -> None:
         self.bins[j] = set(items)
-        self.loads[j] = self.inst.total_size(self.bins[j])
-        if self.loads[j] > ONE:
-            raise InvariantViolated(f"a move left bin {j} at load {self.loads[j]} > 1")
+        self.loads[j] = self.units.load(self.bins[j])
+        if self.loads[j] > self.scale:
+            load = Fraction(self.loads[j], self.scale)
+            raise InvariantViolated(f"a move left bin {j} at load {load} > 1")
 
     def apply(
         self,
@@ -197,21 +213,26 @@ class _FillState:
         evicted: Iterable[int],
         counts: tuple[int, int] | None = None,
     ) -> None:
-        before = sum((self.bin_profit(j, self.bins[j]) for j in participants), ZERO)
+        before = sum(self.bin_profit(j, self.bins[j]) for j in participants)
         gone = self.evict(evicted)
         for j, items in new_contents.items():
             self.set_bin(j, items)
-        after = sum((self.bin_profit(j, self.bins[j]) for j in participants), ZERO)
+        after = sum(self.bin_profit(j, self.bins[j]) for j in participants)
         if 2 * after < before:
-            raise InvariantViolated(f"{kind} kept {after} of {before}: less than half the profit")
+            den = self.units.profit_den
+            raise InvariantViolated(
+                f"{kind} kept {Fraction(after, den)} of {Fraction(before, den)}:"
+                " less than half the profit"
+            )
         self.resolved.update(participants)
+        den = self.units.profit_den
         self.trace.append(
             FillStep(
                 kind=kind,
                 bins=tuple(participants),
                 evicted=gone,
-                profit_before=before,
-                profit_after=after,
+                profit_before=Fraction(before, den),
+                profit_after=Fraction(after, den),
                 counts=counts,
             )
         )
@@ -296,16 +317,19 @@ def make_feasible_traced(
     capacity; outside that regime no profit guarantee exists and the call
     fails fast.
     """
-    if not is_almost_feasible(inst, u):
-        raise PreconditionViolated("input assignment is not almost feasible")
-    total = inst.total_size(u.placed_items())
-    if total > Fraction(inst.m, 2):
-        raise PreconditionViolated(
-            f"placed items total size {total} > half capacity {Fraction(inst.m, 2)}"
-        )
-    start_profit = assignment_profit(inst, u)
-
     st = _FillState(inst, u)
+    sizes, scale = st.sizes, st.scale
+    for j, load in enumerate(st.loads):
+        if load > scale and load - max(sizes[i] for i in st.bins[j]) > scale:
+            raise PreconditionViolated("input assignment is not almost feasible")
+    total = st.units.load(u.placed_items())
+    if 2 * total > inst.m * scale:
+        raise PreconditionViolated(
+            f"placed items total size {Fraction(total, scale)} > half capacity"
+            f" {Fraction(inst.m, 2)}"
+        )
+    start_profit = st.units.earned(u)
+
     # First the moves needing at most one partner, re-scanned in priority
     # order after every application.
     while True:
@@ -327,7 +351,7 @@ def make_feasible_traced(
             if len(bigs) != 2:
                 continue
             for candidate in vac:
-                movers = [i for i in bigs if inst.size(i) + st.loads[candidate] <= ONE]
+                movers = [i for i in bigs if sizes[i] + st.loads[candidate] <= scale]
                 if movers:
                     _apply_move_big_to_vacant(st, j, candidate, movers[0])
                     fired = True
@@ -346,7 +370,7 @@ def make_feasible_traced(
             raise InternalStuck(f"overfull bin {j} survived with {len(st.bigs(j))} bigs")
         for i in st.bigs(j):
             for candidate in vac:
-                if inst.size(i) + st.loads[candidate] <= ONE:
+                if sizes[i] + st.loads[candidate] <= scale:
                     raise InternalStuck(f"big {i} fits bin {candidate} but no move fired")
 
     while True:
@@ -366,9 +390,9 @@ def make_feasible_traced(
     result = Assignment(bins=tuple(frozenset(b) for b in st.bins))
     if result.placed_items() != u.placed_items():
         raise InvariantViolated("filling changed the set of placed items")
-    if any(load > ONE for load in st.loads):
+    if any(load > scale for load in st.loads):
         raise InvariantViolated("filling left a bin above load 1")
-    if 2 * assignment_profit(inst, result) < start_profit:
+    if 2 * st.units.earned(result) < start_profit:
         raise InvariantViolated("filling kept less than half the input profit")
     return result, tuple(st.trace)
 

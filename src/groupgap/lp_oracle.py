@@ -103,14 +103,16 @@ class LpOracle:
     :meth:`solution` reuses a kept flow only if it was solved cold.
 
     The integer tables of the transportation network are built once per
-    instance: ``scale`` is the lcm of every item-size denominator, item i
+    instance, from the instance's integer view (``model._Units``): sizes
+    over ``scale``, the lcm of every item-size denominator, and profits
+    over ``profit_den``, the lcm of every profit denominator. Item i
     supplies ``shat[i] = s_i * scale`` units, and each arc (i, j) with
     p_ij > 0 costs ``-(p_ij / shat[i]) * cost_den``, where ``cost_den`` is
     the lcm of the denominators of all those unit profits. The build uses
-    integers only: with p_ij = num / den in lowest terms and
-    ``g = gcd(num, shat[i])``, the unit profit in lowest terms is
-    ``(num / g) / (den * shat[i] / g)``, so no rational is ever multiplied
-    or divided (profits may be ints too). Every query (:meth:`value`,
+    integers only: with ``P = p_ij * profit_den`` and
+    ``g = gcd(P, profit_den * shat[i])``, the unit profit in lowest terms
+    is ``(P / g) / (profit_den * shat[i] / g)``, so no rational is ever
+    multiplied or divided. Every query (:meth:`value`,
     :meth:`solution`) goes through one solve path, :meth:`_optimum`: the
     replay, then :meth:`_transport` where needed, which only copies ints
     and reuses the per-instance demand list. Against
@@ -131,25 +133,20 @@ class LpOracle:
         self._memo: dict[frozenset[int], int] = {}
         # The flows of the last _FLOWS_KEPT sets solved, oldest first.
         self._flows: dict[frozenset[int], _Flow] = {}
-        scale = lcm(*(it.size.denominator for it in inst.items))
-        shat = {it.id: it.size.numerator * (scale // it.size.denominator) for it in inst.items}
+        view = inst._units
+        scale, shat = view.scale, view.sizes
         # Per item, (bin, num, den): the unit profit p_ij / shat[i] in lowest
-        # terms, for the bins with p_ij > 0 in ascending order. p_ij's own
-        # terms are lowest, so only shat[i] can share a factor with its
-        # numerator. Fraction's numerator and denominator are properties, so
-        # each is read once.
-        profit = inst.profits.get
+        # terms, for the bins with p_ij > 0 in ascending order.
+        profit = view.profits.get
         units = {}
         for i, supply in shat.items():
             row = units[i] = []
+            den = view.profit_den * supply
             for j in range(inst.m):
-                p = profit((i, j))
-                if p is None:
-                    continue
-                num = p.numerator
+                num = profit((i, j), 0)
                 if num > 0:
-                    g = gcd(num, supply)
-                    row.append((j, num // g, p.denominator * (supply // g)))
+                    g = gcd(num, den)
+                    row.append((j, num // g, den // g))
         cost_den = lcm(*(den for row in units.values() for _j, _num, den in row))
         self._scale = scale
         self._shat = shat

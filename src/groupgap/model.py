@@ -1,7 +1,12 @@
 """Core domain types: items, groups, instances, fractional solutions, assignments.
 
 All quantities (sizes, profits, loads, objective values) are exact rationals;
-no solver path ever touches floating point.
+no solver path ever touches floating point. The solver's stages compute on
+an integer view of each instance instead (:class:`_Units`): sizes over the
+lcm of their denominators and profits over the lcm of theirs. Scaling by a
+positive constant keeps every sum, comparison and tie exact, so the stages
+make the choices the rationals would; a ``Fraction`` is built only where a
+value leaves the library.
 """
 
 from __future__ import annotations
@@ -9,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     BadBinIndex,
@@ -22,7 +28,6 @@ from .errors import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -53,6 +58,35 @@ class Item:
 class Group:
     id: int
     members: tuple[int, ...]
+
+
+class _Units(NamedTuple):
+    """An instance's sizes and profits as exact ints over common denominators.
+
+    Item i's size is ``sizes[i] / scale`` and the profit of (i, j) is
+    ``profits[(i, j)] / profit_den`` (a missing pair is 0), where ``scale``
+    and ``profit_den`` are the lcm of the size and of the profit
+    denominators. A bin's capacity of 1 is ``scale`` units.
+    """
+
+    scale: int
+    sizes: dict[int, int]
+    profit_den: int
+    profits: dict[tuple[int, int], int]
+
+    def load(self, item_ids: Iterable[int]) -> int:
+        """Total size of the items, in units of ``1 / scale``."""
+        sizes = self.sizes
+        return sum(sizes[i] for i in item_ids)
+
+    def earned(self, u: Assignment) -> int:
+        """``assignment_profit``, in units of ``1 / profit_den``."""
+        profit = self.profits.get
+        return sum(profit((i, j), 0) for j, b in enumerate(u.bins) for i in b)
+
+    def at_least(self, profit: int, value: Fraction) -> bool:
+        """``profit / profit_den >= value``, compared as ints."""
+        return profit * value.denominator >= value.numerator * self.profit_den
 
 
 @dataclass(frozen=True)
@@ -108,6 +142,19 @@ class Instance:
 
     def total_size(self, item_ids: Iterable[int]) -> Fraction:
         return sum((self.size(i) for i in item_ids), ZERO)
+
+    @cached_property
+    def _units(self) -> _Units:
+        # Built on the first solver query, not by validation or generation.
+        # Sizes and profits are ints or lowest-terms Fractions, so the
+        # numerator and the denominator are read as they stand.
+        scale = lcm(*(it.size.denominator for it in self.items))
+        sizes = {it.id: it.size.numerator * (scale // it.size.denominator) for it in self.items}
+        profit_den = lcm(*(p.denominator for p in self.profits.values()))
+        profits = {
+            key: p.numerator * (profit_den // p.denominator) for key, p in self.profits.items()
+        }
+        return _Units(scale, sizes, profit_den, profits)
 
 
 @dataclass(frozen=True)
@@ -224,11 +271,15 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
         seen_groups.add(g.id)
         if not g.members:
             raise BadPartition(f"group {g.id} is empty")
+        listed: set[int] = set()
         for i in g.members:
             if i not in seen_items:
                 raise BadPartition(f"group {g.id} references unknown item {i}")
+            if i in listed:
+                raise BadPartition(f"group {g.id} lists item {i} twice")
             if i in grouped:
                 raise BadPartition(f"item {i} belongs to more than one group")
+            listed.add(i)
             grouped.add(i)
     if grouped != seen_items:
         missing = sorted(seen_items - grouped)

@@ -26,21 +26,21 @@ from typing import Callable, Iterable, Mapping
 from .errors import InvariantViolated, NotAlmostFeasible, PreconditionViolated, UnsaturatedInput
 from .filling import FillStep, make_feasible_traced
 from .lp_oracle import LpOracle
-from .model import (
-    Assignment,
-    Instance,
-    ZERO,
-    assignment_profit,
-    is_feasible,
-    validate_instance,
-)
+from .model import Assignment, Instance, validate_instance
 from .rounding import round_to_assignment
 from .submodular import GroundElement, maximize_with_reserve
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Per-stage values plus exact-inequality certificates."""
+    """Per-stage values plus exact-inequality certificates.
+
+    ``stage_seconds`` times the four stages (``select``, ``lp``, ``round``,
+    ``fill``) and ``bound``, the upper-bound LP over all items. Its
+    ``total`` runs from the start of ``select`` to the end of ``fill``: it
+    excludes ``bound``, the certificates and the set-up before the search
+    (validation and the oracle's tables).
+    """
 
     selected_groups: tuple[int, ...]
     group_lp_value: Fraction
@@ -84,6 +84,8 @@ def solve_traced(inst: Instance) -> tuple[Assignment, SolveReport, tuple[FillSte
     """Run the full pipeline; also returns the filling step trace."""
     validate_instance(inst, strict=True)
     oracle = LpOracle(inst)
+    units = inst._units
+    scale, den = units.scale, units.profit_den
 
     t0 = time.perf_counter()
     ground = [GroundElement(g.id, inst.group_size(g.id)) for g in inst.groups]
@@ -99,41 +101,42 @@ def solve_traced(inst: Instance) -> tuple[Assignment, SolveReport, tuple[FillSte
     # here they are bugs in the stage before, so they leave as internal ones.
     try:
         rounded = round_to_assignment(inst, x)
-        rounded_profit = assignment_profit(inst, rounded)
+        rounded_units = units.earned(rounded)
         t3 = time.perf_counter()
 
         final, trace = make_feasible_traced(inst, rounded)
-        final_profit = assignment_profit(inst, final)
+        final_units = units.earned(final)
         t4 = time.perf_counter()
     except (PreconditionViolated, NotAlmostFeasible, UnsaturatedInput) as exc:
         raise InvariantViolated(f"{type(exc).__name__}: {exc}") from exc
 
     placed = final.placed_items()
     satisfied = inst.group_items(g.id for g in inst.groups if set(g.members) <= placed)
-    satisfied_profit = sum(
-        (inst.profit(i, j) for j, b in enumerate(final.bins) for i in b if i in satisfied),
-        ZERO,
+    profit = units.profits.get
+    satisfied_units = sum(
+        profit((i, j), 0) for j, b in enumerate(final.bins) for i in b if i in satisfied
     )
 
+    t5 = time.perf_counter()
     bound = oracle.value(inst.item_ids)
+    t6 = time.perf_counter()
     certificates = {
-        "selected_size_within_half": inst.total_size(selected_items)
-        <= Fraction(inst.m, 2),
+        "selected_size_within_half": 2 * units.load(selected_items) <= inst.m * scale,
         "fractional_matches_group_lp": x.value == psi_star,
-        "rounded_at_least_fractional": rounded_profit >= x.value,
-        "final_at_least_half_rounded": 2 * final_profit >= rounded_profit,
-        "final_at_least_half_group_lp": 2 * final_profit >= psi_star,
-        "final_feasible": is_feasible(inst, final),
+        "rounded_at_least_fractional": units.at_least(rounded_units, x.value),
+        "final_at_least_half_rounded": 2 * final_units >= rounded_units,
+        "final_at_least_half_group_lp": units.at_least(2 * final_units, psi_star),
+        "final_feasible": all(units.load(b) <= scale for b in final.bins),
         "selected_groups_packed": placed == selected_items,
-        "satisfied_equals_final": satisfied_profit == final_profit,
+        "satisfied_equals_final": satisfied_units == final_units,
     }
     report = SolveReport(
         selected_groups=tuple(sorted(selected)),
         group_lp_value=psi_star,
         fractional_value=x.value,
-        rounded_profit=rounded_profit,
-        final_profit=final_profit,
-        satisfied_profit=satisfied_profit,
+        rounded_profit=Fraction(rounded_units, den),
+        final_profit=Fraction(final_units, den),
+        satisfied_profit=Fraction(satisfied_units, den),
         upper_bound=bound,
         certificates=certificates,
         stage_seconds={
@@ -141,6 +144,7 @@ def solve_traced(inst: Instance) -> tuple[Assignment, SolveReport, tuple[FillSte
             "lp": t2 - t1,
             "round": t3 - t2,
             "fill": t4 - t3,
+            "bound": t6 - t5,
             "total": t4 - t0,
         },
     )

@@ -25,6 +25,21 @@ every such path costs < 0 and the run ships until no path is left: the
 same units along the same paths as the unshifted min-cost flow of
 |items| units. A smaller ``M``, such as the largest weight, does not do:
 a path that undoes a heavy edge can cost up to the sum of the weights.
+
+The weights are the instance's profits as ints over its ``profit_den``
+(``model._Units``), not over the lcm of the graph's own weight
+denominators: any positive common denominator does. Scaling every weight
+by c > 0 scales the weight part of every path's cost by c, and a path's
+cost to a node v is its weight part plus a shift part that depends only
+on v, so every comparison Bellman-Ford makes, ties included, and the
+replay's arc order come out the same; ``M`` is then one more than the
+scaled sum, so every source-to-sink path still costs < 0.
+
+Slot loads are ints too, over the lcm of the fractional entries'
+denominators, and sizes are compared as ints over the instance's
+``scale``. A ``Fraction`` is built only for an edge's public ``load``,
+and only where an entry is split across two slots (a whole entry keeps
+its own ``Fraction``).
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ from math import lcm
 
 from ._flow import transport
 from .errors import InvariantViolated, NoCompleteMatching, UnsaturatedInput
-from .model import ONE, ZERO, Assignment, FractionalSolution, Instance
+from .model import ZERO, Assignment, FractionalSolution, Instance
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,9 @@ class SlotGraph:
     items: tuple[int, ...]  # support items, largest first
     slots: tuple[Slot, ...]
     edges: tuple[SlotEdge, ...]
+    # Each edge's weight, in ``edges`` order, as an int over one positive
+    # common denominator: the costs of :func:`complete_matching`.
+    weight_units: tuple[int, ...]
 
     def slot_load(self, slot: Slot) -> Fraction:
         return sum((e.load for e in self.edges if e.slot == slot), ZERO)
@@ -72,40 +90,53 @@ def build_slot_graph(inst: Instance, x: FractionalSolution) -> SlotGraph:
     zero-load edge; completeness and weight of the fractional matching are
     unaffected. Size ties among items break by ascending id.
     """
-    support = x.support_items()
-    totals = {i: ZERO for i in support}
-    per_bin: dict[int, dict[int, Fraction]] = {j: {} for j in range(inst.m)}
+    units = inst._units
+    den = lcm(*(f.denominator for f in x.entries.values()))
+    totals: dict[int, int] = {}
+    # Per bin, item -> (its fraction in units of 1 / den, the fraction).
+    per_bin: list[dict[int, tuple[int, Fraction]]] = [{} for _ in range(inst.m)]
     for (i, j), f in x.entries.items():
-        totals[i] += f
-        per_bin[j][i] = f
-    for i in sorted(support):
-        if totals[i] != ONE:
-            raise UnsaturatedInput(i, totals[i])
+        frac = f.numerator * (den // f.denominator)
+        totals[i] = totals.get(i, 0) + frac
+        per_bin[j][i] = (frac, f)
+    for i in sorted(totals):
+        if totals[i] != den:
+            raise UnsaturatedInput(i, Fraction(totals[i], den))
 
-    order = sorted(support, key=lambda i: (-inst.size(i), i))
+    sizes = units.sizes
+    order = sorted(totals, key=lambda i: (-sizes[i], i))
+    position = {i: k for k, i in enumerate(order)}
+    profit, profit_units = inst.profits.get, units.profits.get
     slots: list[Slot] = []
     edges: list[SlotEdge] = []
-    for j in range(inst.m):
-        rank = 1
-        load = ZERO
-        opened = False
-        for i in order:
-            frac = per_bin[j].get(i)
-            if frac is None:
-                continue
-            if not opened:
-                slots.append(Slot(j, rank))
-                opened = True
-            take = min(frac, ONE - load)
-            if take > ZERO:
-                edges.append(SlotEdge(i, Slot(j, rank), inst.profit(i, j), take))
+    weights: list[int] = []
+
+    def add_edge(i: int, slot: Slot, load: Fraction) -> None:
+        edges.append(SlotEdge(i, slot, profit((i, slot.bin), ZERO), load))
+        weights.append(profit_units((i, slot.bin), 0))
+
+    for j, row in enumerate(per_bin):
+        if not row:
+            continue
+        slot = Slot(j, 1)
+        slots.append(slot)
+        load = 0
+        for i in sorted(row, key=position.__getitem__):
+            frac, f = row[i]
+            take = min(frac, den - load)
+            if take == frac:
+                add_edge(i, slot, f)
                 load += take
-            if take < frac:
-                rank += 1
-                slots.append(Slot(j, rank))
-                load = frac - take
-                edges.append(SlotEdge(i, Slot(j, rank), inst.profit(i, j), load))
-    return SlotGraph(items=tuple(order), slots=tuple(slots), edges=tuple(edges))
+                continue
+            if take > 0:
+                add_edge(i, slot, Fraction(take, den))
+            slot = Slot(j, slot.rank + 1)
+            slots.append(slot)
+            load = frac - take
+            add_edge(i, slot, Fraction(load, den))
+    return SlotGraph(
+        items=tuple(order), slots=tuple(slots), edges=tuple(edges), weight_units=tuple(weights)
+    )
 
 
 def complete_matching(g: SlotGraph) -> dict[int, Slot]:
@@ -114,19 +145,19 @@ def complete_matching(g: SlotGraph) -> dict[int, Slot]:
     Solved by the profit-maximising :func:`~groupgap._flow.transport`:
     every item supplies and every slot accepts one unit, and each slot
     edge, in ``g.edges`` order, is an arc of cost ``-(w + M)``, where ``w``
-    is its weight scaled to an integer and ``M = 1 + sum(w)`` (see the
+    is its int weight (``g.weight_units``) and ``M = 1 + sum(w)`` (see the
     module docstring for why that ships every unit without changing the
     min-cost flow of that many units).
     """
     n = len(g.items)
     if n == 0:
         return {}
-    den = lcm(*(e.weight.denominator for e in g.edges))
-    weights = [e.weight.numerator * (den // e.weight.denominator) for e in g.edges]
-    shift = 1 + sum(weights)
+    shift = 1 + sum(g.weight_units)
     item_pos = {i: k for k, i in enumerate(g.items)}
     slot_pos = {s: k for k, s in enumerate(g.slots)}
-    arcs = [(item_pos[e.item], slot_pos[e.slot], -w - shift) for e, w in zip(g.edges, weights)]
+    arcs = [
+        (item_pos[e.item], slot_pos[e.slot], -w - shift) for e, w in zip(g.edges, g.weight_units)
+    ]
     flow, _cost, flows = transport([1] * n, [1] * len(g.slots), arcs)
     if flow != n:
         raise NoCompleteMatching(f"matched only {flow} of {n} items; slot graph invariant broken")
@@ -152,12 +183,14 @@ def round_to_assignment(inst: Instance, x: FractionalSolution) -> Assignment:
 
     if u.placed_items() != x.support_items():
         raise InvariantViolated("rounding did not place exactly the support items")
-    profit = sum((inst.profit(i, slot.bin) for i, slot in matching.items()), ZERO)
-    if profit < x.value:
-        raise InvariantViolated(f"rounded profit {profit} < fractional value {x.value}")
-    for j in range(inst.m):
-        load = inst.total_size(u.bins[j])
-        overhang = inst.size(rank_one[j]) if j in rank_one else ZERO
-        if load - overhang > ONE:
+    units = inst._units
+    earned = units.earned(u)
+    if not units.at_least(earned, x.value):
+        raise InvariantViolated(
+            f"rounded profit {Fraction(earned, units.profit_den)} < fractional value {x.value}"
+        )
+    for j, b in enumerate(u.bins):
+        overhang = units.sizes[rank_one[j]] if j in rank_one else 0
+        if units.load(b) - overhang > units.scale:
             raise InvariantViolated(f"bin {j} overflows by more than its rank-1 item")
     return u

@@ -5,7 +5,7 @@ import pytest
 
 from groupgap import io
 from groupgap.cli import main
-from groupgap.errors import GenerationError, InstanceFormatError, InternalStuck
+from groupgap.errors import BadPartition, GenerationError, InstanceFormatError, InternalStuck
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.model import Assignment, validate_instance
 from groupgap.pipeline import solve
@@ -157,6 +157,16 @@ def test_cli_solve_rejects_malformed(tmp_path, capsys):
         )
         assert main(["solve", str(path)]) == 2
         assert "items[0].size" in capsys.readouterr().err
+
+
+def test_loaded_group_listing_an_item_twice_is_named(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    doc = {"m": 1, "items": [{"id": 1, "size": "1/2"}], "groups": [[1, 1]], "profits": []}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BadPartition, match=r"^group 0 lists item 1 twice$"):
+        validate_instance(io.load_instance(path))
+    assert main(["solve", str(path)]) == 2
+    assert "group 0 lists item 1 twice" in capsys.readouterr().err
 
 
 def test_cli_gen_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from groupgap.errors import (
     OversizedGroup,
 )
 from groupgap.exact import solve_exact
+from groupgap.lp_oracle import LpOracle
 from groupgap.model import (
     Assignment,
     Group,
@@ -72,8 +74,11 @@ def test_validate_bad_sizes():
 def test_validate_bad_partition():
     with pytest.raises(BadPartition):  # item in no group
         validate_instance(make_instance(1, {1: F(1, 2), 2: F(1, 2)}, [[1]], {}))
-    with pytest.raises(BadPartition):  # item in two groups
+    with pytest.raises(BadPartition, match=r"^item 1 belongs to more than one group$"):
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1], [1]], {}))
+    listed_twice = Instance(1, (Item(1, F(1, 2)), Item(2, F(1, 4))), (Group(0, (1, 1, 2)),), {})
+    with pytest.raises(BadPartition, match=r"^group 0 lists item 1 twice$"):
+        validate_instance(listed_twice)
     with pytest.raises(BadPartition):  # unknown member
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1, 9]], {}))
     with pytest.raises(BadPartition):  # empty group
@@ -89,6 +94,38 @@ def test_validate_bad_partition():
     for check in (lambda i: validate_instance(i, strict=True), solve, upper_bound, solve_exact):
         with pytest.raises(BadPartition, match="duplicate group id 0"):
             check(twice)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+def test_integer_view_scales_sizes_and_profits_exactly(rng, grid):
+    """The integer view is the instance times its two lcms, and the LP
+    oracle's tables built on it equal those built from the Fractions."""
+    base = random_instance(rng)
+    # random_instance draws int profits; rational ones vary profit_den too.
+    profits = {key: p / rng.randint(1, grid) for key, p in base.profits.items()}
+    inst = Instance(base.m, base.items, base.groups, profits)
+    view = inst._units
+    assert view.scale == lcm(*(it.size.denominator for it in inst.items))
+    assert view.profit_den == lcm(*(p.denominator for p in profits.values()))
+    for it in inst.items:
+        assert view.sizes[it.id] == it.size * view.scale
+    for i in inst.item_ids:
+        for j in range(inst.m):
+            assert view.profits.get((i, j), 0) == inst.profit(i, j) * view.profit_den
+
+    # The oracle's tables, recomputed here from the Fractions alone.
+    shat = {it.id: it.size * view.scale for it in inst.items}
+    unit = {
+        i: [(j, inst.profit(i, j) / shat[i]) for j in range(inst.m) if inst.profit(i, j) > 0]
+        for i in shat
+    }
+    cost_den = lcm(*(u.denominator for row in unit.values() for _j, u in row))
+    arcs = {i: [(j, -u * cost_den) for j, u in row] for i, row in unit.items()}
+    oracle = LpOracle(inst)
+    assert oracle.cost_den == cost_den
+    assert oracle._shat == shat
+    assert oracle._arcs == arcs
+    assert all(type(c) is int for row in oracle._arcs.values() for _j, c in row)
 
 
 def test_validate_profits():

@@ -122,8 +122,12 @@ def test_traced_solve_exposes_fill_steps():
     inst = worked_example(m=3)
     _assignment, report, trace = solve_traced(inst)
     assert len(trace) == 1
-    assert report.stage_seconds["total"] >= 0
-    assert set(report.stage_seconds) == {"select", "lp", "round", "fill", "total"}
+    seconds = report.stage_seconds
+    assert set(seconds) == {"select", "lp", "round", "fill", "bound", "total"}
+    assert min(seconds.values()) >= 0
+    # total spans select to fill and leaves the upper-bound LP out.
+    stages = seconds["select"] + seconds["lp"] + seconds["round"] + seconds["fill"]
+    assert seconds["total"] == pytest.approx(stages)
 
 
 def test_selection_reads_lp_values_as_ints_in_one_unit():

@@ -202,6 +202,7 @@ def test_shift_exceeds_the_cost_of_every_path():
             SlotEdge(1, s2, F(0), F(1, 2)),
             SlotEdge(2, s1, F(0), F(1, 2)),
         ),
+        weight_units=(10, 0, 0),
     )
     matching = complete_matching(g)
     assert matching == {1: s2, 2: s1}
