@@ -1,15 +1,35 @@
 """Filling phase: repair an almost feasible assignment into a feasible one.
 
 Bins are classified once by load: overfull (> 1), semi-full (in [1/2, 1])
-and semi-vacant (< 1/2); an item is big when its size exceeds 1/2. Four
-local repacking moves each take one overfull bin plus up to two semi-vacant
-partners, restore feasibility on them while keeping at least half their
-combined profit, and evict only small items. A bin that participated in a
-move is marked resolved and never touched again; semi-full bins are
-resolved immediately. When the input occupies at most half the total
-capacity, some move always applies while an overfull bin remains, and the
-evicted items always fit back somewhere at the end, so the result keeps
-every input item and at least half the input profit.
+and semi-vacant (< 1/2); an item is big when its size exceeds 1/2. Each
+move takes one overfull bin, splits it into two feasible sides (see
+:func:`feasible_partition`; two bigs always end on different sides) and
+pairs it with up to two semi-vacant partners. Every move then follows one
+rule: it names two outcomes, and the items each outcome leaves in their own
+bin, taken over both outcomes, partition the items of the move's bins. So
+one outcome leaves at least half their profit in place, and
+:meth:`_FillState.choose` applies that one. Items that move to another bin
+only add profit; items that no bin holds afterwards are evicted. In
+priority order, with the overfull bin's sides A and B:
+
+- keep-better-half (no big): keep side A, or keep side B.
+- swap-with-vacant (one big; partner V): keep the big's side and V, or
+  keep the other side and move the big's side into V in place of V's
+  items.
+- move-big-to-vacant (two bigs; partner V with room for big b): keep the
+  side without b and V, moving b into V, or keep b's side and move the
+  other side into V in place of V's items.
+- split-across-vacants (two bigs that fit no partner; partners V1, V2):
+  keep A and V1 and move B into V2, or keep B and V2 and move A into V1,
+  each in place of the receiving partner's items.
+
+Every evicted item is small: a big item either stays or moves, and a
+semi-vacant partner holds only small items. A bin that took part in a move
+is resolved and never touched again; semi-full bins are resolved
+immediately. When the input occupies at most half the total capacity,
+some move always applies while an overfull bin remains, and the evicted
+items always fit back somewhere at the end, so the result keeps every
+input item and at least half the input profit.
 
 Every load, profit and half test runs on the instance's integer view
 (``model._Units``): loads are ints over its ``scale``, so a bin is
@@ -23,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
     InternalStuck,
@@ -32,7 +52,7 @@ from .errors import (
     PreconditionViolated,
     ReinsertionFailed,
 )
-from .model import ZERO, Assignment, Instance
+from .model import ZERO, Assignment, Instance, _well_formed
 
 KEEP_BETTER_HALF = "keep-better-half"
 SWAP_WITH_VACANT = "swap-with-vacant"
@@ -184,11 +204,15 @@ class _FillState:
         profit = self.profit
         return sum(profit((i, j), 0) for i in items)
 
-    def partition(self, j: int) -> tuple[frozenset[int], frozenset[int]]:
+    def partition(
+        self, j: int, lead: int | None = None
+    ) -> tuple[frozenset[int], frozenset[int]]:
+        """Bin j's :func:`feasible_partition`, the side holding ``lead`` first."""
         witness = removal_witness(self.inst, frozenset(self.bins[j]))
         if witness is None:
             raise NotAlmostFeasible(f"bin {j} overflows by more than one item")
-        return feasible_partition(self.inst, frozenset(self.bins[j]), witness)
+        side_a, side_b = feasible_partition(self.inst, frozenset(self.bins[j]), witness)
+        return (side_b, side_a) if lead in side_b else (side_a, side_b)
 
     def evict(self, items: Iterable[int]) -> tuple[int, ...]:
         out = tuple(sorted(items))
@@ -205,27 +229,43 @@ class _FillState:
             load = Fraction(self.loads[j], self.scale)
             raise InvariantViolated(f"a move left bin {j} at load {load} > 1")
 
-    def apply(
+    def choose(
         self,
         kind: str,
         participants: Sequence[int],
-        new_contents: dict[int, set[int]],
-        evicted: Iterable[int],
+        first: Mapping[int, AbstractSet[int]],
+        second: Mapping[int, AbstractSet[int]],
         counts: tuple[int, int] | None = None,
     ) -> None:
-        before = sum(self.bin_profit(j, self.bins[j]) for j in participants)
-        gone = self.evict(evicted)
-        for j, items in new_contents.items():
+        """Apply ``first`` or ``second``, whichever leaves more profit in place.
+
+        An outcome maps bins to their new contents; a participant it leaves
+        out keeps its own. Its in-place profit is that of the items it
+        leaves in their own bin. The two outcomes' in-place items partition
+        the participants' items, so ``first`` leaves more exactly when twice
+        its in-place profit exceeds the participants' profit (ties go to
+        ``second``). The participants' items that no participant holds
+        afterwards are evicted.
+        """
+        bins, bin_profit = self.bins, self.bin_profit
+        old = {j: bin_profit(j, bins[j]) for j in participants}
+        before = sum(old.values())
+        in_place = sum(
+            bin_profit(j, bins[j] & first[j]) if j in first else old[j] for j in participants
+        )
+        outcome = first if 2 * in_place > before else second
+        held = set().union(*outcome.values())
+        gone = self.evict(i for j in outcome for i in bins[j] if i not in held)
+        for j, items in outcome.items():
             self.set_bin(j, items)
-        after = sum(self.bin_profit(j, self.bins[j]) for j in participants)
+        after = sum(bin_profit(j, bins[j]) for j in participants)
+        den = self.units.profit_den
         if 2 * after < before:
-            den = self.units.profit_den
             raise InvariantViolated(
                 f"{kind} kept {Fraction(after, den)} of {Fraction(before, den)}:"
                 " less than half the profit"
             )
         self.resolved.update(participants)
-        den = self.units.profit_den
         self.trace.append(
             FillStep(
                 kind=kind,
@@ -238,85 +278,18 @@ class _FillState:
         )
 
 
-def _apply_keep_better_half(st: _FillState, j: int) -> None:
-    side_a, side_b = st.partition(j)
-    if st.bin_profit(j, side_a) > st.bin_profit(j, side_b):
-        keep, gone = side_a, side_b
-    else:
-        keep, gone = side_b, side_a
-    st.apply(KEEP_BETTER_HALF, [j], {j: set(keep)}, gone)
-
-
-def _apply_swap_with_vacant(st: _FillState, j: int, vac: int) -> None:
-    side_a, side_b = st.partition(j)
-    big_side, rest_side = (side_a, side_b) if st.bigs(j)[0] in side_a else (side_b, side_a)
-    if st.bin_profit(j, big_side) + st.bin_profit(vac, st.bins[vac]) > st.bin_profit(
-        j, rest_side
-    ):
-        st.apply(SWAP_WITH_VACANT, [j, vac], {j: set(big_side)}, rest_side)
-    else:
-        st.apply(
-            SWAP_WITH_VACANT,
-            [j, vac],
-            {j: set(rest_side), vac: set(big_side)},
-            set(st.bins[vac]),
-        )
-
-
-def _apply_move_big_to_vacant(st: _FillState, j: int, vac: int, mover: int) -> None:
-    side_a, side_b = st.partition(j)
-    mover_side, other_side = (side_a, side_b) if mover in side_a else (side_b, side_a)
-    if st.bin_profit(j, other_side) + st.bin_profit(vac, st.bins[vac]) > st.bin_profit(
-        j, mover_side
-    ):
-        st.apply(
-            MOVE_BIG_TO_VACANT,
-            [j, vac],
-            {j: set(other_side), vac: st.bins[vac] | {mover}},
-            mover_side - {mover},
-        )
-    else:
-        st.apply(
-            MOVE_BIG_TO_VACANT,
-            [j, vac],
-            {j: set(mover_side), vac: set(other_side)},
-            set(st.bins[vac]),
-        )
-
-
-def _apply_split_across_vacants(
-    st: _FillState, j: int, vac1: int, vac2: int, counts: tuple[int, int]
-) -> None:
-    side_a, side_b = st.partition(j)
-    keep_first = st.bin_profit(j, side_a) + st.bin_profit(vac1, st.bins[vac1])
-    keep_second = st.bin_profit(j, side_b) + st.bin_profit(vac2, st.bins[vac2])
-    if keep_first > keep_second:
-        st.apply(
-            SPLIT_ACROSS_VACANTS,
-            [j, vac1, vac2],
-            {j: set(side_a), vac2: set(side_b)},
-            set(st.bins[vac2]),
-            counts=counts,
-        )
-    else:
-        st.apply(
-            SPLIT_ACROSS_VACANTS,
-            [j, vac1, vac2],
-            {j: set(side_b), vac1: set(side_a)},
-            set(st.bins[vac1]),
-            counts=counts,
-        )
-
-
 def make_feasible_traced(
     inst: Instance, u: Assignment
 ) -> tuple[Assignment, tuple[FillStep, ...]]:
     """Repair an almost feasible assignment; returns the result and a step trace.
 
-    Requires an almost feasible input whose items total at most half the
+    Requires an almost feasible input with one bin per instance bin, each
+    item in at most one of them, whose items total at most half the
     capacity; outside that regime no profit guarantee exists and the call
     fails fast.
     """
+    if not _well_formed(inst, u):
+        raise PreconditionViolated(f"input needs {inst.m} bins, each item in at most one")
     st = _FillState(inst, u)
     sizes, scale = st.sizes, st.scale
     for j, load in enumerate(st.loads):
@@ -338,12 +311,16 @@ def make_feasible_traced(
             break
         no_big = [j for j in over if len(st.bigs(j)) == 0]
         if no_big:
-            _apply_keep_better_half(st, no_big[0])
+            j = no_big[0]
+            side_a, side_b = st.partition(j)
+            st.choose(KEEP_BETTER_HALF, [j], {j: side_a}, {j: side_b})
             continue
         vac = st.vacant()
         one_big = [j for j in over if len(st.bigs(j)) == 1]
         if one_big and vac:
-            _apply_swap_with_vacant(st, one_big[0], vac[0])
+            j, partner = one_big[0], vac[0]
+            big_side, rest = st.partition(j, st.bigs(j)[0])
+            st.choose(SWAP_WITH_VACANT, [j, partner], {j: big_side}, {j: rest, partner: big_side})
             continue
         fired = False
         for j in over:
@@ -353,7 +330,13 @@ def make_feasible_traced(
             for candidate in vac:
                 movers = [i for i in bigs if sizes[i] + st.loads[candidate] <= scale]
                 if movers:
-                    _apply_move_big_to_vacant(st, j, candidate, movers[0])
+                    mover_side, other = st.partition(j, movers[0])
+                    st.choose(
+                        MOVE_BIG_TO_VACANT,
+                        [j, candidate],
+                        {j: other, candidate: st.bins[candidate] | {movers[0]}},
+                        {j: mover_side, candidate: other},
+                    )
                     fired = True
                     break
             if fired:
@@ -383,7 +366,15 @@ def make_feasible_traced(
             raise InternalStuck(
                 f"semi-vacant surplus guard failed: {len(vac)} <= 2 * {len(over)}"
             )
-        _apply_split_across_vacants(st, over[0], vac[0], vac[1], counts)
+        j, vac1, vac2 = over[0], vac[0], vac[1]
+        side_a, side_b = st.partition(j)
+        st.choose(
+            SPLIT_ACROSS_VACANTS,
+            [j, vac1, vac2],
+            {j: side_a, vac2: side_b},
+            {j: side_b, vac1: side_a},
+            counts,
+        )
 
     st.trace.extend(_reinsert(inst, st.bins, st.loads, st.evicted))
 
@@ -395,13 +386,3 @@ def make_feasible_traced(
     if 2 * st.units.earned(result) < start_profit:
         raise InvariantViolated("filling kept less than half the input profit")
     return result, tuple(st.trace)
-
-
-def make_feasible(inst: Instance, u: Assignment) -> Assignment:
-    """Repair an almost feasible assignment into a feasible one.
-
-    Keeps every input item and at least half the input profit (exactly, in
-    rational arithmetic).
-    """
-    result, _trace = make_feasible_traced(inst, u)
-    return result

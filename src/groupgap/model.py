@@ -191,12 +191,22 @@ def bin_load(inst: Instance, u: Assignment, bin_index: int) -> Fraction:
     return inst.total_size(u.bins[bin_index])
 
 
+def _well_formed(inst: Instance, u: Assignment) -> bool:
+    """One bin per instance bin, and no item placed in two of them."""
+    return len(u.bins) == inst.m and sum(map(len, u.bins)) == len(u.placed_items())
+
+
 def is_feasible(inst: Instance, u: Assignment) -> bool:
+    """Well formed, and every bin within capacity."""
+    if not _well_formed(inst, u):
+        return False
     return all(bin_load(inst, u, j) <= ONE for j in range(inst.m))
 
 
 def is_almost_feasible(inst: Instance, u: Assignment) -> bool:
-    """Every bin fits once its single largest item is set aside."""
+    """Well formed, and every bin fits once its single largest item is set aside."""
+    if not _well_formed(inst, u):
+        return False
     for j in range(inst.m):
         load = bin_load(inst, u, j)
         if load <= ONE:

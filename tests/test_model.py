@@ -225,6 +225,22 @@ def test_almost_feasible_boundary():
     assert not is_almost_feasible(inst, three)
 
 
+def test_malformed_assignments_are_neither_feasible_nor_almost():
+    one_bin = make_instance(1, {1: F(1, 2), 2: F(1, 2), 3: F(1)}, [[1, 2, 3]], {})
+    two_bins = make_instance(2, {1: F(1, 2), 2: F(1, 2)}, [[1, 2]], {(1, 0): F(1)})
+    malformed = [
+        # a second bin the instance does not have, holding 3/2
+        (one_bin, Assignment(bins=(frozenset({1}), frozenset({2, 3})))),
+        # fewer bins than the instance has
+        (two_bins, Assignment(bins=(frozenset({1}),))),
+        # item 1 placed twice
+        (two_bins, Assignment(bins=(frozenset({1}), frozenset({1, 2})))),
+    ]
+    for inst, u in malformed:
+        assert not is_feasible(inst, u)
+        assert not is_almost_feasible(inst, u)
+
+
 def test_profit_invariant_under_bin_permutation_when_symmetric():
     rng = random.Random(11)
     sizes = {i: F(rng.randint(1, 8), 16) for i in range(1, 6)}
