@@ -23,7 +23,7 @@ from .model import (
     render_rational,
     validate_instance,
 )
-from .pipeline import SolveReport, solve, solve_traced, upper_bound
+from .pipeline import SolveReport, solve, upper_bound
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "render_rational",
     "solve",
     "solve_exact",
-    "solve_traced",
     "upper_bound",
     "validate_instance",
 ]

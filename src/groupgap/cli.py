@@ -15,11 +15,11 @@ from fractions import Fraction
 
 from . import io
 from .errors import GroupGapError, InternalError, ValidationError
-from .exact import SearchLimits, solve_exact
+from .exact import solve_exact
 from .generate import GeneratorSpec, generate
 from .lp_oracle import LpOracle
 from .model import render_rational, validate_instance
-from .pipeline import solve_traced
+from .pipeline import solve
 from .submodular import certify_ratio_bound
 
 EXIT_OK = 0
@@ -43,15 +43,15 @@ def _print_table(rows: list[tuple[str, str]]) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = io.load_instance(args.file)
-    assignment, report, trace = solve_traced(inst)
+    assignment, report = solve(inst)
     if args.trace:
-        for step in trace:
+        for step in report.fill_steps:
             print(json.dumps(io.fill_step_to_dict(step), sort_keys=True), file=sys.stderr)
 
     doc = io.report_to_dict(report, assignment)
     ratio_ok = True
     if args.exact_compare:
-        optimum, _witness = solve_exact(inst, SearchLimits())
+        optimum, _witness = solve_exact(inst)
         doc["exact_optimum"] = render_rational(optimum)
         if optimum > 0:
             ratio = report.final_profit / optimum
@@ -125,7 +125,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     inst = io.load_instance(args.file)
-    optimum, _witness = solve_exact(inst, SearchLimits())
+    optimum, _witness = solve_exact(inst)
     print(render_rational(optimum))
     return EXIT_OK
 

@@ -20,19 +20,14 @@ from .model import ONE, ZERO, Assignment, Instance, validate_instance
 from .submodular import GroundElement
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_items: int = 12
-    max_groups: int = 6
-    max_bins: int = 4
-    node_budget: int = 500_000
+# The desk scale solve_exact accepts, and the search nodes it may visit.
+_MAX_ITEMS = 12
+_MAX_GROUPS = 6
+_MAX_BINS = 4
+_NODE_BUDGET = 500_000
 
 
-def solve_exact(
-    inst: Instance,
-    limits: SearchLimits = SearchLimits(),
-    use_pruning: bool = True,
-) -> tuple[Fraction, Assignment]:
+def solve_exact(inst: Instance, use_pruning: bool = True) -> tuple[Fraction, Assignment]:
     """Exact optimum profit over satisfied group subsets, with a witness.
 
     Enumerates group subsets by ascending total size (anything above the
@@ -43,14 +38,18 @@ def solve_exact(
     shrink along a branch, so every completion puts each unplaced item in
     a bin with at least that room now, and the bound is admissible.
     ``use_pruning=False`` falls back to complete enumeration.
+
+    The limits are fixed: at most 12 items, 6 groups and 4 bins, else
+    ``LimitExceeded``; a search that visits more than 500,000 nodes raises
+    ``LimitExceeded`` carrying the best value and witness found so far.
     """
     validate_instance(inst, strict=False)
-    if len(inst.items) > limits.max_items:
-        raise LimitExceeded(f"{len(inst.items)} items > limit {limits.max_items}")
-    if len(inst.groups) > limits.max_groups:
-        raise LimitExceeded(f"{len(inst.groups)} groups > limit {limits.max_groups}")
-    if inst.m > limits.max_bins:
-        raise LimitExceeded(f"{inst.m} bins > limit {limits.max_bins}")
+    if len(inst.items) > _MAX_ITEMS:
+        raise LimitExceeded(f"{len(inst.items)} items > limit {_MAX_ITEMS}")
+    if len(inst.groups) > _MAX_GROUPS:
+        raise LimitExceeded(f"{len(inst.groups)} groups > limit {_MAX_GROUPS}")
+    if inst.m > _MAX_BINS:
+        raise LimitExceeded(f"{inst.m} bins > limit {_MAX_BINS}")
 
     group_ids = sorted(g.id for g in inst.groups)
     subsets = []
@@ -75,9 +74,9 @@ def solve_exact(
         def dfs(depth: int, profit: Fraction) -> None:
             nonlocal nodes, best_value, best_bins
             nodes += 1
-            if nodes > limits.node_budget:
+            if nodes > _NODE_BUDGET:
                 raise LimitExceeded(
-                    f"node budget {limits.node_budget} exhausted",
+                    f"node budget {_NODE_BUDGET} exhausted",
                     best_value=best_value,
                     best_witness=Assignment(bins=best_bins),
                 )

@@ -148,20 +148,6 @@ def _reinsert(
     return steps
 
 
-def reinsert_evicted(
-    inst: Instance, u: Assignment, evicted: Iterable[int]
-) -> Assignment:
-    """Place evicted items back into bins with room, harvesting profit.
-
-    Placement follows :func:`_reinsert` and always succeeds when all evicted
-    items are small and the grand total size is at most half the capacity.
-    """
-    bins = [set(b) for b in u.bins]
-    loads = [inst._units.load(b) for b in bins]
-    _reinsert(inst, bins, loads, evicted)
-    return Assignment(bins=tuple(frozenset(b) for b in bins))
-
-
 class _FillState:
     """The bins during filling, with their loads (in units of ``1 / scale``)
     and profits (in units of ``1 / profit_den``) as ints."""
@@ -284,12 +270,12 @@ def make_feasible_traced(
     """Repair an almost feasible assignment; returns the result and a step trace.
 
     Requires an almost feasible input with one bin per instance bin, each
-    item in at most one of them, whose items total at most half the
-    capacity; outside that regime no profit guarantee exists and the call
+    of the instance's items in at most one of them and no other item,
+    whose items total at most half the capacity; outside that regime no profit guarantee exists and the call
     fails fast.
     """
     if not _well_formed(inst, u):
-        raise PreconditionViolated(f"input needs {inst.m} bins, each item in at most one")
+        raise PreconditionViolated(f"input needs {inst.m} bins of its items, each in at most one")
     st = _FillState(inst, u)
     sizes, scale = st.sizes, st.scale
     for j, load in enumerate(st.loads):

@@ -142,22 +142,6 @@ def report_to_dict(report: SolveReport, assignment: Assignment) -> dict:
     }
 
 
-def report_from_dict(doc: dict) -> tuple[SolveReport, Assignment]:
-    report = SolveReport(
-        selected_groups=tuple(g - 1 for g in doc["selected_groups"]),
-        group_lp_value=parse_rational(doc["group_lp_value"]),
-        fractional_value=parse_rational(doc["fractional_value"]),
-        rounded_profit=parse_rational(doc["rounded_profit"]),
-        final_profit=parse_rational(doc["final_profit"]),
-        satisfied_profit=parse_rational(doc["satisfied_profit"]),
-        upper_bound=parse_rational(doc["upper_bound"]),
-        certificates=dict(doc["certificates"]),
-        stage_seconds=dict(doc["stage_seconds"]),
-    )
-    assignment = Assignment(bins=tuple(frozenset(b) for b in doc["bins"]))
-    return report, assignment
-
-
 def fill_step_to_dict(step: FillStep) -> dict:
     out = {
         "kind": step.kind,

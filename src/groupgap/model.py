@@ -192,8 +192,11 @@ def bin_load(inst: Instance, u: Assignment, bin_index: int) -> Fraction:
 
 
 def _well_formed(inst: Instance, u: Assignment) -> bool:
-    """One bin per instance bin, and no item placed in two of them."""
-    return len(u.bins) == inst.m and sum(map(len, u.bins)) == len(u.placed_items())
+    """One bin per instance bin, holding only the instance's items, and no
+    item placed in two of them."""
+    placed = u.placed_items()
+    no_repeats = sum(map(len, u.bins)) == len(placed)
+    return len(u.bins) == inst.m and no_repeats and placed <= inst.item_ids
 
 
 def is_feasible(inst: Instance, u: Assignment) -> bool:

@@ -35,6 +35,11 @@ from .submodular import GroundElement, maximize_with_reserve
 class SolveReport:
     """Per-stage values plus exact-inequality certificates.
 
+    ``fill_steps`` is the filling stage's trace: one
+    :class:`~groupgap.filling.FillStep` per move or reinsertion, in the
+    order they ran. The ``--json`` document leaves it out; ``groupgap solve
+    --trace`` prints it on stderr.
+
     ``stage_seconds`` times the four stages (``select``, ``lp``, ``round``,
     ``fill``) and ``bound``, the upper-bound LP over all items. Its
     ``total`` runs from the start of ``select`` to the end of ``fill``: it
@@ -51,6 +56,7 @@ class SolveReport:
     upper_bound: Fraction
     certificates: Mapping[str, bool]
     stage_seconds: Mapping[str, float]
+    fill_steps: tuple[FillStep, ...]
 
     def all_certified(self) -> bool:
         return all(self.certificates.values())
@@ -80,8 +86,11 @@ def _group_units(oracle: LpOracle) -> Callable[[Iterable[int]], int]:
     return units
 
 
-def solve_traced(inst: Instance) -> tuple[Assignment, SolveReport, tuple[FillStep, ...]]:
-    """Run the full pipeline; also returns the filling step trace."""
+def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
+    """Run the full pipeline: the feasible assignment and its report.
+
+    Requires strict validation (every group's size at most ``m/2``).
+    """
     validate_instance(inst, strict=True)
     oracle = LpOracle(inst)
     units = inst._units
@@ -147,11 +156,6 @@ def solve_traced(inst: Instance) -> tuple[Assignment, SolveReport, tuple[FillSte
             "bound": t6 - t5,
             "total": t4 - t0,
         },
+        fill_steps=trace,
     )
-    return final, report, trace
-
-
-def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
-    """Solve an instance; requires strict validation (group sizes <= m/2)."""
-    assignment, report, _trace = solve_traced(inst)
-    return assignment, report
+    return final, report

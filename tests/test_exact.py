@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from groupgap import exact
 from groupgap.errors import LimitExceeded
 from groupgap.exact import (
-    SearchLimits,
     WeightedBipartiteGraph,
     exhaustive_knapsack_max,
     matching_value,
@@ -95,14 +95,15 @@ def test_limits_rejected():
         {},
     )
     with pytest.raises(LimitExceeded):
-        solve_exact(inst, SearchLimits(max_items=12))
+        solve_exact(inst)
 
 
-def test_node_budget_carries_partial_result():
+def test_node_budget_carries_partial_result(monkeypatch):
+    monkeypatch.setattr(exact, "_NODE_BUDGET", 3)
     rng = random.Random(71)
     inst = random_instance(rng, n_max=8, m_max=3, l_max=2)
     with pytest.raises(LimitExceeded) as err:
-        solve_exact(inst, SearchLimits(node_budget=3), use_pruning=False)
+        solve_exact(inst, use_pruning=False)
     assert err.value.best_value is not None
 
 

@@ -13,8 +13,8 @@ from groupgap.filling import (
     REINSERT,
     SPLIT_ACROSS_VACANTS,
     feasible_partition,
+    _reinsert,
     make_feasible_traced,
-    reinsert_evicted,
     removal_witness,
 )
 from groupgap.model import (
@@ -101,8 +101,9 @@ def test_rejects_not_almost_feasible():
 
 def test_rejects_malformed_assignment():
     inst = make_instance(2, {1: F(1, 4), 2: F(1, 4)}, [[1, 2]], {})
-    # too few bins, a bin the instance does not have, an item placed twice
-    for bins in ([{1, 2}], [{1}, set(), {2}], [{1}, {1, 2}]):
+    # too few bins, a bin the instance does not have, an item placed twice,
+    # an item the instance does not have
+    for bins in ([{1, 2}], [{1}, set(), {2}], [{1}, {1, 2}], [{9}, set()]):
         u = Assignment(bins=tuple(frozenset(b) for b in bins))
         with pytest.raises(PreconditionViolated, match="needs 2 bins"):
             make_feasible_traced(inst, u)
@@ -131,16 +132,23 @@ def test_split_across_vacants_fires_when_every_vacant_blocks():
     assert vacant_count > 2 * over_count
 
 
+def reinserted(inst, u, evicted):
+    """``_reinsert`` on a copy of ``u``'s bins, at their loads."""
+    bins = [set(b) for b in u.bins]
+    _reinsert(inst, bins, [inst._units.load(b) for b in bins], evicted)
+    return Assignment(bins=tuple(frozenset(b) for b in bins))
+
+
 def test_reinsert_noop():
     inst = make_instance(1, {1: F(1, 2)}, [[1]], {})
     u = Assignment(bins=(frozenset({1}),))
-    assert reinsert_evicted(inst, u, []) == u
+    assert reinserted(inst, u, []) == u
 
 
 def test_reinsert_single_item():
     inst = make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(4)})
     u = Assignment(bins=(frozenset(),))
-    out = reinsert_evicted(inst, u, [1])
+    out = reinserted(inst, u, [1])
     assert out.bins == (frozenset({1}),)
 
 
@@ -149,7 +157,7 @@ def test_reinsert_prefers_profit_then_low_index():
         3, {1: F(1, 4)}, [[1]], {(1, 0): F(1), (1, 2): F(5)}
     )
     u = Assignment(bins=(frozenset(), frozenset(), frozenset()))
-    out = reinsert_evicted(inst, u, [1])
+    out = reinserted(inst, u, [1])
     assert out.bins[2] == {1}
 
 
@@ -162,7 +170,7 @@ def test_reinsert_many_random_evictions():
         inst = make_instance(m, sizes, [sorted(sizes)], {})
         assert inst.total_size(sizes) <= F(m, 2)
         u = Assignment(bins=tuple(frozenset() for _ in range(m)))
-        out = reinsert_evicted(inst, u, sizes)
+        out = reinserted(inst, u, sizes)
         assert is_feasible(inst, out)
         assert out.placed_items() == frozenset(sizes)
 
@@ -171,7 +179,7 @@ def test_reinsert_failure_when_nothing_fits():
     inst = make_instance(1, {1: F(1), 2: F(1, 2)}, [[1, 2]], {})
     u = Assignment(bins=(frozenset({1}),))
     with pytest.raises(ReinsertionFailed):
-        reinsert_evicted(inst, u, [2])
+        reinserted(inst, u, [2])
 
 
 def test_fill_fuzz_guarantees():

@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from groupgap import GeneratorSpec, LpOracle, assignment_profit, generate, solve_traced
+from groupgap import GeneratorSpec, LpOracle, assignment_profit, generate, solve
 from groupgap.rounding import round_to_assignment
 
 # The benchmark's three workload shapes: (flavor, items, groups, bins).
@@ -43,11 +43,11 @@ def golden_lines(flavor: str, n: int, groups: int, bins: int):
     for k in range(10):
         spec = GeneratorSpec(seed=1_000_000 + k, n=n, groups=groups, bins=bins, flavor=flavor)
         inst = generate(spec)
-        final, report, trace = solve_traced(inst)
+        final, report = solve(inst)
         x = LpOracle(inst).solution(inst.group_items(report.selected_groups))
         rounded = round_to_assignment(inst, x)
         assert assignment_profit(inst, rounded) == report.rounded_profit, spec
-        steps = [(s.kind, str(s.profit_before), str(s.profit_after)) for s in trace]
+        steps = [(s.kind, str(s.profit_before), str(s.profit_after)) for s in report.fill_steps]
         yield repr(
             (
                 list(report.selected_groups),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,7 +8,7 @@ from groupgap import io
 from groupgap.cli import main
 from groupgap.errors import BadPartition, GenerationError, InstanceFormatError, InternalStuck
 from groupgap.generate import GeneratorSpec, generate
-from groupgap.model import Assignment, validate_instance
+from groupgap.model import Assignment, parse_rational, validate_instance
 from groupgap.pipeline import solve
 
 from conftest import F, make_instance, worked_example
@@ -67,9 +68,20 @@ def test_report_json_round_trip():
     inst = worked_example(m=3)
     assignment, report = solve(inst)
     doc = json.loads(json.dumps(io.report_to_dict(report, assignment)))
-    back_report, back_assignment = io.report_from_dict(doc)
-    assert back_report == report
-    assert back_assignment == assignment
+    # Every field reads back as the report's value: the writer loses nothing.
+    assert [g - 1 for g in doc["selected_groups"]] == list(report.selected_groups)
+    for field in (
+        "group_lp_value",
+        "fractional_value",
+        "rounded_profit",
+        "final_profit",
+        "satisfied_profit",
+        "upper_bound",
+    ):
+        assert parse_rational(doc[field]) == getattr(report, field), field
+    assert doc["certificates"] == dict(report.certificates)
+    assert doc["stage_seconds"] == dict(report.stage_seconds)
+    assert [frozenset(b) for b in doc["bins"]] == list(assignment.bins)
 
 
 def test_cli_solve_table(tmp_path, capsys):
@@ -89,8 +101,6 @@ def test_cli_solve_json_reparses(tmp_path, capsys):
     assert doc["final_profit"] == "13"
     assert doc["exact_optimum"] == "13"
     assert doc["ratio_vs_exact"] == 1.0
-    report, assignment = io.report_from_dict(doc)
-    assert report.final_profit == 13
 
 
 def test_cli_solve_trace_on_stderr(tmp_path, capsys):
@@ -112,6 +122,21 @@ def test_cli_solve_reports_internal_errors_apart(tmp_path, capsys, monkeypatch):
     io.save_instance(worked_example(m=3), path)
     assert main(["solve", str(path)]) == 4
     assert capsys.readouterr().err == "internal error: no move fired\n"
+
+
+def test_cli_solve_exits_3_when_a_certificate_fails(tmp_path, capsys, monkeypatch):
+    def one_failed(inst):
+        assignment, report = solve(inst)
+        certificates = dict(report.certificates, final_feasible=False)
+        return assignment, dataclasses.replace(report, certificates=certificates)
+
+    monkeypatch.setattr("groupgap.cli.solve", one_failed)
+    path = tmp_path / "inst.json"
+    io.save_instance(worked_example(m=3), path)
+    assert main(["solve", str(path)]) == 3
+    assert "FAILED" in capsys.readouterr().out
+    assert main(["solve", str(path), "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["certificates"]["final_feasible"] is False
 
 
 def test_cli_solve_reports_stage_input_errors_as_internal(tmp_path, capsys, monkeypatch):

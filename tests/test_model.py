@@ -1,5 +1,7 @@
 import random
+import re
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -235,6 +237,8 @@ def test_malformed_assignments_are_neither_feasible_nor_almost():
         (two_bins, Assignment(bins=(frozenset({1}),))),
         # item 1 placed twice
         (two_bins, Assignment(bins=(frozenset({1}), frozenset({1, 2})))),
+        # item 9, which the instance does not have
+        (two_bins, Assignment(bins=(frozenset({9}), frozenset()))),
     ]
     for inst, u in malformed:
         assert not is_feasible(inst, u)
@@ -259,7 +263,7 @@ def test_profit_invariant_under_bin_permutation_when_symmetric():
 PUBLIC_NAMES = """
     Assignment GeneratorSpec Group GroupGapError Instance Item LpOracle
     SolveReport ValidationError assignment_profit generate
-    is_feasible parse_rational render_rational solve solve_exact solve_traced
+    is_feasible parse_rational render_rational solve solve_exact
     upper_bound validate_instance
 """.split()
 
@@ -274,3 +278,14 @@ def test_public_surface_is_pinned():
         "assignment_profit",
     }
     assert bench_uses <= set(groupgap.__all__)
+
+
+def test_readme_export_list_matches_all():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    found = re.search(
+        r"exports exactly (\d+) names:\n\n(.*?)\n\n", readme.read_text(encoding="utf-8"), re.S
+    )
+    assert found, "README.md has no 'exports exactly N names:' list"
+    count, names = int(found.group(1)), re.findall(r"`(\w+)`", found.group(2))
+    assert count == len(names) == len(groupgap.__all__)
+    assert sorted(names) == sorted(groupgap.__all__)

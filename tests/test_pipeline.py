@@ -8,7 +8,7 @@ from groupgap.exact import solve_exact
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
-from groupgap.pipeline import _group_units, solve, solve_traced, upper_bound
+from groupgap.pipeline import _group_units, solve, upper_bound
 from groupgap.submodular import GroundElement, maximize_with_reserve
 
 from conftest import F, make_instance, random_instance, worked_example
@@ -120,8 +120,8 @@ def test_end_to_end_ratio_small_loop():
 
 def test_traced_solve_exposes_fill_steps():
     inst = worked_example(m=3)
-    _assignment, report, trace = solve_traced(inst)
-    assert len(trace) == 1
+    _assignment, report = solve(inst)
+    assert len(report.fill_steps) == 1
     seconds = report.stage_seconds
     assert set(seconds) == {"select", "lp", "round", "fill", "bound", "total"}
     assert min(seconds.values()) >= 0
