@@ -3,7 +3,9 @@
 Exit codes: 0 success with all certificates holding, 2 on validation or
 input errors (unreadable or unwritable files included), 3 when a certificate
 (or the compared ratio) fails, 4 on an internal error (a step that cannot
-fail on valid input failed: a bug, not a bad instance).
+fail on valid input failed: a bug, not a bad instance). Exit 4 is
+``InvariantViolated`` alone; every other ``GroupGapError`` and any
+``OSError`` exit 2.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import io
-from .errors import GroupGapError, InternalError, ValidationError
+from .errors import GroupGapError, InvariantViolated, ValidationError
 from .exact import solve_exact
 from .generate import GeneratorSpec, generate
 from .lp_oracle import LpOracle
@@ -183,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InternalError as exc:
+    except InvariantViolated as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (GroupGapError, OSError) as exc:

@@ -45,13 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .errors import (
-    InternalStuck,
-    InvariantViolated,
-    NotAlmostFeasible,
-    PreconditionViolated,
-    ReinsertionFailed,
-)
+from .errors import InvariantViolated, PreconditionViolated
 from .model import ZERO, Assignment, Instance, _well_formed
 
 KEEP_BETTER_HALF = "keep-better-half"
@@ -102,7 +96,7 @@ def feasible_partition(
     rest = bin_items - {witness}
     rest_load = units.load(rest)
     if rest_load > scale:
-        raise NotAlmostFeasible(
+        raise PreconditionViolated(
             f"removing {witness} leaves load {Fraction(rest_load, scale)} > 1"
         )
     side_a = {witness}
@@ -141,7 +135,7 @@ def _reinsert(
                 best_j = j
                 best_profit = p
         if best_j is None:
-            raise ReinsertionFailed(f"no bin has room for evicted item {i}")
+            raise InvariantViolated(f"no bin has room for evicted item {i}")
         bins[best_j].add(i)
         loads[best_j] += size
         steps.append(FillStep(REINSERT, (best_j,), (), ZERO, inst.profit(i, best_j)))
@@ -196,7 +190,7 @@ class _FillState:
         """Bin j's :func:`feasible_partition`, the side holding ``lead`` first."""
         witness = removal_witness(self.inst, frozenset(self.bins[j]))
         if witness is None:
-            raise NotAlmostFeasible(f"bin {j} overflows by more than one item")
+            raise PreconditionViolated(f"bin {j} overflows by more than one item")
         side_a, side_b = feasible_partition(self.inst, frozenset(self.bins[j]), witness)
         return (side_b, side_a) if lead in side_b else (side_a, side_b)
 
@@ -336,11 +330,11 @@ def make_feasible_traced(
     vac = st.vacant()
     for j in over:
         if len(st.bigs(j)) != 2:
-            raise InternalStuck(f"overfull bin {j} survived with {len(st.bigs(j))} bigs")
+            raise InvariantViolated(f"overfull bin {j} survived with {len(st.bigs(j))} bigs")
         for i in st.bigs(j):
             for candidate in vac:
                 if sizes[i] + st.loads[candidate] <= scale:
-                    raise InternalStuck(f"big {i} fits bin {candidate} but no move fired")
+                    raise InvariantViolated(f"big {i} fits bin {candidate} but no move fired")
 
     while True:
         over = st.overfull()
@@ -349,7 +343,7 @@ def make_feasible_traced(
         vac = st.vacant()
         counts = (len(over), len(vac))
         if not len(vac) > 2 * len(over):
-            raise InternalStuck(
+            raise InvariantViolated(
                 f"semi-vacant surplus guard failed: {len(vac)} <= 2 * {len(over)}"
             )
         j, vac1, vac2 = over[0], vac[0], vac[1]

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GenerationError
+from .errors import ValidationError
 from .model import Group, Instance, Item
 
 VOD_MIN_SEGMENTS = 2
@@ -37,7 +37,7 @@ def _draw_group_sizes(
     Draws sequentially, always reserving 1/den for every remaining member.
     """
     if Fraction(count, den) > budget:
-        raise GenerationError(
+        raise ValidationError(
             f"group of {count} items cannot fit budget {budget} at grid 1/{den}"
         )
     sizes = []
@@ -54,7 +54,7 @@ def _draw_group_sizes(
 
 def _partition_counts(rng: random.Random, n: int, groups: int) -> list[int]:
     if groups > n:
-        raise GenerationError(f"cannot split {n} items into {groups} non-empty groups")
+        raise ValidationError(f"cannot split {n} items into {groups} non-empty groups")
     if groups == 1:
         return [n]
     cuts = sorted(rng.sample(range(1, n), groups - 1))
@@ -64,7 +64,7 @@ def _partition_counts(rng: random.Random, n: int, groups: int) -> list[int]:
 
 def _vod_counts(rng: random.Random, n: int, groups: int) -> list[int]:
     if not VOD_MIN_SEGMENTS * groups <= n <= VOD_MAX_SEGMENTS * groups:
-        raise GenerationError(
+        raise ValidationError(
             f"vod flavor needs n in [{VOD_MIN_SEGMENTS * groups}, {VOD_MAX_SEGMENTS * groups}], got {n}"
         )
     counts = [VOD_MIN_SEGMENTS] * groups
@@ -77,11 +77,11 @@ def _vod_counts(rng: random.Random, n: int, groups: int) -> list[int]:
 def generate(spec: GeneratorSpec) -> Instance:
     """Build a strict-valid instance; identical specs yield identical instances."""
     if spec.n < 1 or spec.groups < 1 or spec.bins < 1:
-        raise GenerationError("n, groups and bins must all be positive")
+        raise ValidationError("n, groups and bins must all be positive")
     if spec.size_denominator < 1 or spec.max_profit < 1:
-        raise GenerationError("size_denominator and max_profit must be positive")
+        raise ValidationError("size_denominator and max_profit must be positive")
     if spec.flavor not in ("uniform", "vod"):
-        raise GenerationError(f"unknown flavor {spec.flavor!r}")
+        raise ValidationError(f"unknown flavor {spec.flavor!r}")
     rng = random.Random(spec.seed)
     budget = Fraction(spec.bins, 2)  # strict validation: group size <= m/2
 

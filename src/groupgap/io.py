@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import InstanceFormatError
+from .errors import ValidationError
 from .filling import FillStep
 from .model import (
     Assignment,
@@ -31,16 +31,16 @@ def _field_rational(doc: Any, field: str) -> Fraction:
     # A float is no exact rational: 0.3333333333333333 would load as
     # 3333333333333333/10**16, not the 1/3 it stands for.
     if isinstance(doc, float):
-        raise InstanceFormatError(f'{field}: expected a "p/q" string or an integer, got {doc!r}')
+        raise ValidationError(f'{field}: expected a "p/q" string or an integer, got {doc!r}')
     try:
         return parse_rational(doc)
     except (ValueError, TypeError) as exc:
-        raise InstanceFormatError(f"{field}: {exc}") from None
+        raise ValidationError(f"{field}: {exc}") from None
 
 
 def _field_int(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InstanceFormatError(f"{field}: expected an integer, got {value!r}")
+        raise ValidationError(f"{field}: expected an integer, got {value!r}")
     return value
 
 
@@ -62,25 +62,25 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(doc: Any) -> Instance:
     if not isinstance(doc, dict):
-        raise InstanceFormatError("document: expected a JSON object")
+        raise ValidationError("document: expected a JSON object")
     m = _field_int(doc.get("m"), "m")
     items_doc = doc.get("items")
     if not isinstance(items_doc, list):
-        raise InstanceFormatError("items: expected an array")
+        raise ValidationError("items: expected an array")
     items = []
     for k, entry in enumerate(items_doc):
         if not isinstance(entry, dict):
-            raise InstanceFormatError(f"items[{k}]: expected an object")
+            raise ValidationError(f"items[{k}]: expected an object")
         item_id = _field_int(entry.get("id"), f"items[{k}].id")
         size = _field_rational(entry.get("size"), f"items[{k}].size")
         items.append(Item(id=item_id, size=size))
     groups_doc = doc.get("groups")
     if not isinstance(groups_doc, list):
-        raise InstanceFormatError("groups: expected an array of arrays")
+        raise ValidationError("groups: expected an array of arrays")
     groups = []
     for k, members in enumerate(groups_doc):
         if not isinstance(members, list):
-            raise InstanceFormatError(f"groups[{k}]: expected an array of item ids")
+            raise ValidationError(f"groups[{k}]: expected an array of item ids")
         groups.append(
             Group(
                 id=k,
@@ -92,16 +92,16 @@ def instance_from_dict(doc: Any) -> Instance:
     profits: dict[tuple[int, int], Fraction] = {}
     profits_doc = doc.get("profits", [])
     if not isinstance(profits_doc, list):
-        raise InstanceFormatError("profits: expected an array")
+        raise ValidationError("profits: expected an array")
     for k, entry in enumerate(profits_doc):
         if not isinstance(entry, dict):
-            raise InstanceFormatError(f"profits[{k}]: expected an object")
+            raise ValidationError(f"profits[{k}]: expected an object")
         item_id = _field_int(entry.get("item"), f"profits[{k}].item")
         bin_index = _field_int(entry.get("bin"), f"profits[{k}].bin")
         value = _field_rational(entry.get("value"), f"profits[{k}].value")
         key = (item_id, bin_index - 1)
         if key in profits:
-            raise InstanceFormatError(f"profits[{k}]: duplicate entry for {key}")
+            raise ValidationError(f"profits[{k}]: duplicate entry for {key}")
         if value != ZERO:
             profits[key] = value
     return Instance(m=m, items=tuple(items), groups=tuple(groups), profits=profits)
@@ -115,7 +115,7 @@ def load_instance(path: str | Path) -> Instance:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InstanceFormatError(f"document: invalid JSON ({exc})") from None
+        raise ValidationError(f"document: invalid JSON ({exc})") from None
     return instance_from_dict(doc)
 
 

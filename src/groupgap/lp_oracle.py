@@ -68,7 +68,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from ._flow import reoptimize, replay, transport
-from .errors import InsufficientCapacity, InvariantViolated
+from .errors import InvariantViolated, PreconditionViolated
 from .model import ZERO, FractionalSolution, Instance
 
 
@@ -242,7 +242,7 @@ class LpOracle:
         items = self._known(item_ids)
         total = sum((self.inst.size(i) for i in items), ZERO)
         if total > self.inst.m:
-            raise InsufficientCapacity(
+            raise PreconditionViolated(
                 f"selected items have total size {total} > total capacity {self.inst.m}"
             )
         # Every cap is 1, so the flows are in units of 1/scale and item i

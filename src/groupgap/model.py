@@ -17,14 +17,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (
-    BadBinIndex,
-    BadPartition,
-    BadSize,
-    NegativeProfit,
-    OversizedGroup,
-    ValidationError,
-)
+from .errors import ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -263,7 +256,7 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
     seen_items: set[int] = set()
     for it in inst.items:
         if it.id in seen_items:
-            raise BadPartition(f"duplicate item id {it.id}")
+            raise ValidationError(f"duplicate item id {it.id}")
         seen_items.add(it.id)
         # Integer tests on the lowest-terms rational (its denominator is > 0).
         # A size without them (a float, say) is not an exact rational, and a
@@ -275,33 +268,35 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
         if fits is None or isinstance(it.size, bool):
             raise ValidationError(f"item {it.id} has size {it.size!r}, not an int or Fraction")
         if not fits:
-            raise BadSize(it.id, it.size)
+            raise ValidationError(f"item {it.id} has size {it.size}, must be in (0, 1]")
     grouped: set[int] = set()
     seen_groups: set[int] = set()
     for g in inst.groups:
         if g.id in seen_groups:
-            raise BadPartition(f"duplicate group id {g.id}")
+            raise ValidationError(f"duplicate group id {g.id}")
         seen_groups.add(g.id)
         if not g.members:
-            raise BadPartition(f"group {g.id} is empty")
+            raise ValidationError(f"group {g.id} is empty")
         listed: set[int] = set()
         for i in g.members:
             if i not in seen_items:
-                raise BadPartition(f"group {g.id} references unknown item {i}")
+                raise ValidationError(f"group {g.id} references unknown item {i}")
             if i in listed:
-                raise BadPartition(f"group {g.id} lists item {i} twice")
+                raise ValidationError(f"group {g.id} lists item {i} twice")
             if i in grouped:
-                raise BadPartition(f"item {i} belongs to more than one group")
+                raise ValidationError(f"item {i} belongs to more than one group")
             listed.add(i)
             grouped.add(i)
     if grouped != seen_items:
         missing = sorted(seen_items - grouped)
-        raise BadPartition(f"items {missing} belong to no group")
+        raise ValidationError(f"items {missing} belong to no group")
     for (i, j), p in inst.profits.items():
         if i not in seen_items:
-            raise BadPartition(f"profit entry references unknown item {i}")
+            raise ValidationError(f"profit entry references unknown item {i}")
         if not 0 <= j < inst.m:
-            raise BadBinIndex(i, j, inst.m)
+            raise ValidationError(
+                f"profit for item {i} references bin {j + 1}, valid range is 1..{inst.m}"
+            )
         try:
             negative = p.numerator < 0
         except AttributeError:
@@ -311,10 +306,10 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
                 f"profit for item {i} in bin {j + 1} is {p!r}, not an int or Fraction"
             )
         if negative:
-            raise NegativeProfit(i, j, p)
+            raise ValidationError(f"profit for item {i} in bin {j + 1} is {p}, must be >= 0")
     if strict:
         cap = Fraction(inst.m, 2)
         for g in inst.groups:
             total = inst.group_size(g.id)
             if total > cap:
-                raise OversizedGroup(g.id, total, cap)
+                raise ValidationError(f"group {g.id} has total size {total} > cap {cap}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import InvariantViolated, NotAlmostFeasible, PreconditionViolated, UnsaturatedInput
+from .errors import InvariantViolated, PreconditionViolated
 from .filling import FillStep, make_feasible_traced
 from .lp_oracle import LpOracle
 from .model import Assignment, Instance, validate_instance
@@ -89,7 +89,10 @@ def _group_units(oracle: LpOracle) -> Callable[[Iterable[int]], int]:
 def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
     """Run the full pipeline: the feasible assignment and its report.
 
-    Requires strict validation (every group's size at most ``m/2``).
+    Requires strict validation (every group's size at most ``m/2``); an
+    instance that fails it raises ``ValidationError``. A strictly valid instance is inside every
+    stage's regime, so a stage's ``PreconditionViolated`` shows a bug in the
+    stage before it and leaves as ``InvariantViolated``.
     """
     validate_instance(inst, strict=True)
     oracle = LpOracle(inst)
@@ -97,18 +100,16 @@ def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
     scale, den = units.scale, units.profit_den
 
     t0 = time.perf_counter()
-    ground = [GroundElement(g.id, inst.group_size(g.id)) for g in inst.groups]
-    selected = maximize_with_reserve(_group_units(oracle), ground, Fraction(inst.m))
-    t1 = time.perf_counter()
-
-    selected_items = inst.group_items(selected)
-    psi_star = oracle.value(selected_items)
-    x = oracle.solution(selected_items)
-    t2 = time.perf_counter()
-
-    # The stages' input errors cannot come from a strictly valid instance:
-    # here they are bugs in the stage before, so they leave as internal ones.
     try:
+        ground = [GroundElement(g.id, inst.group_size(g.id)) for g in inst.groups]
+        selected = maximize_with_reserve(_group_units(oracle), ground, Fraction(inst.m))
+        t1 = time.perf_counter()
+
+        selected_items = inst.group_items(selected)
+        psi_star = oracle.value(selected_items)
+        x = oracle.solution(selected_items)
+        t2 = time.perf_counter()
+
         rounded = round_to_assignment(inst, x)
         rounded_units = units.earned(rounded)
         t3 = time.perf_counter()
@@ -116,7 +117,7 @@ def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
         final, trace = make_feasible_traced(inst, rounded)
         final_units = units.earned(final)
         t4 = time.perf_counter()
-    except (PreconditionViolated, NotAlmostFeasible, UnsaturatedInput) as exc:
+    except PreconditionViolated as exc:
         raise InvariantViolated(f"{type(exc).__name__}: {exc}") from exc
 
     placed = final.placed_items()

@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._flow import transport
-from .errors import InvariantViolated, NoCompleteMatching, UnsaturatedInput
+from .errors import InvariantViolated, PreconditionViolated
 from .model import ZERO, Assignment, FractionalSolution, Instance
 
 
@@ -101,7 +101,9 @@ def build_slot_graph(inst: Instance, x: FractionalSolution) -> SlotGraph:
         per_bin[j][i] = (frac, f)
     for i in sorted(totals):
         if totals[i] != den:
-            raise UnsaturatedInput(i, Fraction(totals[i], den))
+            raise PreconditionViolated(
+                f"item {i} has assigned fraction {Fraction(totals[i], den)}, expected exactly 1"
+            )
 
     sizes = units.sizes
     order = sorted(totals, key=lambda i: (-sizes[i], i))
@@ -160,7 +162,7 @@ def complete_matching(g: SlotGraph) -> dict[int, Slot]:
     ]
     flow, _cost, flows = transport([1] * n, [1] * len(g.slots), arcs)
     if flow != n:
-        raise NoCompleteMatching(f"matched only {flow} of {n} items; slot graph invariant broken")
+        raise InvariantViolated(f"matched only {flow} of {n} items; slot graph invariant broken")
     return {e.item: e.slot for e, units in zip(g.edges, flows) if units > 0}
 
 

@@ -54,7 +54,7 @@ from math import exp, lcm
 from numbers import Rational
 from typing import Callable, Sequence
 
-from .errors import DegenerateDenominator, ElementTooLarge, InvariantViolated
+from .errors import InvariantViolated, LimitExceeded, PreconditionViolated
 
 # A set function's exact values: ints or Fractions.
 Value = Fraction | int
@@ -115,10 +115,6 @@ _SOLVE_BUDGET = 4096
 _SEED_SIZE = 6
 
 
-class _BudgetSpent(Exception):
-    """Unwinds the branch-and-bound once the memo has missed _SOLVE_BUDGET times."""
-
-
 def _knapsack_bound(items: Sequence[tuple[Value, int]], room: int) -> tuple[Value, int]:
     """Fractional knapsack of ``(gain, size)`` pairs given in density order,
     as ``(num, den)``: the bound is ``num / den``, with ``den > 0``.
@@ -156,7 +152,7 @@ def _branch_and_bound(
             if sizes[b] > room:
                 continue
             if value.cache_info().misses >= _SOLVE_BUDGET:
-                raise _BudgetSpent
+                raise LimitExceeded(f"the memo missed {_SOLVE_BUDGET} times")
             grown = value(mask | 1 << b)
             if grown > best_val:
                 best_mask, best_val = mask | 1 << b, grown
@@ -177,7 +173,7 @@ def _branch_and_bound(
 
     try:
         visit(0, best_val, half, range(len(sizes)))
-    except _BudgetSpent:
+    except LimitExceeded:  # the budget is spent; the incumbent stands
         return best_mask, best_val, False
     return best_mask, best_val, True
 
@@ -270,7 +266,7 @@ def maximize_with_reserve(
             raise ValueError(f"element {e.id} has non-positive size {e.size}")
     for e in ordered:
         if e.size > half:
-            raise ElementTooLarge(e.id, e.size, half)
+            raise PreconditionViolated(f"element {e.id} has size {e.size} > half capacity {half}")
     n = len(ids)
     value = _mask_oracle(f, ids)
     units, weight, half_units = _integer_sizes([e.size for e in ordered], half)
@@ -317,7 +313,7 @@ def ratio_lower_bound(p_a: float, p_b: float, s_a: float, s_b: float) -> float:
     """
     denom = 1.0 - s_a - s_b
     if denom <= DENOMINATOR_GUARD:
-        raise DegenerateDenominator(f"1 - s_a - s_b = {denom} <= {DENOMINATOR_GUARD}")
+        raise PreconditionViolated(f"1 - s_a - s_b = {denom} <= {DENOMINATOR_GUARD}")
     return (
         p_a
         + (1.0 - p_a - p_b) * (1.0 - exp(-(0.5 - s_a) / denom))

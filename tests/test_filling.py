@@ -3,15 +3,13 @@ import random
 
 import pytest
 
-from groupgap.errors import (
-    NotAlmostFeasible,
-    PreconditionViolated,
-    ReinsertionFailed,
-)
+from groupgap.errors import InvariantViolated, PreconditionViolated
 from groupgap.filling import (
+    KEEP_BETTER_HALF,
     MOVE_BIG_TO_VACANT,
     REINSERT,
     SPLIT_ACROSS_VACANTS,
+    _FillState,
     feasible_partition,
     _reinsert,
     make_feasible_traced,
@@ -49,7 +47,7 @@ def test_partition_first_fit_trace():
 
 def test_partition_rejects_bad_witness():
     inst = make_instance(1, {1: F(3, 5), 2: F(3, 5), 3: F(3, 5)}, [[1, 2, 3]], {})
-    with pytest.raises(NotAlmostFeasible):
+    with pytest.raises(PreconditionViolated, match=r"^removing 1 leaves load 6/5 > 1$"):
         feasible_partition(inst, frozenset({1, 2, 3}), 1)
 
 
@@ -86,7 +84,8 @@ def test_worked_example_moves_big_out():
 def test_rejects_total_size_above_half_capacity():
     inst = worked_example(m=2)
     u = Assignment(bins=(frozenset({1, 2}), frozenset()))
-    with pytest.raises(PreconditionViolated):
+    message = r"^placed items total size 6/5 > half capacity 1$"
+    with pytest.raises(PreconditionViolated, match=message):
         make_feasible_traced(inst, u)
 
 
@@ -95,7 +94,7 @@ def test_rejects_not_almost_feasible():
         4, {1: F(3, 5), 2: F(3, 5), 3: F(3, 5)}, [[1, 2, 3]], {}
     )
     u = Assignment(bins=(frozenset({1, 2, 3}), frozenset(), frozenset(), frozenset()))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match=r"^input assignment is not almost feasible$"):
         make_feasible_traced(inst, u)
 
 
@@ -107,6 +106,15 @@ def test_rejects_malformed_assignment():
         u = Assignment(bins=tuple(frozenset(b) for b in bins))
         with pytest.raises(PreconditionViolated, match="needs 2 bins"):
             make_feasible_traced(inst, u)
+
+
+def test_choose_guards_a_move_that_keeps_less_than_half():
+    # Both outcomes empty the bin: the move would keep 0 of a profit of 2.
+    inst = make_instance(1, {1: F(1, 4), 2: F(1, 4)}, [[1, 2]], {(1, 0): F(1), (2, 0): F(1)})
+    st = _FillState(inst, Assignment(bins=(frozenset({1, 2}),)))
+    empty = {0: frozenset()}
+    with pytest.raises(InvariantViolated, match=r"^keep-better-half kept 0 of 2: less than half"):
+        st.choose(KEEP_BETTER_HALF, [0], empty, empty)
 
 
 def test_split_across_vacants_fires_when_every_vacant_blocks():
@@ -178,7 +186,7 @@ def test_reinsert_many_random_evictions():
 def test_reinsert_failure_when_nothing_fits():
     inst = make_instance(1, {1: F(1), 2: F(1, 2)}, [[1, 2]], {})
     u = Assignment(bins=(frozenset({1}),))
-    with pytest.raises(ReinsertionFailed):
+    with pytest.raises(InvariantViolated, match=r"^no bin has room for evicted item 2$"):
         reinserted(inst, u, [2])
 
 

@@ -6,7 +6,13 @@ import pytest
 
 from groupgap import io
 from groupgap.cli import main
-from groupgap.errors import BadPartition, GenerationError, InstanceFormatError, InternalStuck
+from groupgap.errors import (
+    GroupGapError,
+    InvariantViolated,
+    LimitExceeded,
+    PreconditionViolated,
+    ValidationError,
+)
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.model import Assignment, parse_rational, validate_instance
 from groupgap.pipeline import solve
@@ -48,7 +54,7 @@ def test_malformed_rational_names_field():
             "groups": [[1]],
             "profits": [],
         }
-        with pytest.raises(InstanceFormatError, match=r"items\[0\]\.size"):
+        with pytest.raises(ValidationError, match=r"^items\[0\]\.size"):
             io.instance_from_dict(doc)
 
 
@@ -60,7 +66,7 @@ def test_malformed_profit_names_field():
             "groups": [[1]],
             "profits": [{"item": 1, "bin": 1, "value": value}],
         }
-        with pytest.raises(InstanceFormatError, match=r"profits\[0\]\.value"):
+        with pytest.raises(ValidationError, match=r"^profits\[0\]\.value"):
             io.instance_from_dict(doc)
 
 
@@ -114,14 +120,25 @@ def test_cli_solve_trace_on_stderr(tmp_path, capsys):
 
 
 def test_cli_solve_reports_internal_errors_apart(tmp_path, capsys, monkeypatch):
-    def stuck(*_args, **_kwargs):
-        raise InternalStuck("no move fired")
-
-    monkeypatch.setattr("groupgap.pipeline.make_feasible_traced", stuck)
+    # One case per error class: only InvariantViolated, a bug, exits 4.
+    cases = {
+        InvariantViolated: (4, "internal error: "),
+        ValidationError: (2, "error: "),
+        PreconditionViolated: (2, "error: "),
+        LimitExceeded: (2, "error: "),
+        GroupGapError: (2, "error: "),
+    }
+    assert cases.keys() == {GroupGapError, *GroupGapError.__subclasses__()}
     path = tmp_path / "inst.json"
     io.save_instance(worked_example(m=3), path)
-    assert main(["solve", str(path)]) == 4
-    assert capsys.readouterr().err == "internal error: no move fired\n"
+    for cls, (code, prefix) in cases.items():
+
+        def fail(_inst, cls=cls):
+            raise cls("solve failed")
+
+        monkeypatch.setattr("groupgap.cli.solve", fail)
+        assert main(["solve", str(path)]) == code, cls.__name__
+        assert capsys.readouterr().err == f"{prefix}solve failed\n", cls.__name__
 
 
 def test_cli_solve_exits_3_when_a_certificate_fails(tmp_path, capsys, monkeypatch):
@@ -160,6 +177,36 @@ def test_cli_solve_reports_stage_input_errors_as_internal(tmp_path, capsys, monk
     assert err.startswith("internal error: ") and "not almost feasible" in err
 
 
+@pytest.mark.parametrize(
+    "stage",
+    [
+        "groupgap.pipeline.maximize_with_reserve",
+        "groupgap.lp_oracle.LpOracle.solution",
+        "groupgap.pipeline.round_to_assignment",
+        "groupgap.pipeline.make_feasible_traced",
+    ],
+    ids=["select", "lp", "round", "fill"],
+)
+def test_stage_precondition_errors_after_validation_are_internal(
+    stage, tmp_path, capsys, monkeypatch
+):
+    # A strictly valid instance is inside every stage's regime, so a stage
+    # that rejects its input shows a bug in the stage before it.
+    def reject(*_args, **_kwargs):
+        raise PreconditionViolated("input outside the regime")
+
+    monkeypatch.setattr(stage, reject)
+    inst = worked_example(m=3)
+    with pytest.raises(InvariantViolated, match="^PreconditionViolated: input outside") as exc:
+        solve(inst)
+    assert isinstance(exc.value.__cause__, PreconditionViolated)
+    path = tmp_path / "inst.json"
+    io.save_instance(inst, path)
+    assert main(["solve", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: PreconditionViolated: input outside the regime\n"
+
+
 def test_cli_solve_rejects_oversized(tmp_path, capsys):
     path = tmp_path / "inst.json"
     io.save_instance(worked_example(m=2), path)
@@ -188,7 +235,7 @@ def test_loaded_group_listing_an_item_twice_is_named(tmp_path, capsys):
     path = tmp_path / "twice.json"
     doc = {"m": 1, "items": [{"id": 1, "size": "1/2"}], "groups": [[1, 1]], "profits": []}
     path.write_text(json.dumps(doc))
-    with pytest.raises(BadPartition, match=r"^group 0 lists item 1 twice$"):
+    with pytest.raises(ValidationError, match=r"^group 0 lists item 1 twice$"):
         validate_instance(io.load_instance(path))
     assert main(["solve", str(path)]) == 2
     assert "group 0 lists item 1 twice" in capsys.readouterr().err
@@ -241,7 +288,7 @@ def test_vod_flavor_properties():
 
 
 def test_vod_flavor_needs_enough_items():
-    with pytest.raises(GenerationError):
+    with pytest.raises(ValidationError, match=r"^vod flavor needs n in \[4, 16\], got 3$"):
         generate(GeneratorSpec(seed=1, n=3, groups=2, bins=2, flavor="vod"))
 
 

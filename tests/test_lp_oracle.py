@@ -11,7 +11,7 @@ import pytest
 import groupgap
 from groupgap import lp_oracle, rounding
 from groupgap._flow import FlowNetwork, transport
-from groupgap.errors import InsufficientCapacity
+from groupgap.errors import PreconditionViolated
 from groupgap.exact import matching_value
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import Group, Instance, Item, validate_fractional
@@ -110,13 +110,14 @@ def test_solution_value_matches_lp_value_and_saturates():
         validate_fractional(inst, x)
         assert x.value == LpOracle(inst).value(subset)
         assert x.support_items() == frozenset(subset)
-        # raises UnsaturatedInput unless every support item totals exactly 1
+        # raises PreconditionViolated unless every support item totals exactly 1
         rounding.build_slot_graph(inst, x)
 
 
 def test_solution_insufficient_capacity():
     inst = make_instance(1, {1: F(1), 2: F(1, 2)}, [[1, 2]], {})
-    with pytest.raises(InsufficientCapacity):
+    message = r"^selected items have total size 3/2 > total capacity 1$"
+    with pytest.raises(PreconditionViolated, match=message):
         LpOracle(inst).solution([1, 2])
 
 

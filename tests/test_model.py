@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupgap
-from groupgap.errors import (
-    BadBinIndex,
-    BadPartition,
-    BadSize,
-    NegativeProfit,
-    OversizedGroup,
-)
+from groupgap import errors
+from groupgap.errors import ValidationError
 from groupgap.exact import solve_exact
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import (
@@ -61,29 +56,29 @@ def test_random_instance_fits_a_group_too_large_for_its_grid(seed):
 
 def test_validate_oversized_group_strict_only():
     inst = make_instance(2, {1: F(3, 4), 2: F(3, 4)}, [[1, 2]], {})
-    with pytest.raises(OversizedGroup):
+    with pytest.raises(ValidationError, match=r"^group 0 has total size 3/2 > cap 1$"):
         validate_instance(inst, strict=True)
     validate_instance(inst, strict=False)
 
 
 def test_validate_bad_sizes():
-    with pytest.raises(BadSize):
+    with pytest.raises(ValidationError, match=r"^item 1 has size 0, must be in \(0, 1\]$"):
         validate_instance(make_instance(1, {1: F(0)}, [[1]], {}))
-    with pytest.raises(BadSize):
+    with pytest.raises(ValidationError, match=r"^item 1 has size 3/2, must be in \(0, 1\]$"):
         validate_instance(make_instance(1, {1: F(3, 2)}, [[1]], {}))
 
 
 def test_validate_bad_partition():
-    with pytest.raises(BadPartition):  # item in no group
+    with pytest.raises(ValidationError, match=r"^items \[2\] belong to no group$"):
         validate_instance(make_instance(1, {1: F(1, 2), 2: F(1, 2)}, [[1]], {}))
-    with pytest.raises(BadPartition, match=r"^item 1 belongs to more than one group$"):
+    with pytest.raises(ValidationError, match=r"^item 1 belongs to more than one group$"):
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1], [1]], {}))
     listed_twice = Instance(1, (Item(1, F(1, 2)), Item(2, F(1, 4))), (Group(0, (1, 1, 2)),), {})
-    with pytest.raises(BadPartition, match=r"^group 0 lists item 1 twice$"):
+    with pytest.raises(ValidationError, match=r"^group 0 lists item 1 twice$"):
         validate_instance(listed_twice)
-    with pytest.raises(BadPartition):  # unknown member
+    with pytest.raises(ValidationError, match=r"^group 0 references unknown item 9$"):
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1, 9]], {}))
-    with pytest.raises(BadPartition):  # empty group
+    with pytest.raises(ValidationError, match=r"^group 1 is empty$"):
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1], []], {}))
     # Two groups with id 0: the first is larger than m/2, the second hides
     # it from any lookup by id. make_instance numbers groups by position.
@@ -94,7 +89,7 @@ def test_validate_bad_partition():
         profits={(1, 0): F(1), (3, 1): F(2)},
     )
     for check in (lambda i: validate_instance(i, strict=True), solve, upper_bound, solve_exact):
-        with pytest.raises(BadPartition, match="duplicate group id 0"):
+        with pytest.raises(ValidationError, match="^duplicate group id 0$"):
             check(twice)
 
 
@@ -131,9 +126,9 @@ def test_integer_view_scales_sizes_and_profits_exactly(rng, grid):
 
 
 def test_validate_profits():
-    with pytest.raises(NegativeProfit):
+    with pytest.raises(ValidationError, match=r"^profit for item 1 in bin 1 is -1, must be >= 0"):
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(-1)}))
-    with pytest.raises(BadBinIndex):
+    with pytest.raises(ValidationError, match=r"^profit for item 1 references bin 6, valid"):
         validate_instance(make_instance(1, {1: F(1, 2)}, [[1]], {(1, 5): F(1)}))
 
 
@@ -142,14 +137,14 @@ def test_validate_boundaries_and_messages():
     the messages the rational comparisons gave."""
     validate_instance(make_instance(2, {1: F(1)}, [[1]], {(1, 0): F(0)}), strict=True)
     for size, text in ((F(0), "0"), (F(98, 97), "98/97")):
-        with pytest.raises(BadSize, match=rf"^item 1 has size {text}, must be in \(0, 1\]$"):
+        with pytest.raises(ValidationError, match=rf"^item 1 has size {text}, must be in \(0, 1\]$"):
             validate_instance(make_instance(2, {1: size}, [[1]], {}))
-    with pytest.raises(NegativeProfit, match=r"^profit for item 1 in bin 2 is -1/7, must be >= 0$"):
+    with pytest.raises(ValidationError, match=r"^profit for item 1 in bin 2 is -1/7, must be >= 0$"):
         validate_instance(make_instance(2, {1: F(1, 2)}, [[1]], {(1, 1): F(-1, 7)}))
     exactly_half = {1: F(1), 2: F(1, 2)}  # s(G) = m/2 with m = 3
     validate_instance(make_instance(3, exactly_half, [[1, 2]], {}), strict=True)
     over = {**exactly_half, 3: F(1, 97)}
-    with pytest.raises(OversizedGroup, match=r"^group 0 has total size 293/194 > cap 3/2$"):
+    with pytest.raises(ValidationError, match=r"^group 0 has total size 293/194 > cap 3/2$"):
         validate_instance(make_instance(3, over, [[1, 2, 3]], {}), strict=True)
     validate_instance(make_instance(3, over, [[1, 2, 3]], {}))
 
@@ -278,6 +273,25 @@ def test_public_surface_is_pinned():
         "assignment_profit",
     }
     assert bench_uses <= set(groupgap.__all__)
+
+
+# Each class names one decision a caller makes; the message names the check.
+ERROR_CLASSES = {
+    "GroupGapError": "Exception",
+    "ValidationError": "GroupGapError",
+    "PreconditionViolated": "GroupGapError",
+    "LimitExceeded": "GroupGapError",
+    "InvariantViolated": "GroupGapError",
+}
+
+
+def test_error_classes_are_pinned():
+    defined = {
+        name: ", ".join(base.__name__ for base in cls.__bases__)
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, BaseException)
+    }
+    assert defined == ERROR_CLASSES
 
 
 def test_readme_export_list_matches_all():

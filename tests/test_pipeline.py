@@ -3,7 +3,7 @@ import random
 import pytest
 
 from groupgap._flow import FlowNetwork
-from groupgap.errors import BadBinIndex, BadSize, OversizedGroup
+from groupgap.errors import ValidationError
 from groupgap.exact import solve_exact
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
@@ -41,7 +41,7 @@ def test_worked_example_end_to_end():
 
 
 def test_rejects_oversized_group():
-    with pytest.raises(OversizedGroup):
+    with pytest.raises(ValidationError, match=r"^group 0 has total size 6/5 > cap 1$"):
         solve(worked_example(m=2))
 
 
@@ -90,10 +90,10 @@ def test_upper_bound_examples():
 
 def test_upper_bound_rejects_invalid_instances():
     oversized = make_instance(1, {1: F(2)}, [[1]], {(1, 0): F(1)})
-    with pytest.raises(BadSize):
+    with pytest.raises(ValidationError, match=r"^item 1 has size 2, must be in \(0, 1\]$"):
         upper_bound(oversized)
     stray_bin = make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(1), (1, 4): F(7)})
-    with pytest.raises(BadBinIndex):
+    with pytest.raises(ValidationError, match=r"^profit for item 1 references bin 5, valid range"):
         upper_bound(stray_bin)
 
 

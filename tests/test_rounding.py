@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from groupgap._flow import FlowNetwork
-from groupgap.errors import UnsaturatedInput
+from groupgap.errors import InvariantViolated, PreconditionViolated
 from groupgap.model import (
     FractionalSolution,
     assignment_profit,
@@ -69,7 +69,8 @@ def test_slot_graph_hand_trace(split_pair):
 def test_slot_graph_rejects_unsaturated():
     inst = make_instance(1, {1: F(1, 2)}, [[1]], {})
     x = FractionalSolution(entries={(1, 0): F(1, 2)}, value=F(0))
-    with pytest.raises(UnsaturatedInput):
+    message = r"^item 1 has assigned fraction 1/2, expected exactly 1$"
+    with pytest.raises(PreconditionViolated, match=message):
         build_slot_graph(inst, x)
 
 
@@ -124,6 +125,16 @@ def test_complete_matching_picks_heavier_option(split_pair):
     assert matching[1] == Slot(0, 1)
     assert matching[2] == Slot(0, 2)
     assert weight == 16 >= x.value
+
+
+def test_complete_matching_guards_an_unmatched_item():
+    # Item 2 has no edge, so no matching covers it: a broken slot graph.
+    s1 = Slot(0, 1)
+    g = SlotGraph(
+        items=(1, 2), slots=(s1,), edges=(SlotEdge(1, s1, F(1), F(1)),), weight_units=(1,)
+    )
+    with pytest.raises(InvariantViolated, match=r"^matched only 1 of 2 items; slot graph"):
+        complete_matching(g)
 
 
 def test_matching_weight_at_least_fractional_value_fuzz():
@@ -264,6 +275,23 @@ def test_round_hand_trace(split_pair):
     assert u.bins == (frozenset({1, 2}), frozenset())
     assert assignment_profit(inst, u) == 16
     assert is_almost_feasible(inst, u)
+
+
+def test_round_guards_a_bin_past_its_rank_one_item(monkeypatch):
+    # A matching that puts all three half-size items on bin 0's second slot
+    # leaves bin 0 at 3/2 with no rank-1 item to excuse the overflow.
+    monkeypatch.setattr(
+        "groupgap.rounding.complete_matching", lambda g: {i: Slot(0, 2) for i in g.items}
+    )
+    inst = make_instance(
+        2,
+        {1: F(1, 2), 2: F(1, 2), 3: F(1, 2)},
+        [[1, 2, 3]],
+        {(i, j): F(1) for i in (1, 2, 3) for j in (0, 1)},
+    )
+    x = FractionalSolution(entries={(1, 0): F(1), (2, 0): F(1), (3, 1): F(1)}, value=F(3))
+    with pytest.raises(InvariantViolated, match=r"^bin 0 overflows by more than its rank-1 item$"):
+        round_to_assignment(inst, x)
 
 
 def test_round_fuzz_guarantees():

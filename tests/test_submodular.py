@@ -7,13 +7,12 @@ from typing import Callable, Sequence
 import pytest
 
 from groupgap import submodular
-from groupgap.errors import DegenerateDenominator, ElementTooLarge
+from groupgap.errors import LimitExceeded, PreconditionViolated
 from groupgap.exact import exhaustive_knapsack_max
 from groupgap.submodular import (
     GroundElement,
     _SEED_SIZE,
     _branch_and_bound,
-    _BudgetSpent,
     _greedy_mask,
     _guess_greedy,
     _integer_sizes,
@@ -193,7 +192,7 @@ def test_maximize_deterministic():
 
 def test_maximize_rejects_oversized_element():
     elements = [GroundElement(1, F(3, 2))]
-    with pytest.raises(ElementTooLarge):
+    with pytest.raises(PreconditionViolated, match=r"^element 1 has size 3/2 > half capacity 1$"):
         maximize_with_reserve(modular({1: F(1)}), elements, F(2))
 
 
@@ -201,7 +200,7 @@ def test_maximize_requires_capacity():
     elements = [GroundElement(1, F(1, 2))]
     f = modular({1: F(1)})
     # bad input, not an internal error (InvariantViolated) or an oversized
-    # element (ElementTooLarge), with or without elements
+    # element (PreconditionViolated), with or without elements
     for ground in ([], elements):
         with pytest.raises(ValueError):
             maximize_with_reserve(f, ground, F(-2))
@@ -308,7 +307,7 @@ def reference_branch_and_bound(
             if sizes[b] > room:
                 continue
             if value.cache_info().misses >= _SOLVE_BUDGET:
-                raise _BudgetSpent
+                raise LimitExceeded("budget spent")
             grown = value(mask | 1 << b)
             if grown > best_val:
                 best_mask, best_val = mask | 1 << b, grown
@@ -326,7 +325,7 @@ def reference_branch_and_bound(
 
     try:
         visit(0, best_val, half, range(len(sizes)))
-    except _BudgetSpent:
+    except LimitExceeded:
         return best_mask, best_val, False
     return best_mask, best_val, True
 
@@ -508,7 +507,7 @@ def test_ratio_lower_bound_corner_expression():
 
 
 def test_ratio_lower_bound_degenerate():
-    with pytest.raises(DegenerateDenominator):
+    with pytest.raises(PreconditionViolated, match=r"^1 - s_a - s_b = 0\.0 <= "):
         ratio_lower_bound(0, 0, 0.5, 0.5)
 
 
