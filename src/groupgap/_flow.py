@@ -34,8 +34,9 @@ that gains room goes into its tail's list at its sorted position. Most of
 the edges left out are twins without flow: every arc into a right node has
 one there, so a right node's full list is mostly dead weight.
 
-:func:`transport` lays out the bipartite network of both callers, items to
-bins for the LP value and items to slots for the rounding matching: node 0
+:func:`transport` solves the bipartite problem of both callers, items to
+bins for the LP value and items to slots for the rounding matching, and
+:func:`resume` lays out every network that it or the LP oracle runs: node 0
 is the source, then come the left nodes, the right nodes and the sink, and
 the edges run from the source, along the arcs, then into the sink, each in
 the order given. Bellman-Ford breaks ties between equal-cost paths by node
@@ -79,26 +80,29 @@ node with an arc is shipped whole, or no arc of an unshipped node is left
 replayed flow is then the cold run's result: the same flow, cost and arc
 flows. Left nodes without an arc ship nothing either way.
 
-``transport``'s ``preload`` resumes a run instead of starting one: the
-network is built with that flow on the arcs and the matching flow on the
-source and sink edges (``FlowNetwork``'s ``flows``). The residual graph is
-a function of the capacities alone, live lists included, so a preload that
-successive shortest paths themselves reached from zero, after their first
-k augmentations, leaves exactly the network that run had then. The run
-therefore goes on as the cold run would: the same paths, the same final
-flows, and the cold cost minus the preload's. A ``transport`` from zero
-replays first and, where the walk stops short, preloads what it shipped;
-the LP oracle does the same with its own pre-sorted arcs.
+Resume. :func:`resume` runs the network from a start flow instead of
+from zero: it is built with that flow on the arcs and the matching flow on
+the source and sink edges (``FlowNetwork``'s ``flows``). It runs in one of
+two ways.
 
-:func:`reoptimize` re-solves the profit-maximising transport from a start
-flow instead of from zero: in practice a subset's optimum, to which more
-supplied left nodes are added. It preloads the start flow on the same
-layout (``FlowNetwork``'s ``flows``), moves the source that feeds the
-start flow's left nodes to a new last node, adds a zero-cost return arc
-from the sink to it, and feeds the left nodes without start flow from
-node 0. Successive shortest paths then run from node 0 to the moved
-source, each path closing a cycle through the two sources, which the
-original network merges into one. Bellman-Ford stays valid:
+Cold (``warm`` False): the start flow is a state of the cold run, and the
+run goes on from it. The residual graph is a function of the capacities
+alone, live lists included, so a start flow that successive shortest paths
+themselves reached from zero, after their first k augmentations, leaves
+exactly the network that run had then. The run therefore goes on as the
+cold run would: the same paths, the same final flows, and the cold cost
+minus the start flow's. A ``transport`` from zero replays first and, where
+the walk stops short, resumes from what it shipped; the LP oracle does the
+same with its own pre-sorted arcs.
+
+Warm (``warm`` True): the start flow is optimal for the left nodes that
+carry it, in practice a subset's optimum, to which more supplied left
+nodes are added, and the run re-optimises it for all of them. The source
+that feeds the start flow's left nodes moves to a new last node, a
+zero-cost return arc runs from the sink to it, and node 0 feeds the left
+nodes without start flow. Successive shortest paths then run from node 0
+to the moved source, each path closing a cycle through the two sources,
+which the cold network merges into one. Bellman-Ford stays valid:
 
 - The start residual has no negative cycle. The start flow is optimal for
   its own left nodes, so its residual circulation (return arc included)
@@ -114,7 +118,9 @@ original network merges into one. Bellman-Ford stays valid:
   minus the last augmenting path's cost: more than 0.
 
 So the flow is optimal for every left node, and the run's cost is the
-optimum's cost minus the start flow's.
+optimum's cost minus the start flow's. Both ways build the same source,
+arc and sink edges in the same order; the warm network differs only in
+where the left nodes with start flow are fed from and in the return arc.
 """
 
 from __future__ import annotations
@@ -245,7 +251,6 @@ def transport(
     supply: list[int],
     demand: list[int],
     arcs: list[tuple[int, int, int]],
-    preload: list[int] | None = None,
 ) -> tuple[int, int, list[int]]:
     """Profit-maximising flow from left nodes with ``supply`` to right
     nodes with ``demand``: the flow of least cost, where ``-cost`` is the
@@ -254,32 +259,66 @@ def transport(
     ``arcs`` holds ``(left, right, cost)``, indices into ``supply`` and
     ``demand``, at most one arc per pair (``ValueError`` otherwise); an
     arc's capacity is its left node's supply.
-    From zero, the run starts with :func:`replay` and builds a network
-    only where the walk stops short. ``preload``, one flow per arc, starts
-    the run from that flow instead (see the module docstring); the flow
-    and the cost then count only what the run adds.
+    The run starts from zero with :func:`replay` and, only where the walk
+    stops short, goes on from the replayed flow with :func:`resume`.
     Returns the flow, its cost and the flow on each arc.
     """
-    if preload is None:
-        index = {(i, j): k for k, (i, j, _cost) in enumerate(arcs)}
-        if len(index) < len(arcs):
-            raise ValueError("two arcs join the same left and right nodes")
-        order = sorted((cost, j, i) for i, j, cost in arcs)
-        supplied = {i: units for i, units in enumerate(supply) if units}
-        flow, cost, shipped, left = replay(supplied, demand, order)
-        flows = [0] * len(arcs)
-        for i, (j, units) in shipped.items():
-            flows[index[i, j]] = units
-        if not left:
-            return flow, cost, flows
-        more, more_cost, flows = transport(supply, demand, arcs, flows)
-        return flow + more, cost + more_cost, flows
-    sink = 1 + len(supply) + len(demand)
-    out, into = _loads(supply, demand, arcs, preload)
-    edges = _edges(supply, demand, arcs, [0] * len(supply))
-    net = FlowNetwork(sink + 1, edges, out + preload + into)
-    flow, cost = net.run(0, sink)
-    return flow, cost, _arc_flows(net, supply, arcs)
+    index = {(i, j): k for k, (i, j, _cost) in enumerate(arcs)}
+    if len(index) < len(arcs):
+        raise ValueError("two arcs join the same left and right nodes")
+    order = sorted((cost, j, i) for i, j, cost in arcs)
+    supplied = {i: units for i, units in enumerate(supply) if units}
+    flow, cost, shipped, left = replay(supplied, demand, order)
+    flows = [0] * len(arcs)
+    for i, (j, units) in shipped.items():
+        flows[index[i, j]] = units
+    if not left:
+        return flow, cost, flows
+    more, more_cost, flows = resume(supply, demand, arcs, flows, False)
+    return flow + more, cost + more_cost, flows
+
+
+def resume(
+    supply: list[int],
+    demand: list[int],
+    arcs: list[tuple[int, int, int]],
+    start: list[int],
+    warm: bool,
+) -> tuple[int, int, list[int]]:
+    """:func:`transport`'s profit-maximising run, from the flow ``start``,
+    one flow per arc, instead of from zero (see the module docstring).
+
+    Without ``warm``, ``start`` is a state of the cold run, such as the
+    replayed flow, and the run goes on to the cold run's flows. With
+    ``warm``, ``start`` must be optimal once the supply of every left node
+    without start flow is set to 0, as the flow that ``transport`` returns
+    for those supplies is, and the run re-optimises it for every left node;
+    otherwise the residual may hold a negative cycle, and one that the
+    search reaches raises ``InvariantViolated``. A ``start`` outside the
+    capacities, or not one flow per arc, raises ``ValueError``.
+    Returns the flow that the run adds, its cost (the optimum's cost minus
+    the start flow's) and the flow on each arc.
+    """
+    right = 1 + len(supply)
+    sink = right + len(demand)
+    end = sink + 1 if warm else sink  # the warm run's second source
+    out = [0] * len(supply)
+    into = [0] * len(demand)
+    for (i, j, _cost), units in zip(arcs, start):
+        out[i] += units
+        into[j] += units
+    # Warm, the left nodes with start flow are fed from the second source.
+    edges = [(end if warm and out[i] else 0, 1 + i, units, 0) for i, units in enumerate(supply)]
+    edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
+    edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
+    flows = out + start + into
+    if warm:
+        edges.append((sink, end, sum(supply), 0))
+        flows.append(sum(out))
+    net = FlowNetwork(end + 1, edges, flows)
+    flow, cost = net.run(0, end)
+    first = 2 * len(supply)  # index of the first arc; its twin holds its flow
+    return flow, cost, net.cap[first + 1 : first + 2 * len(arcs) : 2]
 
 
 def replay(
@@ -325,54 +364,3 @@ def replay(
             if not left:
                 break
     return flow, cost, shipped, {}
-
-
-def reoptimize(
-    supply: list[int],
-    demand: list[int],
-    arcs: list[tuple[int, int, int]],
-    start: list[int],
-) -> tuple[int, int, list[int]]:
-    """Profit-maximising :func:`transport`, re-optimised from a start flow.
-
-    ``start`` holds one flow per arc and must be optimal once the supply of
-    every left node without start flow is set to 0, as the flow that
-    ``transport`` returns for those supplies is.
-    Otherwise the residual may hold a negative cycle, and one that the
-    search reaches raises ``InvariantViolated``.
-    Returns the extra flow, its cost (<= 0: the optimum's cost minus the
-    start flow's) and the flow on each arc.
-    """
-    sink = 1 + len(supply) + len(demand)
-    source = sink + 1  # node 0 is the second source
-    out, into = _loads(supply, demand, arcs, start)
-    edges = _edges(supply, demand, arcs, [source if units else 0 for units in out])
-    edges.append((sink, source, sum(supply), 0))
-    net = FlowNetwork(source + 1, edges, out + start + into + [sum(out)])
-    flow, cost = net.run(0, source)
-    return flow, cost, _arc_flows(net, supply, arcs)
-
-
-def _edges(supply, demand, arcs, feed):
-    """The bipartite layout; left node i is fed from node ``feed[i]``."""
-    right = 1 + len(supply)
-    sink = right + len(demand)
-    edges = [(feed[i], 1 + i, units, 0) for i, units in enumerate(supply)]
-    edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
-    edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
-    return edges
-
-
-def _loads(supply, demand, arcs, flows):
-    """The flow out of each left node and into each right node."""
-    out = [0] * len(supply)
-    into = [0] * len(demand)
-    for (i, j, _cost), units in zip(arcs, flows):
-        out[i] += units
-        into[j] += units
-    return out, into
-
-
-def _arc_flows(net, supply, arcs):
-    first = 2 * len(supply)  # index of the first arc; its twin holds its flow
-    return net.cap[first + 1 : first + 2 * len(arcs) : 2]

@@ -28,7 +28,7 @@ Warm start. Next to the memo of values, the oracle keeps the optimal
 flows of the last ``_FLOWS_KEPT`` sets it solved. A miss for S that the
 replay does not finish leaves some items unshipped: those with a positive
 profit that it did not ship whole. S is then re-optimised from the flow
-of a kept base B (:func:`._flow.reoptimize`), ``value(S) = value(B) -
+of a kept base B (a warm :func:`._flow.resume`), ``value(S) = value(B) -
 cost / cost_den``, when B is the largest kept non-empty proper subset of
 S such that
 
@@ -36,14 +36,15 @@ S such that
 - B lacks fewer of S's items than the replay left unshipped
   (``|S| - |B| < unshipped``).
 
-Otherwise :meth:`LpOracle._transport` preloads the replayed flow on the
-cold solve's network (``preload`` of :func:`._flow.transport`) and runs
-successive shortest paths on from there, to the cold solve's flows. A
-warm re-optimisation's cost, or a continued run's, that loses value
-raises ``InvariantViolated``. Both rules are properties of the query, not
-settings. A warm run needs fewer augmenting paths, but each one reroutes
-through the preloaded flow and scans more of the network, so the saving
-shrinks as the share of new items grows: warming from any subset made vod
+Otherwise the cold solve goes on from the replayed flow (a cold
+:func:`._flow.resume`) to its own flows. Either way
+:meth:`LpOracle._transport` makes the one ``resume`` call, ``warm``
+exactly when there is a base. A warm re-optimisation's cost, or a
+continued run's, that loses value raises ``InvariantViolated``. Both
+rules are properties of the query, not settings. A warm run needs fewer
+augmenting paths, but each one reroutes through the start flow and scans
+more of the network, so the saving shrinks as the share of new items
+grows: warming from any subset made vod
 36/6/12 solves (the benchmark's oracle-heavy workload) about 16% slower
 than warming only from half-size ones. And each item still to ship takes
 an augmenting path: an unshipped one in a continued run, one that B lacks
@@ -67,15 +68,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from ._flow import reoptimize, replay, transport
+from ._flow import replay, resume
 from .errors import InvariantViolated, PreconditionViolated
 from .model import ZERO, FractionalSolution, Instance
 
 
-# How many of the latest solved sets keep their optimal flow. Every
-# measured branch-and-bound search fits (the most is 714 solves, uniform
-# 120 items / 32 groups / 16 bins, seed 2); the guess-greedy fallback's
-# tens of thousands of solves would otherwise hold a flow dict apiece.
+# How many of the latest solved sets keep their optimal flow; the
+# guess-greedy fallback's tens of thousands of solves would otherwise hold
+# a flow dict apiece. Not every branch-and-bound search fits: generator
+# seed 1 needs 2,200 solves on uniform 240 items / 64 groups / 24 bins and
+# 1,538 on uniform 200 / 48 / 20. There the selected set's flow is evicted
+# before :meth:`LpOracle.solution` asks for it, and ``solution`` solves the
+# set again.
 _FLOWS_KEPT = 1024
 
 
@@ -313,17 +317,15 @@ class LpOracle:
         items ascending, then bins ascending: the order that Bellman-Ford's
         tie-breaks depend on.
 
-        ``start`` is a state of the cold solve, such as the empty flow or
+        One :func:`._flow.resume` call runs it. Without ``warm``, ``start``
+        is a state of the cold solve, such as the empty flow or
         :meth:`_replay`'s, which the solve continues. With ``warm``, it is
         instead the optimal flows of a subset of ``items``, from which the
         problem is re-optimised.
         """
         supply = [self._shat[i] for i in items]
         arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in self._arcs[i]]
-        preload = [start.get((items[k], j), 0) for k, j, _cost in arcs]
-        if warm:
-            _flow, cost, flows = reoptimize(supply, self._demand, arcs, preload)
-        else:
-            _flow, cost, flows = transport(supply, self._demand, arcs, preload=preload)
+        flows = [start.get((items[k], j), 0) for k, j, _cost in arcs]
+        _flow, cost, flows = resume(supply, self._demand, arcs, flows, warm)
         y = {(items[k], j): units for (k, j, _cost), units in zip(arcs, flows) if units > 0}
         return -cost, y

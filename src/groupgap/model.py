@@ -290,9 +290,14 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
     if grouped != seen_items:
         missing = sorted(seen_items - grouped)
         raise ValidationError(f"items {missing} belong to no group")
-    for (i, j), p in inst.profits.items():
+    for key, p in inst.profits.items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise ValidationError(f"profit key {key!r} is not an (item, bin) pair")
+        i, j = key
         if i not in seen_items:
             raise ValidationError(f"profit entry references unknown item {i}")
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise ValidationError(f"profit for item {i} has bin index {j!r}, not an int")
         if not 0 <= j < inst.m:
             raise ValidationError(
                 f"profit for item {i} references bin {j + 1}, valid range is 1..{inst.m}"

@@ -152,8 +152,6 @@ def complete_matching(g: SlotGraph) -> dict[int, Slot]:
     min-cost flow of that many units).
     """
     n = len(g.items)
-    if n == 0:
-        return {}
     shift = 1 + sum(g.weight_units)
     item_pos = {i: k for k, i in enumerate(g.items)}
     slot_pos = {s: k for k, s in enumerate(g.slots)}

@@ -106,8 +106,9 @@ def _greedy_mask(
 
 
 # Oracle misses the branch-and-bound may spend before it hands over to the
-# guess-greedy. The most any measured instance needed is 714 (generator
-# uniform 120 items / 32 groups / 16 bins, seed 2); the budget is over 5x that.
+# guess-greedy. Generator seed 1 needs 2,200 on uniform 240 items / 64
+# groups / 24 bins and 1,538 on uniform 200 / 48 / 20; the budget is under
+# 2x the larger.
 _SOLVE_BUDGET = 4096
 
 # Seed-set size of the guess-greedy fallback, and the k of the ratio bound:

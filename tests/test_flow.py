@@ -1,12 +1,14 @@
-"""FlowNetwork, transport and reoptimize against full-scan references and
+"""FlowNetwork, transport and resume against full-scan references and
 cold solves, on plain costs and under the node potential that makes a run
-ship every unit (the rounding's matching)."""
+ship every unit (the rounding's matching). ``resume`` runs from a start
+flow: a state of the cold run, which it continues, or, warm, a subset's
+optimum, which it re-optimises for every left node."""
 
 import random
 
 import pytest
 
-from groupgap._flow import FlowNetwork, reoptimize, replay, transport
+from groupgap._flow import FlowNetwork, replay, resume, transport
 from groupgap.errors import InvariantViolated
 
 from conftest import adjacency, augment, bipartite_states, full_scan_shortest_path
@@ -81,8 +83,8 @@ def assert_live_lists(net):
 
 def test_live_lists_follow_every_capacity_change(monkeypatch):
     """After construction, with and without preloaded flows, and after every
-    augmentation, on plain and shifted costs and through ``transport`` and
-    ``reoptimize`` (which build their networks internally)."""
+    augmentation, on plain and shifted costs and through cold and warm
+    ``resume`` runs (which build their networks internally)."""
     counts = {"built": 0, "augmented": 0, "filled": 0, "inserted_before_last": 0}
     run, augment_step = FlowNetwork.run, FlowNetwork._augment
 
@@ -114,11 +116,11 @@ def test_live_lists_follow_every_capacity_change(monkeypatch):
         supply, demand, arcs = random_bipartite(rng)
         # From the zero flow without the replay, so every call builds a network.
         zero = [0] * len(arcs)
-        transport(supply, demand, arcs, preload=zero)
-        transport(supply, demand, shifted(arcs)[1], preload=zero)
+        resume(supply, demand, arcs, zero, False)
+        resume(supply, demand, shifted(arcs)[1], zero, False)
         old = [units if rng.random() < 0.6 else 0 for units in supply]
-        _flow, _cost, start = transport(old, demand, arcs, preload=zero)
-        reoptimize(supply, demand, arcs, start)
+        _flow, _cost, start = resume(old, demand, arcs, zero, False)
+        resume(supply, demand, arcs, start, True)
     assert counts["built"] == 1200 and counts["augmented"] > 900
     assert counts["filled"] > 1000 and counts["inserted_before_last"] > 800
 
@@ -237,7 +239,7 @@ def test_preloaded_flows_fill_the_twins():
 
 def test_reoptimize_reaches_the_cold_optimum():
     """Start from the optimum with some left nodes unsupplied, then supply
-    them all: the start cost plus the re-optimisation's equals the cold cost."""
+    them all: the start cost plus the warm run's equals the cold cost."""
     rng = random.Random(73)
     warm_pushes = 0
     for _ in range(300):
@@ -245,7 +247,7 @@ def test_reoptimize_reaches_the_cold_optimum():
         old = [units if rng.random() < 0.6 else 0 for units in supply]
         _flow, start_cost, start = transport(old, demand, arcs)
         _flow, cold_cost, _flows = transport(supply, demand, arcs)
-        flow, cost, flows = reoptimize(supply, demand, arcs, start)
+        flow, cost, flows = resume(supply, demand, arcs, start, True)
         assert cost <= 0
         assert start_cost + cost == cold_cost
         warm_pushes += flow > 0
@@ -269,14 +271,14 @@ def test_negative_cycle_raises_instead_of_looping():
     # Left node 0 starts in right node 0 although right node 1 pays more.
     supply, demand, arcs = [2, 1], [2, 2], [(0, 0, -1), (0, 1, -3), (1, 0, -1)]
     with pytest.raises(InvariantViolated, match="negative cycle"):
-        reoptimize(supply, demand, arcs, [2, 0, 0])
+        resume(supply, demand, arcs, [2, 0, 0], True)
 
 
 @pytest.mark.parametrize("mode", ["profit", "shifted"])
 def test_preloaded_transport_resumes_the_cold_run(mode):
-    """Preloaded with the cold run's state after any number of its
-    augmentations, ``transport`` ends at the cold run's flows, and the
-    preload's cost plus the run's is the cold cost."""
+    """Started from the cold run's state after any number of its
+    augmentations, a cold ``resume`` ends at the cold run's flows, and the
+    start flow's cost plus the run's is the cold cost."""
     rng = random.Random(89 if mode == "profit" else 97)
     resumed = 0
     for _ in range(200):
@@ -285,7 +287,7 @@ def test_preloaded_transport_resumes_the_cold_run(mode):
         cold_flows, cold_flow, cold_cost = states[-1]
         assert transport(supply, demand, arcs) == (cold_flow, cold_cost, cold_flows)
         for preload, flow, cost in states:
-            got = transport(supply, demand, arcs, preload=preload)
+            got = resume(supply, demand, arcs, preload, False)
             assert got == (cold_flow - flow, cold_cost - cost, cold_flows)
             resumed += 0 < flow < cold_flow
     assert resumed > 100
@@ -293,7 +295,7 @@ def test_preloaded_transport_resumes_the_cold_run(mode):
 
 def test_preload_outside_the_capacities_raises():
     supply, demand, arcs = [2, 1], [2, 2], [(0, 0, -1), (0, 1, -3), (1, 0, -1)]
-    assert transport(supply, demand, arcs, preload=[0, 0, 0]) == transport(supply, demand, arcs)
+    assert resume(supply, demand, arcs, [0, 0, 0], False) == transport(supply, demand, arcs)
     bad = (
         [-1, 0, 0],  # a negative arc flow
         [0, 0, 2],  # more than left node 1 supplies
@@ -302,8 +304,9 @@ def test_preload_outside_the_capacities_raises():
         [0, 0],  # not one flow per arc
     )
     for preload in bad:
-        with pytest.raises(ValueError):
-            transport(supply, demand, arcs, preload=preload)
+        for warm in (False, True):
+            with pytest.raises(ValueError):
+                resume(supply, demand, arcs, preload, warm)
 
 
 def tied_bipartite(rng):

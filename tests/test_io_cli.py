@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from groupgap.errors import (
     ValidationError,
 )
 from groupgap.generate import GeneratorSpec, generate
+from groupgap.lp_oracle import LpOracle
 from groupgap.model import Assignment, parse_rational, validate_instance
 from groupgap.pipeline import solve
 
@@ -154,6 +156,31 @@ def test_cli_solve_exits_3_when_a_certificate_fails(tmp_path, capsys, monkeypatc
     assert "FAILED" in capsys.readouterr().out
     assert main(["solve", str(path), "--json"]) == 3
     assert json.loads(capsys.readouterr().out)["certificates"]["final_feasible"] is False
+
+
+def test_fractional_matches_group_lp_fires(tmp_path, capsys, monkeypatch):
+    """An LP solution worth one unit of ``1 / cost_den`` less than the
+    selected groups' LP value fails that certificate and no other, and
+    ``groupgap solve`` exits 3 on it."""
+    solution = LpOracle.solution
+
+    def one_unit_short(oracle, item_ids):
+        x = solution(oracle, item_ids)
+        return dataclasses.replace(x, value=x.value - Fraction(1, oracle.cost_den))
+
+    monkeypatch.setattr(LpOracle, "solution", one_unit_short)
+    inst = worked_example(m=3)
+    _assignment, report = solve(inst)
+    assert report.fractional_value < report.group_lp_value
+    failed = [name for name, ok in report.certificates.items() if not ok]
+    assert failed == ["fractional_matches_group_lp"]
+    path = tmp_path / "inst.json"
+    io.save_instance(inst, path)
+    assert main(["solve", str(path)]) == 3
+    assert "FAILED" in capsys.readouterr().out
+    assert main(["solve", str(path), "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert [name for name, ok in doc["certificates"].items() if not ok] == failed
 
 
 def test_cli_solve_reports_stage_input_errors_as_internal(tmp_path, capsys, monkeypatch):

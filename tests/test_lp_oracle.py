@@ -565,14 +565,17 @@ def saturation_profit_neutral():
 
 
 def warm_gain_nonnegative():
-    lp_oracle.reoptimize = lambda supply, demand, arcs, start: (1, 1, start)
+    resume = lp_oracle.resume  # only the warm run loses value
+    lp_oracle.resume = lambda supply, demand, arcs, start, warm: (
+        (1, 1, start) if warm else resume(supply, demand, arcs, start, warm)
+    )
     oracle = lp_oracle.LpOracle(instance())
     oracle.value([1, 2])
     oracle.value([1, 2, 3])
 
 
 def continued_gain_nonnegative():
-    lp_oracle.transport = lambda supply, demand, arcs, preload: (1, 1, preload)
+    lp_oracle.resume = lambda supply, demand, arcs, start, warm: (1, 1, start)
     lp_oracle.LpOracle(instance()).value([1, 2])
 
 

@@ -179,6 +179,27 @@ def test_validate_rejects_bad_number_types():
     validate_instance(groupgap.Instance(2, (groupgap.Item(1, 1),), (group,), {(1, 0): 4}))
 
 
+def test_validate_rejects_malformed_profit_keys():
+    """A profit key that is not an (item, bin) pair, or a bin index that is
+    not an int (a bool included), is a ValidationError from every entry
+    point, never a TypeError or a profit dropped without a word."""
+    item = groupgap.Item(id=1, size=F(1, 2))
+    group = groupgap.Group(id=0, members=(1,))
+    cases = [
+        (1, r"^profit key 1 is not an \(item, bin\) pair$"),
+        ((1, 0, 0), r"^profit key \(1, 0, 0\) is not an \(item, bin\) pair$"),
+        ((1, "0"), r"^profit for item 1 has bin index '0', not an int$"),
+        ((1, 0.5), r"^profit for item 1 has bin index 0\.5, not an int$"),
+        ((1, True), r"^profit for item 1 has bin index True, not an int$"),
+    ]
+    entry_points = [validate_instance, solve, upper_bound, solve_exact]
+    for key, message in cases:
+        inst = groupgap.Instance(2, (item,), (group,), {key: F(3)})
+        for call in entry_points:
+            with pytest.raises(ValidationError, match=message):
+                call(inst)
+
+
 def test_assignment_profit_examples():
     inst = make_instance(
         2,

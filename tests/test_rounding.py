@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from groupgap._flow import FlowNetwork
+from groupgap._flow import FlowNetwork, transport
 from groupgap.errors import InvariantViolated, PreconditionViolated
 from groupgap.model import (
     FractionalSolution,
@@ -135,6 +135,12 @@ def test_complete_matching_guards_an_unmatched_item():
     )
     with pytest.raises(InvariantViolated, match=r"^matched only 1 of 2 items; slot graph"):
         complete_matching(g)
+
+
+def test_empty_network_ships_nothing():
+    """No items: the replay ends the run at once, and the matching is empty."""
+    assert transport([], [], []) == (0, 0, [])
+    assert complete_matching(SlotGraph(items=(), slots=(), edges=(), weight_units=())) == {}
 
 
 def test_matching_weight_at_least_fractional_value_fuzz():
