@@ -9,8 +9,11 @@ rule: it names two outcomes, and the items each outcome leaves in their own
 bin, taken over both outcomes, partition the items of the move's bins. So
 one outcome leaves at least half their profit in place, and
 :meth:`_FillState.choose` applies that one. Items that move to another bin
-only add profit; items that no bin holds afterwards are evicted. In
-priority order, with the overfull bin's sides A and B:
+only add profit; items that no bin holds afterwards are evicted.
+
+Filling is one loop: each pass applies the first move of this priority
+list that applies (:func:`_next_move`), with the overfull bin's sides A
+and B, until no bin is overfull:
 
 - keep-better-half (no big): keep side A, or keep side B.
 - swap-with-vacant (one big; partner V): keep the big's side and V, or
@@ -22,6 +25,11 @@ priority order, with the overfull bin's sides A and B:
 - split-across-vacants (two bigs that fit no partner; partners V1, V2):
   keep A and V1 and move B into V2, or keep B and V2 and move A into V1,
   each in place of the receiving partner's items.
+
+Once a split applies, only splits follow. A split resolves its three bins
+and leaves every other bin as it was, and semi-vacant bins only drop out,
+so every overfull bin left still holds two bigs that fit no semi-vacant
+bin: no one-partner move becomes possible after a split.
 
 Every evicted item is small: a big item either stays or moves, and a
 semi-vacant partner holds only small items. A bin that took part in a move
@@ -67,42 +75,32 @@ class FillStep:
     counts: tuple[int, int] | None = None  # (overfull, semi-vacant) when splitting
 
 
-def removal_witness(inst: Instance, bin_items: frozenset[int]) -> int | None:
-    """Largest item whose removal brings the bin to load <= 1 (ties: lowest id)."""
-    units = inst._units
-    sizes = units.sizes
-    load = units.load(bin_items)
-    candidates = [i for i in bin_items if load - sizes[i] <= units.scale]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda i: (-sizes[i], i))
-
-
 def feasible_partition(
-    inst: Instance, bin_items: frozenset[int], witness: int
+    inst: Instance, bin_items: frozenset[int]
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Split a bin's items into two feasible halves, the first holding ``witness``.
+    """Split a bin's items into two feasible sides, the first holding its witness.
 
-    Small items are first-fit packed (largest first, ties by id) onto the
+    The witness is the largest item whose removal leaves load <= 1 (ties:
+    lowest id); a bin without one raises ``PreconditionViolated``. Small
+    items are first-fit packed (largest first, ties by id) onto the
     witness side while it stays within capacity; everything else falls to
     the other side, which is feasible because removing the witness already
     leaves at most one unit. A bin with two big items necessarily ends with
     one on each side.
     """
-    if witness not in bin_items:
-        raise ValueError(f"witness {witness} not in bin")
     units = inst._units
     sizes, scale = units.sizes, units.scale
-    rest = bin_items - {witness}
-    rest_load = units.load(rest)
-    if rest_load > scale:
+    load = units.load(bin_items)
+    fits = [i for i in bin_items if load - sizes[i] <= scale]
+    if not fits:
         raise PreconditionViolated(
-            f"removing {witness} leaves load {Fraction(rest_load, scale)} > 1"
+            f"no single removal brings load {Fraction(load, scale)} to at most 1"
         )
+    witness = min(fits, key=lambda i: (-sizes[i], i))
     side_a = {witness}
     size_a = sizes[witness]
     side_b: set[int] = set()
-    for i in sorted(rest, key=lambda i: (-sizes[i], i)):
+    for i in sorted(bin_items - {witness}, key=lambda i: (-sizes[i], i)):
         if 2 * sizes[i] <= scale and size_a + sizes[i] <= scale:
             side_a.add(i)
             size_a += sizes[i]
@@ -188,10 +186,7 @@ class _FillState:
         self, j: int, lead: int | None = None
     ) -> tuple[frozenset[int], frozenset[int]]:
         """Bin j's :func:`feasible_partition`, the side holding ``lead`` first."""
-        witness = removal_witness(self.inst, frozenset(self.bins[j]))
-        if witness is None:
-            raise PreconditionViolated(f"bin {j} overflows by more than one item")
-        side_a, side_b = feasible_partition(self.inst, frozenset(self.bins[j]), witness)
+        side_a, side_b = feasible_partition(self.inst, frozenset(self.bins[j]))
         return (side_b, side_a) if lead in side_b else (side_a, side_b)
 
     def evict(self, items: Iterable[int]) -> tuple[int, ...]:
@@ -258,6 +253,45 @@ class _FillState:
         )
 
 
+def _next_move(st: _FillState) -> tuple | None:
+    """The first move in priority order that applies to ``st``, as the
+    arguments of :meth:`_FillState.choose`; None once no bin is overfull."""
+    over = st.overfull()
+    if not over:
+        return None
+    bigs = {j: st.bigs(j) for j in over}
+    for j in over:
+        if not bigs[j]:
+            side_a, side_b = st.partition(j)
+            return KEEP_BETTER_HALF, [j], {j: side_a}, {j: side_b}
+    vac = st.vacant()
+    one_big = [j for j in over if len(bigs[j]) == 1]
+    if one_big and vac:
+        j, partner = one_big[0], vac[0]
+        big_side, rest = st.partition(j, bigs[j][0])
+        return SWAP_WITH_VACANT, [j, partner], {j: big_side}, {j: rest, partner: big_side}
+    # With a semi-vacant bin left, every overfull bin here holds two bigs.
+    for j in over:
+        for v in vac:
+            movers = [i for i in bigs[j] if st.sizes[i] + st.loads[v] <= st.scale]
+            if movers:
+                mover_side, other = st.partition(j, movers[0])
+                first = {j: other, v: st.bins[v] | {movers[0]}}
+                return MOVE_BIG_TO_VACANT, [j, v], first, {j: mover_side, v: other}
+    # Only splits are left: each overfull bin holds two bigs that fit no
+    # semi-vacant bin, and there are more than two semi-vacant bins per
+    # overfull one.
+    for j in over:
+        if len(bigs[j]) != 2:
+            raise InvariantViolated(f"overfull bin {j} survived with {len(bigs[j])} bigs")
+    if not len(vac) > 2 * len(over):
+        raise InvariantViolated(f"semi-vacant surplus guard failed: {len(vac)} <= 2 * {len(over)}")
+    j, vac1, vac2 = over[0], vac[0], vac[1]
+    side_a, side_b = st.partition(j)
+    first, second = {j: side_a, vac2: side_b}, {j: side_b, vac1: side_a}
+    return SPLIT_ACROSS_VACANTS, [j, vac1, vac2], first, second, (len(over), len(vac))
+
+
 def make_feasible_traced(
     inst: Instance, u: Assignment
 ) -> tuple[Assignment, tuple[FillStep, ...]]:
@@ -265,8 +299,8 @@ def make_feasible_traced(
 
     Requires an almost feasible input with one bin per instance bin, each
     of the instance's items in at most one of them and no other item,
-    whose items total at most half the capacity; outside that regime no profit guarantee exists and the call
-    fails fast.
+    whose items total at most half the capacity; outside that regime no
+    profit guarantee exists and the call fails fast.
     """
     if not _well_formed(inst, u):
         raise PreconditionViolated(f"input needs {inst.m} bins of its items, each in at most one")
@@ -282,79 +316,8 @@ def make_feasible_traced(
             f" {Fraction(inst.m, 2)}"
         )
     start_profit = st.units.earned(u)
-
-    # First the moves needing at most one partner, re-scanned in priority
-    # order after every application.
-    while True:
-        over = st.overfull()
-        if not over:
-            break
-        no_big = [j for j in over if len(st.bigs(j)) == 0]
-        if no_big:
-            j = no_big[0]
-            side_a, side_b = st.partition(j)
-            st.choose(KEEP_BETTER_HALF, [j], {j: side_a}, {j: side_b})
-            continue
-        vac = st.vacant()
-        one_big = [j for j in over if len(st.bigs(j)) == 1]
-        if one_big and vac:
-            j, partner = one_big[0], vac[0]
-            big_side, rest = st.partition(j, st.bigs(j)[0])
-            st.choose(SWAP_WITH_VACANT, [j, partner], {j: big_side}, {j: rest, partner: big_side})
-            continue
-        fired = False
-        for j in over:
-            bigs = st.bigs(j)
-            if len(bigs) != 2:
-                continue
-            for candidate in vac:
-                movers = [i for i in bigs if sizes[i] + st.loads[candidate] <= scale]
-                if movers:
-                    mover_side, other = st.partition(j, movers[0])
-                    st.choose(
-                        MOVE_BIG_TO_VACANT,
-                        [j, candidate],
-                        {j: other, candidate: st.bins[candidate] | {movers[0]}},
-                        {j: mover_side, candidate: other},
-                    )
-                    fired = True
-                    break
-            if fired:
-                break
-        if not fired:
-            break
-
-    # Any surviving overfull bin must hold exactly two bigs, none of which
-    # fits a remaining semi-vacant bin; otherwise a move above was missed.
-    over = st.overfull()
-    vac = st.vacant()
-    for j in over:
-        if len(st.bigs(j)) != 2:
-            raise InvariantViolated(f"overfull bin {j} survived with {len(st.bigs(j))} bigs")
-        for i in st.bigs(j):
-            for candidate in vac:
-                if sizes[i] + st.loads[candidate] <= scale:
-                    raise InvariantViolated(f"big {i} fits bin {candidate} but no move fired")
-
-    while True:
-        over = st.overfull()
-        if not over:
-            break
-        vac = st.vacant()
-        counts = (len(over), len(vac))
-        if not len(vac) > 2 * len(over):
-            raise InvariantViolated(
-                f"semi-vacant surplus guard failed: {len(vac)} <= 2 * {len(over)}"
-            )
-        j, vac1, vac2 = over[0], vac[0], vac[1]
-        side_a, side_b = st.partition(j)
-        st.choose(
-            SPLIT_ACROSS_VACANTS,
-            [j, vac1, vac2],
-            {j: side_a, vac2: side_b},
-            {j: side_b, vac1: side_a},
-            counts,
-        )
+    while (move := _next_move(st)) is not None:
+        st.choose(*move)
 
     st.trace.extend(_reinsert(inst, st.bins, st.loads, st.evicted))
 

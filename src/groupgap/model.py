@@ -245,16 +245,24 @@ def validate_fractional(inst: Instance, x: FractionalSolution) -> None:
         raise ValidationError("cached fractional value does not match entries")
 
 
+def _is_int(x: object) -> bool:
+    """An int that is not a bool (``True`` is an int equal to 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_instance(inst: Instance, strict: bool = False) -> None:
     """Check all structural invariants of an instance.
 
     ``strict`` additionally enforces the group-size cap s(G) <= m/2 that the
     end-to-end profit guarantee requires.
     """
-    if isinstance(inst.m, bool) or not isinstance(inst.m, int) or inst.m < 1:
+    if not _is_int(inst.m) or inst.m < 1:
         raise ValidationError(f"bin count m must be a positive int, got {inst.m!r}")
     seen_items: set[int] = set()
     for it in inst.items:
+        # True and 1.0 hash and compare equal to 1, so an id must be an int.
+        if not _is_int(it.id):
+            raise ValidationError(f"item id {it.id!r} is not an int")
         if it.id in seen_items:
             raise ValidationError(f"duplicate item id {it.id}")
         seen_items.add(it.id)
@@ -272,6 +280,8 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
     grouped: set[int] = set()
     seen_groups: set[int] = set()
     for g in inst.groups:
+        if not _is_int(g.id):
+            raise ValidationError(f"group id {g.id!r} is not an int")
         if g.id in seen_groups:
             raise ValidationError(f"duplicate group id {g.id}")
         seen_groups.add(g.id)
@@ -279,6 +289,8 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
             raise ValidationError(f"group {g.id} is empty")
         listed: set[int] = set()
         for i in g.members:
+            if not _is_int(i):
+                raise ValidationError(f"group {g.id} lists item {i!r}, not an int")
             if i not in seen_items:
                 raise ValidationError(f"group {g.id} references unknown item {i}")
             if i in listed:
@@ -294,9 +306,11 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
         if not isinstance(key, tuple) or len(key) != 2:
             raise ValidationError(f"profit key {key!r} is not an (item, bin) pair")
         i, j = key
+        if not _is_int(i):
+            raise ValidationError(f"profit key {key!r} has item {i!r}, not an int")
         if i not in seen_items:
             raise ValidationError(f"profit entry references unknown item {i}")
-        if isinstance(j, bool) or not isinstance(j, int):
+        if not _is_int(j):
             raise ValidationError(f"profit for item {i} has bin index {j!r}, not an int")
         if not 0 <= j < inst.m:
             raise ValidationError(

@@ -9,11 +9,12 @@ from groupgap.filling import (
     MOVE_BIG_TO_VACANT,
     REINSERT,
     SPLIT_ACROSS_VACANTS,
+    SWAP_WITH_VACANT,
     _FillState,
+    _next_move,
     feasible_partition,
     _reinsert,
     make_feasible_traced,
-    removal_witness,
 )
 from groupgap.model import (
     Assignment,
@@ -26,12 +27,12 @@ from conftest import F, make_instance, random_almost_feasible, worked_example
 
 def test_partition_witness_alone():
     inst = make_instance(1, {1: F(3, 5)}, [[1]], {})
-    assert feasible_partition(inst, frozenset({1}), 1) == (frozenset({1}), frozenset())
+    assert feasible_partition(inst, frozenset({1})) == (frozenset({1}), frozenset())
 
 
 def test_partition_two_bigs_split():
     inst = make_instance(1, {1: F(3, 5), 2: F(3, 5)}, [[1, 2]], {})
-    side_a, side_b = feasible_partition(inst, frozenset({1, 2}), 1)
+    side_a, side_b = feasible_partition(inst, frozenset({1, 2}))
     assert side_a == {1} and side_b == {2}
 
 
@@ -39,25 +40,31 @@ def test_partition_first_fit_trace():
     inst = make_instance(
         1, {1: F(3, 5), 2: F(3, 10), 3: F(1, 2)}, [[1, 2, 3]], {}
     )
-    side_a, side_b = feasible_partition(inst, frozenset({1, 2, 3}), 1)
+    side_a, side_b = feasible_partition(inst, frozenset({1, 2, 3}))
     assert side_a == {1, 2} and side_b == {3}
     assert inst.total_size(side_a) == F(9, 10)
     assert inst.total_size(side_b) == F(1, 2)
 
 
 def test_partition_rejects_bad_witness():
+    # Removing any one of three 3/5 items leaves 6/5: the bin has no witness.
     inst = make_instance(1, {1: F(3, 5), 2: F(3, 5), 3: F(3, 5)}, [[1, 2, 3]], {})
-    with pytest.raises(PreconditionViolated, match=r"^removing 1 leaves load 6/5 > 1$"):
-        feasible_partition(inst, frozenset({1, 2, 3}), 1)
+    message = r"^no single removal brings load 9/5 to at most 1$"
+    with pytest.raises(PreconditionViolated, match=message):
+        feasible_partition(inst, frozenset({1, 2, 3}))
 
 
 def test_removal_witness_prefers_largest_then_lowest_id():
+    # The witness leads the first side. Items 1 and 2 tie as the largest
+    # removable items, so 1 leads; removing 3 leaves 6/5.
     inst = make_instance(
         1, {1: F(3, 5), 2: F(3, 5), 3: F(1, 5)}, [[1, 2, 3]], {}
     )
-    assert removal_witness(inst, frozenset({1, 2, 3})) == 1
+    assert feasible_partition(inst, frozenset({1, 2, 3})) == ({1, 3}, {2})
+    # 2 is the largest removable item; with 3 leading the sides would be
+    # ({1, 3}, {2}).
     big_first = make_instance(1, {1: F(1, 5), 2: F(4, 5), 3: F(2, 5)}, [[1, 2, 3]], {})
-    assert removal_witness(big_first, frozenset({1, 2, 3})) == 2
+    assert feasible_partition(big_first, frozenset({1, 2, 3})) == ({1, 2}, {3})
 
 
 def test_feasible_input_unchanged():
@@ -140,6 +147,60 @@ def test_split_across_vacants_fires_when_every_vacant_blocks():
     assert vacant_count > 2 * over_count
 
 
+def test_splits_follow_every_one_partner_move():
+    # Bin 1 has no big, bin 2 one big, bin 0 two 7/8 bigs that fit none of
+    # the eight semi-vacant bins of 3/16. The random draws of the fuzz test
+    # never mix a split with another move; this one does.
+    sizes = {1: F(7, 8), 2: F(7, 8), 3: F(3, 8), 4: F(3, 8), 5: F(3, 8), 6: F(5, 8), 7: F(1, 2)}
+    bins = [[1, 2], [3, 4, 5], [6, 7]]
+    for k in range(8):
+        sizes[8 + k] = F(3, 16)
+        bins.append([8 + k])
+    profits = {(i, j): F(1 + i) for j, b in enumerate(bins) for i in b}
+    inst = make_instance(11, sizes, [sorted(sizes)], profits)
+    fixed, trace = make_feasible_traced(inst, Assignment(bins=tuple(frozenset(b) for b in bins)))
+    assert is_feasible(inst, fixed)
+    moves = [(s.kind, s.bins) for s in trace if s.kind != REINSERT]
+    assert moves == [
+        (KEEP_BETTER_HALF, (1,)),
+        (SWAP_WITH_VACANT, (2, 3)),
+        (SPLIT_ACROSS_VACANTS, (0, 4, 5)),
+    ]
+
+
+def test_next_move_guards_an_overfull_bin_with_one_big_and_no_partner():
+    # 3/5 + 1/4 + 1/4: overfull with one big, and no semi-vacant bin to swap with.
+    inst = make_instance(1, {1: F(3, 5), 2: F(1, 4), 3: F(1, 4)}, [[1, 2, 3]], {})
+    st = _FillState(inst, Assignment(bins=(frozenset({1, 2, 3}),)))
+    with pytest.raises(InvariantViolated, match=r"^overfull bin 0 survived with 1 bigs$"):
+        _next_move(st)
+
+
+def test_next_move_guards_the_semi_vacant_surplus():
+    # Two bins of two 3/5 bigs; each of the two semi-vacant bins holds 9/20,
+    # too much for either big, and two partners are too few for two splits.
+    sizes = {1: F(3, 5), 2: F(3, 5), 3: F(3, 5), 4: F(3, 5), 5: F(9, 20), 6: F(9, 20)}
+    inst = make_instance(4, sizes, [sorted(sizes)], {})
+    bins = ({1, 2}, {3, 4}, {5}, {6})
+    st = _FillState(inst, Assignment(bins=tuple(frozenset(b) for b in bins)))
+    with pytest.raises(InvariantViolated, match=r"^semi-vacant surplus guard failed: 2 <= 2 \* 2$"):
+        _next_move(st)
+
+
+def test_evict_guards_a_big_item():
+    inst = make_instance(1, {1: F(3, 4)}, [[1]], {})
+    st = _FillState(inst, Assignment(bins=(frozenset({1}),)))
+    with pytest.raises(InvariantViolated, match=r"^big item 1 evicted; only small items may be$"):
+        st.evict([1])
+
+
+def test_set_bin_guards_a_load_above_one():
+    inst = make_instance(2, {1: F(3, 5), 2: F(3, 5)}, [[1, 2]], {})
+    st = _FillState(inst, Assignment(bins=(frozenset({1}), frozenset({2}))))
+    with pytest.raises(InvariantViolated, match=r"^a move left bin 0 at load 6/5 > 1$"):
+        st.set_bin(0, {1, 2})
+
+
 def reinserted(inst, u, evicted):
     """``_reinsert`` on a copy of ``u``'s bins, at their loads."""
     bins = [set(b) for b in u.bins]
@@ -207,6 +268,11 @@ def test_fill_fuzz_guarantees():
                 assert vacant_count > 2 * over_count
             if step.kind != REINSERT:
                 assert 2 * step.profit_after >= step.profit_before
+        # Once a split applies, no one-partner move follows.
+        moves = [step.kind for step in trace if step.kind != REINSERT]
+        if SPLIT_ACROSS_VACANTS in moves:
+            first_split = moves.index(SPLIT_ACROSS_VACANTS)
+            assert set(moves[first_split:]) == {SPLIT_ACROSS_VACANTS}
         evicted = [i for step in trace if step.kind != REINSERT for i in step.evicted]
         reinserts = [step for step in trace if step.kind == REINSERT]
         assert len(reinserts) == len(evicted)

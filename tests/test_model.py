@@ -200,6 +200,31 @@ def test_validate_rejects_malformed_profit_keys():
                 call(inst)
 
 
+def test_validate_rejects_ids_that_are_not_ints():
+    """True and 1.0 hash and compare equal to 1, so as an item id, a group
+    id, a group member or a profit key's item they would pass for item or
+    group 1. Each is a ValidationError from every entry point."""
+    entry_points = [validate_instance, solve, upper_bound, solve_exact]
+    for one in (True, 1.0):
+        # (item id, group id, group member, profit key's item, message)
+        cases = [
+            (one, 0, one, 1, rf"^item id {one!r} is not an int$"),
+            (1, one, 1, 1, rf"^group id {one!r} is not an int$"),
+            (1, 0, one, 1, rf"^group 0 lists item {one!r}, not an int$"),
+            (1, 0, 1, one, rf"^profit key \({one!r}, 0\) has item {one!r}, not an int$"),
+        ]
+        for item, group, member, key_item, message in cases:
+            inst = groupgap.Instance(
+                2,
+                (groupgap.Item(item, F(1, 2)),),
+                (groupgap.Group(group, (member,)),),
+                {(key_item, 0): F(3)},
+            )
+            for call in entry_points:
+                with pytest.raises(ValidationError, match=message):
+                    call(inst)
+
+
 def test_assignment_profit_examples():
     inst = make_instance(
         2,
