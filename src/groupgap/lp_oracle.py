@@ -24,6 +24,12 @@ same units and the same flows, in the same order. That covers every set
 whose items each fit into one of their most profitable bins. Items
 without a positive profit have no arc and ship nothing either way.
 
+Memo. Every LP value is kept as an int in units of ``1 / cost_den``, and
+:meth:`LpOracle._value_units` is the one read of it: it looks the set up,
+solves a miss and keeps its value and flow. The selection search reads
+those ints directly; :meth:`LpOracle.value` wraps them in a Fraction for
+every other caller.
+
 Warm start. Next to the memo of values, the oracle keeps the optimal
 flows of the last ``_FLOWS_KEPT`` sets it solved. A miss for S that the
 replay does not finish leaves some items unshipped: those with a positive
@@ -79,7 +85,8 @@ from .model import ZERO, FractionalSolution, Instance
 # seed 1 needs 2,200 solves on uniform 240 items / 64 groups / 24 bins and
 # 1,538 on uniform 200 / 48 / 20. There the selected set's flow is evicted
 # before :meth:`LpOracle.solution` asks for it, and ``solution`` solves the
-# set again.
+# set again. A warm start's base is found among these sets;
+# :meth:`LpOracle._base` says why the search's node is not passed instead.
 _FLOWS_KEPT = 1024
 
 
@@ -96,10 +103,10 @@ class LpOracle:
 
     Values are cached per item-id set, since the submodular search issues
     many repeated queries, and so are the optimal flows of the latest
-    solves; :meth:`value` writes both, so one oracle serves one instance in
-    one thread. A miss starts with the replay of the cold solve's first
-    augmenting paths, which answers it where every item with a positive
-    profit ships whole to a most profitable bin. Otherwise it is
+    solves; :meth:`_value_units` writes both, so one oracle serves one
+    instance in one thread. A miss starts with the replay of the cold
+    solve's first augmenting paths, which answers it where every item with
+    a positive profit ships whole to a most profitable bin. Otherwise it is
     re-optimised from the largest kept proper subset that holds at least
     half of its items and lacks fewer of them than the replay left
     unshipped, or the cold solve goes on from the replay when there is none
@@ -116,19 +123,22 @@ class LpOracle:
     integers only: with ``P = p_ij * profit_den`` and
     ``g = gcd(P, profit_den * shat[i])``, the unit profit in lowest terms
     is ``(P / g) / (profit_den * shat[i] / g)``, so no rational is ever
-    multiplied or divided. Every query (:meth:`value`,
-    :meth:`solution`) goes through one solve path, :meth:`_optimum`: the
-    replay, then :meth:`_transport` where needed, which only copies ints
-    and reuses the per-instance demand list. Against
-    a table built for the queried subset alone, every capacity and every
-    cost is multiplied by one positive constant each, so Bellman-Ford's
-    strict comparisons pick the same paths and the flows and values come
-    out the same; so do the replay's, which compares costs and ids only.
+    multiplied or divided. Every query (:meth:`_value_units`, which
+    :meth:`value` wraps, and :meth:`solution`) goes through one solve
+    path, :meth:`_optimum`: the replay, then :meth:`_transport` where
+    needed, which only copies ints and reuses the per-instance demand
+    list. Against a table built for the queried subset alone, every
+    capacity and every cost is multiplied by one positive constant each,
+    so Bellman-Ford's strict comparisons pick the same paths and the flows
+    and values come out the same; so do the replay's, which compares costs
+    and ids only.
 
     The LP value is ``-cost / cost_den``, so the memo and the warm-start
-    gains are ints in units of ``1 / cost_den``; a Fraction is built only
-    where :meth:`value` returns. The read-only :attr:`cost_den` lets a
-    caller take values in those units as well.
+    gains are ints in units of ``1 / cost_den``. :meth:`_value_units` is
+    the one read of the memo: it returns that int, and the selection search
+    calls it directly, since only comparisons of values scaled by one
+    positive constant steer the search. :meth:`value` wraps it in a
+    Fraction for every other caller.
     """
 
     def __init__(self, inst: Instance):
@@ -167,14 +177,14 @@ class LpOracle:
         # sorts by their position in the network too.
         self._order = sorted((cost, j, i) for i, row in self._arcs.items() for j, cost in row)
 
-    @property
-    def cost_den(self) -> int:
-        """The common denominator of every LP value: ``value(S) * cost_den``
-        is an int for every item set S."""
-        return self._cost_den
-
     def value(self, item_ids: Iterable[int]) -> Fraction:
         """Optimal LP value with all items outside the subset forced to 0."""
+        return Fraction(self._value_units(item_ids), self._cost_den)
+
+    def _value_units(self, item_ids: Iterable[int]) -> int:
+        """:meth:`value` as an int in units of ``1 / _cost_den``: the memo's
+        own entry, so the selection search reads it with no Fraction built.
+        A miss is solved by :meth:`_optimum`, and its value and flow kept."""
         key = frozenset(item_ids)
         units = self._memo.get(key)
         if units is None:
@@ -183,16 +193,16 @@ class LpOracle:
             self._flows[key] = _Flow(y, cold)
             if len(self._flows) > _FLOWS_KEPT:
                 del self._flows[next(iter(self._flows))]
-        return Fraction(units, self._cost_den)
+        return units
 
     def _optimum(
         self, items: list[int], key: frozenset[int] | None = None
     ) -> tuple[int, dict[tuple[int, int], int], bool]:
         """(units, flows, cold): the optimum of ``items``, the one path of
         every query. The replay, where it finishes; otherwise re-optimised
-        from the base of ``key`` (:meth:`value`'s misses) if there is one,
-        and else the cold solve continued from the replay. ``cold`` is
-        False only for the re-optimised flow."""
+        from the base of ``key`` (:meth:`_value_units`'s misses) if there
+        is one, and else the cold solve continued from the replay. ``cold``
+        is False only for the re-optimised flow."""
         units, y, unshipped = self._replay(items)
         if not unshipped:
             return units, y, True
@@ -210,7 +220,18 @@ class LpOracle:
     def _base(self, key: frozenset[int], unshipped: int) -> frozenset[int] | None:
         """The largest set with a kept flow that is a proper subset of ``key``,
         holds at least half its items and lacks fewer of them than
-        ``unshipped``, the first solved among equals."""
+        ``unshipped``, the first solved among equals.
+
+        The scan is kept rather than the selection search handing over its
+        node A for a query A + e. Over the branch-and-bound's warm starts on
+        the benchmark's three workloads (seed 1) and on uniform 60/16/10,
+        120/32/16 and 200/48/20 and vod 120/24/16 (generator seeds
+        1,000,000 and up), the base found here was A in 827 of 1,834 and the
+        set A's parent evaluated for the same e in the other 1,007. Taking
+        A alone left every output the same but ran 2% more Bellman-Ford
+        searches on vod 36/6/12 and 14-24% more at 120-200 items, and the
+        kept flows are needed either way.
+        """
         least = max((len(key) + 1) // 2, len(key) - unshipped + 1)
         if least >= len(key):
             return None
@@ -222,7 +243,12 @@ class LpOracle:
         return best
 
     def group_value(self, group_ids: Iterable[int]) -> Fraction:
-        """LP value of the union of the given groups' items."""
+        """LP value of the union of the given groups' items.
+
+        The selection search does not call it (it reads
+        :meth:`_value_units` of the union), but ``groupgap oracle`` does,
+        and the traced benchmark (``perfbench/tracing.py``) times it.
+        """
         group_ids = tuple(group_ids)
         try:
             items = self.inst.group_items(group_ids)
@@ -238,10 +264,11 @@ class LpOracle:
         a post-pass distributes each item's remainder into bins with residual
         capacity (items by ascending id, bins by ascending index). Such flow
         is always profit-neutral at an optimum, so the value is preserved.
-        The optimum is a copy of the kept flow if :meth:`value` solved this
-        set cold and its flow is still kept; otherwise it is a cold solve:
-        the replay and, where it stops short, its continuation. Both are
-        the same flow, so the result never depends on earlier queries.
+        The optimum is a copy of the kept flow if :meth:`_value_units`
+        solved this set cold and its flow is still kept; otherwise it is a
+        cold solve: the replay and, where it stops short, its continuation.
+        Both are the same flow, so the result never depends on earlier
+        queries.
         """
         items = self._known(item_ids)
         total = sum((self.inst.size(i) for i in items), ZERO)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .errors import InvariantViolated, PreconditionViolated
 from .filling import FillStep, make_feasible_traced
@@ -70,22 +70,6 @@ def upper_bound(inst: Instance) -> Fraction:
     return LpOracle(inst).value(inst.item_ids)
 
 
-def _group_units(oracle: LpOracle) -> Callable[[Iterable[int]], int]:
-    """``oracle.group_value`` as an int, in units of ``1 / oracle.cost_den``.
-
-    Every call still goes through ``oracle.group_value``; only its result
-    is rescaled, by a positive constant, so the selection search compares
-    ints where it compared Fractions and chooses the same set.
-    """
-    den = oracle.cost_den
-
-    def units(group_ids: Iterable[int]) -> int:
-        value = oracle.group_value(group_ids)
-        return value.numerator * (den // value.denominator)
-
-    return units
-
-
 def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
     """Run the full pipeline: the feasible assignment and its report.
 
@@ -102,7 +86,11 @@ def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
     t0 = time.perf_counter()
     try:
         ground = [GroundElement(g.id, inst.group_size(g.id)) for g in inst.groups]
-        selected = maximize_with_reserve(_group_units(oracle), ground, Fraction(inst.m))
+        # The search reads the oracle's ints in units of 1 / _cost_den: values
+        # scaled by one positive constant, so it selects the same set.
+        selected = maximize_with_reserve(
+            lambda groups: oracle._value_units(inst.group_items(groups)), ground, Fraction(inst.m)
+        )
         t1 = time.perf_counter()
 
         selected_items = inst.group_items(selected)

@@ -70,7 +70,14 @@ class GroundElement:
 
 
 def _mask_oracle(f: Oracle, ids: Sequence[int]) -> Callable[[int], Value]:
-    """Memoized view of ``f`` on bitmasks; bit ``b`` stands for ``ids[b]``."""
+    """Memoized view of ``f`` on bitmasks; bit ``b`` stands for ``ids[b]``.
+
+    The memo stays although the LP oracle keeps one too. The
+    branch-and-bound never asks for a set twice, but the guess-greedy's
+    parts and greedy runs ask again for sets already seen, and ``f`` is
+    called once per set (``test_fallback_guesses_no_seed_above_the_capacity``
+    pins the count). Its misses are also what the solve budget counts.
+    """
     return cache(lambda mask: f(frozenset(i for b, i in enumerate(ids) if mask >> b & 1)))
 
 

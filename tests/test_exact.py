@@ -98,6 +98,40 @@ def test_limits_rejected():
         solve_exact(inst)
 
 
+SINGLES = [[i] for i in range(7)]
+
+
+def _graph(left, right):
+    return WeightedBipartiteGraph(left=left, right=right, weights={(0, 0): F(1)})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: solve_exact(make_instance(1, dict.fromkeys(range(7), F(1, 8)), SINGLES, {})),
+            r"^7 groups > limit 6$",
+        ),
+        (lambda: solve_exact(make_instance(5, {1: F(1)}, [[1]], {})), r"^5 bins > limit 4$"),
+        (lambda: matching_value(_graph(14, 1), range(13)), r"^13 left nodes > DP limit 12$"),
+        (lambda: matching_value(_graph(1, 21), [0]), r"^21 right nodes > DP limit 20$"),
+        (lambda: matching_value_table(_graph(14, 1)), r"^14 left nodes > DP limit 12$"),
+        (lambda: matching_value_table(_graph(1, 22)), r"^22 right nodes > DP limit 20$"),
+    ],
+    ids=[
+        "exact-groups",
+        "exact-bins",
+        "matching-left",
+        "matching-right",
+        "matching-table-left",
+        "matching-table-right",
+    ],
+)
+def test_size_limits_rejected(call, message):
+    with pytest.raises(LimitExceeded, match=message):
+        call()
+
+
 def test_node_budget_carries_partial_result(monkeypatch):
     monkeypatch.setattr(exact, "_NODE_BUDGET", 3)
     rng = random.Random(71)

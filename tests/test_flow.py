@@ -220,7 +220,7 @@ def test_transport_arc_flows_respect_supplies_and_demands(mode):
         assert sum(c * units for (_i, _j, c), units in zip(arcs, flows)) == cost
 
 
-def test_preloaded_flows_fill_the_twins():
+def test_start_flows_fill_the_twins():
     rng = random.Random(71)
     for _ in range(100):
         n, edges = random_edges(rng)
@@ -237,7 +237,7 @@ def test_preloaded_flows_fill_the_twins():
             FlowNetwork(2, [(0, 1, 2, 0)], flows)
 
 
-def test_reoptimize_reaches_the_cold_optimum():
+def test_warm_resume_reaches_the_cold_optimum():
     """Start from the optimum with some left nodes unsupplied, then supply
     them all: the start cost plus the warm run's equals the cold cost."""
     rng = random.Random(73)
@@ -275,7 +275,7 @@ def test_negative_cycle_raises_instead_of_looping():
 
 
 @pytest.mark.parametrize("mode", ["profit", "shifted"])
-def test_preloaded_transport_resumes_the_cold_run(mode):
+def test_cold_resume_ends_at_the_cold_run(mode):
     """Started from the cold run's state after any number of its
     augmentations, a cold ``resume`` ends at the cold run's flows, and the
     start flow's cost plus the run's is the cold cost."""
@@ -286,14 +286,14 @@ def test_preloaded_transport_resumes_the_cold_run(mode):
         arcs, states = reference_states(mode, supply, demand, arcs)
         cold_flows, cold_flow, cold_cost = states[-1]
         assert transport(supply, demand, arcs) == (cold_flow, cold_cost, cold_flows)
-        for preload, flow, cost in states:
-            got = resume(supply, demand, arcs, preload, False)
+        for start, flow, cost in states:
+            got = resume(supply, demand, arcs, start, False)
             assert got == (cold_flow - flow, cold_cost - cost, cold_flows)
             resumed += 0 < flow < cold_flow
     assert resumed > 100
 
 
-def test_preload_outside_the_capacities_raises():
+def test_start_outside_the_capacities_raises():
     supply, demand, arcs = [2, 1], [2, 2], [(0, 0, -1), (0, 1, -3), (1, 0, -1)]
     assert resume(supply, demand, arcs, [0, 0, 0], False) == transport(supply, demand, arcs)
     bad = (
@@ -303,10 +303,10 @@ def test_preload_outside_the_capacities_raises():
         [2, 0, 1],  # more than right node 0 takes
         [0, 0],  # not one flow per arc
     )
-    for preload in bad:
+    for start in bad:
         for warm in (False, True):
             with pytest.raises(ValueError):
-                resume(supply, demand, arcs, preload, warm)
+                resume(supply, demand, arcs, start, warm)
 
 
 def tied_bipartite(rng):

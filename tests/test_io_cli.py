@@ -72,6 +72,49 @@ def test_malformed_profit_names_field():
             io.instance_from_dict(doc)
 
 
+VALID_DOC = {
+    "m": 1,
+    "items": [{"id": 1, "size": "1/2"}],
+    "groups": [[1]],
+    "profits": [{"item": 1, "bin": 1, "value": "3"}],
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (None, r"^document: expected a JSON object$"),
+        ({"m": "1"}, r"^m: expected an integer, got '1'$"),
+        ({"items": {}}, r"^items: expected an array$"),
+        ({"items": [1]}, r"^items\[0\]: expected an object$"),
+        ({"groups": {}}, r"^groups: expected an array of arrays$"),
+        ({"groups": [1]}, r"^groups\[0\]: expected an array of item ids$"),
+        ({"profits": {}}, r"^profits: expected an array$"),
+        ({"profits": ["3"]}, r"^profits\[0\]: expected an object$"),
+        (
+            {"profits": [VALID_DOC["profits"][0]] * 2},
+            r"^profits\[1\]: duplicate entry for \(1, 0\)$",
+        ),
+    ],
+    ids=[
+        "not-an-object",
+        "non-integer-field",
+        "items-not-an-array",
+        "item-not-an-object",
+        "groups-not-an-array",
+        "group-not-an-array",
+        "profits-not-an-array",
+        "profit-not-an-object",
+        "duplicate-profit",
+    ],
+)
+def test_instance_from_dict_rejects_malformed_structure(change, message):
+    doc = [VALID_DOC] if change is None else {**VALID_DOC, **change}
+    io.instance_from_dict(VALID_DOC)
+    with pytest.raises(ValidationError, match=message):
+        io.instance_from_dict(doc)
+
+
 def test_report_json_round_trip():
     inst = worked_example(m=3)
     assignment, report = solve(inst)
@@ -158,29 +201,132 @@ def test_cli_solve_exits_3_when_a_certificate_fails(tmp_path, capsys, monkeypatc
     assert json.loads(capsys.readouterr().out)["certificates"]["final_feasible"] is False
 
 
-def test_fractional_matches_group_lp_fires(tmp_path, capsys, monkeypatch):
-    """An LP solution worth one unit of ``1 / cost_den`` less than the
-    selected groups' LP value fails that certificate and no other, and
-    ``groupgap solve`` exits 3 on it."""
+def _fill_returning(monkeypatch, fill):
+    """Replace the filling with ``fill(rounded)``, a well-formed assignment."""
+    monkeypatch.setattr(
+        "groupgap.pipeline.make_feasible_traced", lambda _inst, u: (fill(u), ())
+    )
+
+
+def _selection_of_every_group(monkeypatch):
+    """Select every group. The filling's precondition rejects placed items
+    above half the capacity, so the filling passes the rounding through."""
+    monkeypatch.setattr(
+        "groupgap.pipeline.maximize_with_reserve",
+        lambda _f, ground, _capacity: frozenset(e.id for e in ground),
+    )
+    _fill_returning(monkeypatch, lambda u: u)
+
+
+def _rounding_into_bin_1(monkeypatch):
+    monkeypatch.setattr(
+        "groupgap.pipeline.round_to_assignment",
+        lambda _inst, _x: Assignment(bins=(frozenset(), frozenset({1}))),
+    )
+
+
+def _lp_solution_one_unit_short(monkeypatch):
     solution = LpOracle.solution
 
     def one_unit_short(oracle, item_ids):
         x = solution(oracle, item_ids)
-        return dataclasses.replace(x, value=x.value - Fraction(1, oracle.cost_den))
+        return dataclasses.replace(x, value=x.value - Fraction(1, oracle._cost_den))
 
     monkeypatch.setattr(LpOracle, "solution", one_unit_short)
-    inst = worked_example(m=3)
+
+
+def _two_singletons(m, size, profits):
+    return make_instance(m, {1: size, 2: size}, [[1], [2]], profits)
+
+
+# Per certificate: (instance, patch, the keys that turn False). Each patch
+# makes the stage that feeds the certificate return a well-formed but worse
+# result, on an instance where the rest of the chain still holds.
+CERTIFICATE_CASES = {
+    # Both 3/4-size groups of a 2-bin instance, each worth 5 in its own bin.
+    "selected_size_within_half": (
+        _two_singletons(2, F(3, 4), {(1, 0): F(5), (2, 1): F(5)}),
+        _selection_of_every_group,
+        {"selected_size_within_half"},
+    ),
+    # An LP solution worth one unit of 1 / _cost_den less than the selected
+    # groups' LP value.
+    "fractional_matches_group_lp": (
+        worked_example(m=3),
+        _lp_solution_one_unit_short,
+        {"fractional_matches_group_lp"},
+    ),
+    # The rounding puts the item in the bin worth 5, not 8: still at least
+    # half the LP value, so only the rounding's certificate fails.
+    "rounded_at_least_fractional": (
+        make_instance(2, {1: F(1, 4)}, [[1]], {(1, 0): F(8), (1, 1): F(5)}),
+        _rounding_into_bin_1,
+        {"rounded_at_least_fractional"},
+    ),
+    # The filling moves the item from the bin worth 8 to the bin worth 1.
+    # The rounding's profit is at least the LP value, so below half of it
+    # is below half the LP value too.
+    "final_at_least_half_rounded": (
+        make_instance(2, {1: F(1, 4)}, [[1]], {(1, 0): F(8), (1, 1): F(1)}),
+        lambda mp: _fill_returning(mp, lambda _u: Assignment(bins=(frozenset(), frozenset({1})))),
+        {"final_at_least_half_rounded", "final_at_least_half_group_lp"},
+    ),
+    # Half the rounding's profit is at least half the LP value unless the
+    # rounding fell below the LP value, so this one never fires alone. Here
+    # the rounding puts the item in the bin worth 1, and the filling keeps it.
+    "final_at_least_half_group_lp": (
+        make_instance(2, {1: F(1, 4)}, [[1]], {(1, 0): F(8), (1, 1): F(1)}),
+        _rounding_into_bin_1,
+        {"rounded_at_least_fractional", "final_at_least_half_group_lp"},
+    ),
+    # A filling that leaves both 3/4-size items in bin 0, each worth 1
+    # anywhere.
+    "final_feasible": (
+        _two_singletons(3, F(3, 4), {(i, j): F(1) for i in (1, 2) for j in range(3)}),
+        lambda mp: _fill_returning(
+            mp, lambda u: Assignment(bins=(u.placed_items(), frozenset(), frozenset()))
+        ),
+        {"final_feasible"},
+    ),
+    # A filling that drops the group worth 1 of the two selected; the one
+    # worth 8 is more than half the selection's 9.
+    "selected_groups_packed": (
+        _two_singletons(2, F(1, 4), {(1, 0): F(8), (2, 0): F(1)}),
+        lambda mp: _fill_returning(mp, lambda _u: Assignment(bins=(frozenset({1}), frozenset()))),
+        {"selected_groups_packed"},
+    ),
+    # The same filling on one group of both items: the group is no longer
+    # satisfied, so its item 1 earns nothing. A final that places exactly
+    # the selected groups satisfies all of them, so this one fires only
+    # with selected_groups_packed.
+    "satisfied_equals_final": (
+        make_instance(2, {1: F(1, 4), 2: F(1, 4)}, [[1, 2]], {(1, 0): F(8), (2, 0): F(1)}),
+        lambda mp: _fill_returning(mp, lambda _u: Assignment(bins=(frozenset({1}), frozenset()))),
+        {"selected_groups_packed", "satisfied_equals_final"},
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(solve(worked_example(m=3))[1].certificates))
+def test_certificate_fires(key, tmp_path, capsys, monkeypatch):
+    """Each certificate turns False when the stage that feeds it returns a
+    worse result, and ``groupgap solve`` exits 3 on it, with and without
+    ``--json``. The keys come from a solve, so a new certificate without a
+    case fails here."""
+    inst, patch, expected = CERTIFICATE_CASES[key]
+    assert key in expected
+    _assignment, unpatched = solve(inst)
+    assert unpatched.all_certified()
+    patch(monkeypatch)
     _assignment, report = solve(inst)
-    assert report.fractional_value < report.group_lp_value
-    failed = [name for name, ok in report.certificates.items() if not ok]
-    assert failed == ["fractional_matches_group_lp"]
+    assert {name for name, ok in report.certificates.items() if not ok} == expected
     path = tmp_path / "inst.json"
     io.save_instance(inst, path)
     assert main(["solve", str(path)]) == 3
     assert "FAILED" in capsys.readouterr().out
     assert main(["solve", str(path), "--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
-    assert [name for name, ok in doc["certificates"].items() if not ok] == failed
+    assert {name for name, ok in doc["certificates"].items() if not ok} == expected
 
 
 def test_cli_solve_reports_stage_input_errors_as_internal(tmp_path, capsys, monkeypatch):
@@ -283,6 +429,25 @@ def test_cli_gen_impossible_spec(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            {"n": 10, "groups": 1, "bins": 1, "size_denominator": 4},
+            r"^group of 10 items cannot fit budget 1/2 at grid 1/4$",
+        ),
+        ({"size_denominator": 0}, r"^size_denominator and max_profit must be positive$"),
+        ({"flavor": "zipf"}, r"^unknown flavor 'zipf'$"),
+    ],
+    ids=["cannot-fit-budget", "non-positive-sizes", "unknown-flavor"],
+)
+def test_generate_rejects_bad_specs(change, message):
+    spec = GeneratorSpec(seed=1, n=4, groups=2, bins=2)
+    generate(spec)
+    with pytest.raises(ValidationError, match=message):
+        generate(dataclasses.replace(spec, **change))
+
+
 def test_generated_instances_always_strict_valid():
     rng = random.Random(101)
     for seed in range(30):
@@ -336,6 +501,10 @@ def test_cli_oracle_rejects_unknown_group(tmp_path, capsys):
     path = tmp_path / "inst.json"
     io.save_instance(make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(5)}), path)
     assert main(["oracle", str(path), "--groups", "7"]) == 2
+    assert capsys.readouterr().err == "error: group 7 does not exist (1..1)\n"
+    assert main(["oracle", str(path), "--groups", "1,x"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --groups must be comma-separated integers, got '1,x'\n"
 
 
 def test_cli_exact(tmp_path, capsys):

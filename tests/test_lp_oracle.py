@@ -312,7 +312,7 @@ def cold_value(inst, subset):
     """A fresh oracle's cold transport value, bypassing every memo."""
     oracle = LpOracle(inst)
     units, _flows = zero_flow_transport(oracle, sorted(set(subset)))
-    return F(units, oracle.cost_den)
+    return F(units, oracle._cost_den)
 
 
 @pytest.fixture
@@ -408,7 +408,7 @@ def test_half_rule_picks_the_largest_qualifying_base(warm_starts):
     oracle.value([1, 2, 3, 4, 5, 6])  # largest {1, 2, 3, 4, 5}, not a later smaller one
     assert warm_starts[-1] is oracle._flows[frozenset({1, 2, 3, 4, 5})].units
     for key, units in oracle._memo.items():
-        assert F(units, oracle.cost_den) == cold_value(inst, key)
+        assert F(units, oracle._cost_den) == cold_value(inst, key)
         cold = len(key) <= 2 or key in ({1, 3, 4, 6}, {2, 3, 4, 5, 6})
         assert oracle._flows[key].cold == cold
 
@@ -452,7 +452,7 @@ def test_warm_start_needs_a_base_lacking_fewer_items_than_the_replay_leaves(warm
     oracle.value([1, 2, 3, 5])
     assert warm_starts[-1] is None and oracle._flows[frozenset({1, 2, 3, 5})].cold
     for key, units in oracle._memo.items():
-        assert F(units, oracle.cost_den) == cold_value(inst, key)
+        assert F(units, oracle._cost_den) == cold_value(inst, key)
 
 
 def test_oracle_keeps_only_the_latest_flows(warm_starts, monkeypatch):
@@ -697,7 +697,7 @@ def test_replay_breaks_ties_for_the_lower_bin_and_the_lower_item():
     # Item 1 earns 4 in bins 1 and 2: the lower bin takes it whole.
     inst = make_instance(3, {1: F(1, 2)}, [[1]], {(1, 1): F(4), (1, 2): F(4)})
     oracle = LpOracle(inst)
-    expected = (4 * oracle.cost_den, {(1, 1): oracle._shat[1]}, 0)
+    expected = (4 * oracle._cost_den, {(1, 1): oracle._shat[1]}, 0)
     assert oracle._replay([1]) == expected
     assert zero_flow_transport(oracle, [1]) == expected[:2]
     # Items 1 and 2 earn the same per unit of bin 0 and overflow it: the
@@ -709,7 +709,7 @@ def test_replay_breaks_ties_for_the_lower_bin_and_the_lower_item():
     units, y, unshipped = oracle._replay([1, 2])
     assert y == {(1, 0): oracle._shat[1], (2, 0): oracle._scale - oracle._shat[1]}
     assert unshipped == 1 and replay_outcome(oracle, [1, 2]) == "partial"
-    assert F(units, oracle.cost_den) == 4 == oracle.value([1, 2])
+    assert F(units, oracle._cost_den) == 4 == oracle.value([1, 2])
     assert oracle._transport([1, 2], y) == (0, y)
 
 
@@ -744,7 +744,7 @@ def test_replay_skips_items_without_profit():
     oracle = LpOracle(inst)
     shat = oracle._shat
     units, y, unshipped = oracle._replay([1, 2, 3])
-    assert (units, y, unshipped) == (5 * oracle.cost_den, {(1, 0): shat[1], (3, 1): shat[3]}, 0)
+    assert (units, y, unshipped) == (5 * oracle._cost_den, {(1, 0): shat[1], (3, 1): shat[3]}, 0)
     assert (units, y) == zero_flow_transport(oracle, [1, 2, 3])
     assert oracle._replay([2]) == (0, {}, 0)
     x = oracle.solution([1, 2, 3])

@@ -13,6 +13,7 @@ from groupgap.exact import solve_exact
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import (
     Assignment,
+    FractionalSolution,
     Group,
     Instance,
     Item,
@@ -21,6 +22,7 @@ from groupgap.model import (
     is_feasible,
     parse_rational,
     render_rational,
+    validate_fractional,
     validate_instance,
 )
 from groupgap.pipeline import solve, upper_bound
@@ -119,7 +121,7 @@ def test_integer_view_scales_sizes_and_profits_exactly(rng, grid):
     cost_den = lcm(*(u.denominator for row in unit.values() for _j, u in row))
     arcs = {i: [(j, -u * cost_den) for j, u in row] for i, row in unit.items()}
     oracle = LpOracle(inst)
-    assert oracle.cost_den == cost_den
+    assert oracle._cost_den == cost_den
     assert oracle._shat == shat
     assert oracle._arcs == arcs
     assert all(type(c) is int for row in oracle._arcs.values() for _j, c in row)
@@ -223,6 +225,66 @@ def test_validate_rejects_ids_that_are_not_ints():
             for call in entry_points:
                 with pytest.raises(ValidationError, match=message):
                     call(inst)
+
+
+def _check_instance(*fields):
+    return lambda: validate_instance(Instance(*fields))
+
+
+def _check_fractional(entries, value):
+    inst = make_instance(2, {1: F(1, 2), 2: F(3, 4)}, [[1], [2]], {(1, 0): F(4)})
+    return lambda: validate_fractional(inst, FractionalSolution(entries, value))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            _check_instance(2, (Item(1, F(1, 2)), Item(1, F(1, 4))), (Group(0, (1,)),), {}),
+            r"^duplicate item id 1$",
+        ),
+        (
+            _check_instance(2, (Item(1, F(1, 2)),), (Group(0, (1,)),), {(9, 0): F(3)}),
+            r"^profit entry references unknown item 9$",
+        ),
+        (_check_fractional({(9, 0): F(1)}, F(0)), r"^fractional entry references unknown item 9$"),
+        (
+            _check_fractional({(1, 2): F(1)}, F(0)),
+            r"^fractional entry references bin 2 out of range$",
+        ),
+        (
+            _check_fractional({(1, 0): F(0)}, F(0)),
+            r"^fraction for \(1, 0\) is 0, must be in \(0, 1\]$",
+        ),
+        (
+            _check_fractional({(1, 0): F(1), (1, 1): F(1, 2)}, F(4)),
+            r"^item 1 has total fraction 3/2 > 1$",
+        ),
+        (
+            _check_fractional({(1, 0): F(1), (2, 0): F(1)}, F(4)),
+            r"^bin 0 has fractional load 5/4 > 1$",
+        ),
+        (
+            _check_fractional({(1, 0): F(1)}, F(5)),
+            r"^cached fractional value does not match entries$",
+        ),
+    ],
+    ids=[
+        "duplicate-item-id",
+        "profit-for-unknown-item",
+        "fraction-for-unknown-item",
+        "fraction-bin-out-of-range",
+        "fraction-not-positive",
+        "item-total-above-1",
+        "bin-load-above-1",
+        "value-mismatch",
+    ],
+)
+def test_validation_rejects_bad_input(call, message):
+    """The input checks of ``validate_instance`` and ``validate_fractional``
+    that no other test reaches, each on input that only it rejects."""
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_assignment_profit_examples():

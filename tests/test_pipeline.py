@@ -8,7 +8,7 @@ from groupgap.exact import solve_exact
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
-from groupgap.pipeline import _group_units, solve, upper_bound
+from groupgap.pipeline import solve, upper_bound
 from groupgap.submodular import GroundElement, maximize_with_reserve
 
 from conftest import F, make_instance, random_instance, worked_example
@@ -131,25 +131,27 @@ def test_traced_solve_exposes_fill_steps():
 
 
 def test_selection_reads_lp_values_as_ints_in_one_unit():
-    # The search gets group_value * cost_den as an int, and selects what it
+    # The search gets group_value * _cost_den as an int, and selects what it
     # selects on the Fraction values themselves.
     rng = random.Random(59)
     for _ in range(60):
         inst = random_instance(rng, n_max=8, m_max=4)
         oracle = LpOracle(inst)
-        units = _group_units(oracle)
+
+        def units(groups):
+            return oracle._value_units(inst.group_items(groups))
+
         gids = [g.id for g in inst.groups]
         for _ in range(6):
             subset = frozenset(rng.sample(gids, rng.randint(0, len(gids))))
             got = units(subset)
             assert type(got) is int
-            assert got == oracle.group_value(subset) * oracle.cost_den
+            assert got == oracle.group_value(subset) * oracle._cost_den
         ground = [GroundElement(g, inst.group_size(g)) for g in gids]
         assert maximize_with_reserve(units, ground, F(inst.m)) == maximize_with_reserve(
             oracle.group_value, ground, F(inst.m)
         )
-    with pytest.raises(AttributeError):
-        oracle.cost_den = 1
+    assert not hasattr(oracle, "cost_den")
 
 
 def test_selection_solve_count_at_scale(monkeypatch):
@@ -206,3 +208,16 @@ def test_solution_reuses_the_selection_flow(monkeypatch):
     _assignment, report = solve(inst)
     assert report.all_certified()
     assert solves["n"] == 3
+
+
+def test_solve_reads_the_group_lp_value_and_bound_through_value(monkeypatch):
+    # The selection reads ints through _value_units; the pipeline's own
+    # reads of the selected groups' LP value and of the upper bound go
+    # through value, once each per solve.
+    calls = count_calls(monkeypatch, LpOracle, "value")
+    reads = count_calls(monkeypatch, LpOracle, "_value_units")
+    inst = worked_example(m=3)
+    _assignment, report = solve(inst)
+    assert report.all_certified()
+    assert calls["n"] == 2
+    assert reads["n"] > calls["n"]

@@ -213,6 +213,8 @@ def test_maximize_requires_capacity():
         with pytest.raises(ValueError, match=str(capacity)):
             maximize_with_reserve(f, elements, capacity)
     assert maximize_with_reserve(f, elements, 2.0) == frozenset({1})  # converts exactly
+    with pytest.raises(ValueError, match=r"^ground element ids must be distinct$"):
+        maximize_with_reserve(f, [*elements, GroundElement(1, F(1, 4))], F(2))
 
 
 def test_search_is_exact_and_never_below_guess_greedy():
