@@ -81,12 +81,13 @@ from .model import ZERO, FractionalSolution, Instance
 
 # How many of the latest solved sets keep their optimal flow; the
 # guess-greedy fallback's tens of thousands of solves would otherwise hold
-# a flow dict apiece. Not every branch-and-bound search fits: generator
-# seed 1 needs 2,200 solves on uniform 240 items / 64 groups / 24 bins and
-# 1,538 on uniform 200 / 48 / 20. There the selected set's flow is evicted
-# before :meth:`LpOracle.solution` asks for it, and ``solution`` solves the
-# set again. A warm start's base is found among these sets;
-# :meth:`LpOracle._base` says why the search's node is not passed instead.
+# a flow dict apiece. The branch-and-bound's searches measured fit:
+# generator seed 1 needs 142 solves on uniform 240 items / 64 groups / 24
+# bins and 110 on uniform 200 / 48 / 20, so the selected set's flow is
+# still kept when :meth:`LpOracle.solution` asks for it (which reuses it
+# only if it was solved cold). A warm start's base is found among these
+# sets; :meth:`LpOracle._base` says why the search's node is not passed
+# instead.
 _FLOWS_KEPT = 1024
 
 

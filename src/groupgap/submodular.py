@@ -7,16 +7,20 @@ least a third of the optimum over the *full* capacity, while occupying at
 most half of it. The other half stays reserved for the downstream rounding
 and filling stages.
 
-The maximum comes from a depth-first branch-and-bound. At a node with
-chosen set A it drops the candidates that no longer fit, evaluates
-f(A + e) for each remaining candidate e, and bounds every extension of A by
-f(A) plus the fractional knapsack of the gains f(A + e) - f(A) in the room
-left; the bound holds because f is monotone and submodular (Nemhauser,
-Wolsey and Fisher 1978). It prunes a node whose bound is at most the best
-value found, and branches on the candidates in density order, each branch
-excluding the candidates before it; a child is bounded from its parent's
-gains before anything inside it is evaluated. Ties on value go to the
-first set evaluated.
+The maximum comes from a depth-first branch-and-bound that evaluates a
+gain only when a bound or a branch needs it. At a node with chosen set A
+it drops the candidates that no longer fit and bounds every extension of A
+by f(A) plus the fractional knapsack of the candidates' gains in the room
+left. A gain f(A' + e) - f(A') taken at an ancestor A' of A bounds the
+gain f(A + e) - f(A) from above, so the bound holds on such stale gains
+too, because f is monotone and submodular (Nemhauser, Wolsey and Fisher
+1978; Minoux's 1978 lazy greedy rests on the same fact). The root
+evaluates every candidate. Below it, a node starts from its parent's
+gains and, until its bound is at most the best value found, takes the
+densest candidate: while that candidate's gain is stale it evaluates
+f(A + e) and sorts again; once the gain is exact it branches on e, with
+every candidate not yet branched on and its current gain, and then drops
+e. Ties on value go to the first set evaluated.
 
 The search and its fallback run in exact integers. Sizes and the half
 capacity are multiples of one common unit, the lcm of their denominators,
@@ -113,9 +117,9 @@ def _greedy_mask(
 
 
 # Oracle misses the branch-and-bound may spend before it hands over to the
-# guess-greedy. Generator seed 1 needs 2,200 on uniform 240 items / 64
-# groups / 24 bins and 1,538 on uniform 200 / 48 / 20; the budget is under
-# 2x the larger.
+# guess-greedy. Generator seed 1 needs 142 on uniform 240 items / 64 groups
+# / 24 bins and 110 on uniform 200 / 48 / 20, where evaluating every
+# fitting candidate at every node needed 2,200 and 1,538.
 _SOLVE_BUDGET = 4096
 
 # Seed-set size of the guess-greedy fallback, and the k of the ratio bound:
@@ -151,36 +155,42 @@ def _branch_and_bound(
     before the memo missed :data:`_SOLVE_BUDGET` times. A finished search returns the
     first mask in evaluation order whose value is the maximum.
     """
-    best_mask, best_val = 0, value(0)
+    empty = value(0)
+    best_mask, best_val = 0, empty
 
-    def visit(mask: int, val: Value, room: int, cands: Sequence[int]) -> None:
+    def gain(mask: int, val: Value, b: int) -> Value:
+        """f(A + b) - f(A) for A = ``mask`` of value ``val``, after the
+        budget check; A + b replaces the incumbent only if strictly better."""
         nonlocal best_mask, best_val
-        gains: dict[int, Value] = {}
-        for b in cands:
-            if sizes[b] > room:
+        if value.cache_info().misses >= _SOLVE_BUDGET:
+            raise LimitExceeded(f"the memo missed {_SOLVE_BUDGET} times")
+        grown = value(mask | 1 << b)
+        if grown > best_val:
+            best_mask, best_val = mask | 1 << b, grown
+        return grown - val
+
+    def visit(mask: int, val: Value, room: int, gains: dict[int, Value], stale: set[int]) -> None:
+        # gains[b] is f(A + b) - f(A), or for b in stale that gain at an
+        # ancestor of A, which bounds it from above (f submodular).
+        pool = [b for b in gains if sizes[b] <= room]
+        while pool:
+            pool.sort(key=lambda b: (-gains[b] * weight[b], b))
+            # f(A ∪ B) <= f(A) + sum of the gains of B (f monotone submodular).
+            num, den = _knapsack_bound([(gains[b], sizes[b]) for b in pool], room)
+            if val * den + num <= best_val * den:
+                return
+            b = pool[0]
+            if b in stale:
+                stale.remove(b)
+                gains[b] = gain(mask, val, b)
                 continue
-            if value.cache_info().misses >= _SOLVE_BUDGET:
-                raise LimitExceeded(f"the memo missed {_SOLVE_BUDGET} times")
-            grown = value(mask | 1 << b)
-            if grown > best_val:
-                best_mask, best_val = mask | 1 << b, grown
-            gains[b] = grown - val
-        order = sorted(gains, key=lambda b: (-gains[b] * weight[b], b))
-        items = [(gains[b], sizes[b]) for b in order]
-        # f(A ∪ B) <= f(A) + sum of the gains of B at A (f monotone submodular).
-        num, den = _knapsack_bound(items, room)
-        if val * den + num <= best_val * den:
-            return
-        for pos, b in enumerate(order):
-            child_room = room - sizes[b]
-            child_val = val + gains[b]
-            num, den = _knapsack_bound(items[pos + 1 :], child_room)
-            if child_val * den + num <= best_val * den:
-                continue
-            visit(mask | 1 << b, child_val, child_room, order[pos + 1 :])
+            del pool[0]
+            child = {c: gains[c] for c in pool}
+            visit(mask | 1 << b, val + gains[b], room - sizes[b], child, set(child))
 
     try:
-        visit(0, best_val, half, range(len(sizes)))
+        root = {b: gain(0, empty, b) for b in range(len(sizes)) if sizes[b] <= half}
+        visit(0, empty, half, root, set())
     except LimitExceeded:  # the budget is spent; the incumbent stands
         return best_mask, best_val, False
     return best_mask, best_val, True
@@ -234,12 +244,12 @@ def maximize_with_reserve(
     """Max-value set of size at most ``capacity``/2 under a monotone submodular oracle.
 
     A branch-and-bound returns ``max{f(S) : s(S) <= capacity/2}``. Ties on
-    value go to the first such set the search evaluates: a node evaluates
-    its candidates in the order it holds them (ascending ids at the root,
-    the parent's density order below) and a set replaces the incumbent only
-    when strictly better. If the search spends its solve budget first, the
-    guess-greedy with seed size :data:`_SEED_SIZE` runs from the search's
-    best set.
+    value go to the first such set the search evaluates: the root evaluates
+    its candidates by ascending id, a node below it evaluates one candidate
+    at a time, the densest by its current gain (ties to the lowest id), and
+    a set replaces the incumbent only when strictly better. If the search
+    spends its solve budget first, the guess-greedy with seed size
+    :data:`_SEED_SIZE` runs from the search's best set.
 
     The branch-and-bound and the fallback work in integers: the sizes and
     ``capacity``/2 are scaled by the lcm of their denominators, and the

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from groupgap import submodular
 from groupgap._flow import FlowNetwork
 from groupgap.errors import ValidationError
 from groupgap.exact import solve_exact
@@ -154,8 +156,46 @@ def test_selection_reads_lp_values_as_ints_in_one_unit():
     assert not hasattr(oracle, "cost_den")
 
 
+@pytest.mark.parametrize("n, groups, bins, flavor", [(14, 7, 3, "uniform"), (36, 6, 12, "vod")])
+def test_selection_is_exact_on_the_lp_oracle(n, groups, bins, flavor):
+    # The search prunes on gains taken at ancestors, which bound the gains
+    # below them only because the group LP value is submodular; here it
+    # meets the brute-force maximum over every group set within m/2.
+    for seed in range(1, 31):
+        inst = generate(GeneratorSpec(seed=seed, n=n, groups=groups, bins=bins, flavor=flavor))
+        oracle = LpOracle(inst)
+        gids = [g.id for g in inst.groups]
+        best = max(
+            oracle.group_value(subset)
+            for r in range(len(gids) + 1)
+            for subset in combinations(gids, r)
+            if 2 * sum(inst.group_size(g) for g in subset) <= inst.m
+        )
+        _assignment, report = solve(inst)
+        assert report.group_lp_value == best
+
+
+def test_selection_oracle_misses_at_scale(monkeypatch):
+    # The search evaluates a gain only when a bound or a branch needs it:
+    # 110 memo misses here, where evaluating every fitting candidate at
+    # every node made 1,538.
+    oracles = []
+    mask_oracle = submodular._mask_oracle
+
+    def keeping(f, ids):
+        oracles.append(mask_oracle(f, ids))
+        return oracles[-1]
+
+    monkeypatch.setattr(submodular, "_mask_oracle", keeping)
+    inst = generate(GeneratorSpec(seed=1, n=200, groups=48, bins=20, flavor="uniform"))
+    _assignment, report = solve(inst)
+    assert report.all_certified()
+    assert len(oracles) == 1
+    assert oracles[0].cache_info().misses < 256
+
+
 def test_selection_solve_count_at_scale(monkeypatch):
-    # 58 transport solves in all here, the pipeline's solution and upper
+    # 7 transport solves in all here, the pipeline's solution and upper
     # bound included. The guess-greedy alone needs 22,627.
     solves = 0
     transport = LpOracle._transport
@@ -187,8 +227,8 @@ def count_calls(monkeypatch, owner, name):
 
 def test_warm_lp_solves_cut_shortest_path_passes(monkeypatch):
     # Each LP re-optimised from a kept subset's flow, or continued from its
-    # replayed paths, needs fewer Bellman-Ford searches: 528 here, 5,694
-    # when every LP ran cold from the zero flow.
+    # replayed paths, needs fewer Bellman-Ford searches: 87 here, 741 when
+    # every LP ran cold from the zero flow.
     passes = count_calls(monkeypatch, FlowNetwork, "_shortest_path")
     inst = generate(GeneratorSpec(seed=1, n=120, groups=32, bins=16, flavor="uniform"))
     _assignment, report = solve(inst)

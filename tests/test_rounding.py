@@ -300,6 +300,36 @@ def test_round_guards_a_bin_past_its_rank_one_item(monkeypatch):
         round_to_assignment(inst, x)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # item 2 is left out of the matching
+        (
+            lambda matching: {i: s for i, s in matching.items() if i != 2},
+            r"^rounding did not place exactly the support items$",
+        ),
+        # item 1 moves from bin 0 (profit 2) to bin 1's slot (profit 1)
+        (
+            lambda matching: {**matching, 1: Slot(1, 1)},
+            r"^rounded profit 3 < fractional value 4$",
+        ),
+    ],
+    ids=["drops-an-item", "moves-to-a-lighter-slot"],
+)
+def test_round_guards_the_matching(monkeypatch, edit, message):
+    matching = complete_matching
+    monkeypatch.setattr("groupgap.rounding.complete_matching", lambda g: edit(matching(g)))
+    inst = make_instance(
+        2,
+        {1: F(1, 2), 2: F(1, 2)},
+        [[1, 2]],
+        {(1, 0): F(2), (1, 1): F(1), (2, 0): F(1), (2, 1): F(2)},
+    )
+    x = FractionalSolution(entries={(1, 0): F(1), (2, 1): F(1)}, value=F(4))
+    with pytest.raises(InvariantViolated, match=message):
+        round_to_assignment(inst, x)
+
+
 def test_round_fuzz_guarantees():
     rng = random.Random(47)
     for _ in range(60):

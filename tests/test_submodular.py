@@ -244,10 +244,12 @@ def test_search_is_exact_and_never_below_guess_greedy():
 
 
 def test_search_keeps_the_first_strictly_better_set():
-    # {1, 2} and {2, 3} both fit and are both worth 6. Element 2 is the
-    # densest, so the search visits {2} first and evaluates its candidates
-    # in density order: {2, 3} first, then the equal {1, 2}, which does not
-    # replace it even though its mask is lower.
+    # {1, 2} and {2, 3} both fit and are both worth 6. The root evaluates
+    # {1}, {2} and {3}, all worth 3, and keeps {1}. Element 2 is the
+    # densest, so the search visits {2} first and evaluates its densest
+    # candidate, 3: {2, 3} beats {1}. The equal {1, 2} is then pruned
+    # unevaluated, since its bound 3 + 3 is not above 6, although its mask
+    # is lower.
     elements = [GroundElement(1, F(3)), GroundElement(2, F(1)), GroundElement(3, F(2))]
     f = modular({1: F(3), 2: F(3), 3: F(3)})
     assert maximize_with_reserve(f, elements, F(8)) == {2, 3}
@@ -270,7 +272,7 @@ def test_spent_budget_falls_back_to_guess_greedy(monkeypatch, budget):
         assert 3 * f(picked) >= exhaustive_knapsack_max(f, elements, cap)
 
 
-# The Fraction search and fallback the integer ones replaced, kept as the reference.
+# Fraction twins of the integer search and fallback, kept as the reference.
 _SOLVE_BUDGET = 4096
 
 
@@ -296,37 +298,49 @@ def reference_branch_and_bound(
 ) -> tuple[int, Fraction, bool]:
     """Depth-first max of ``value`` over the masks of size at most ``half``.
 
-    Returns the incumbent mask, its value, and whether the search finished
-    before the memo missed :data:`_SOLVE_BUDGET` times. A finished search
-    returns the first mask in evaluation order whose value is the maximum.
+    The root evaluates every candidate. Below it, a node starts from its
+    parent's gains as estimates, prunes on their fractional knapsack,
+    evaluates the densest candidate while its gain is stale, and branches
+    on it once the gain is exact. Returns the incumbent mask, its value, and
+    whether the search finished before the memo missed :data:`_SOLVE_BUDGET`
+    times. A finished search returns the first mask in evaluation order
+    whose value is the maximum.
     """
-    best_mask, best_val = 0, value(0)
+    empty = value(0)
+    best_mask, best_val = 0, empty
 
-    def visit(mask: int, val: Fraction, room: Fraction, cands: Sequence[int]) -> None:
+    def gain(mask: int, val: Fraction, b: int) -> Fraction:
         nonlocal best_mask, best_val
-        gains: dict[int, Fraction] = {}
-        for b in cands:
-            if sizes[b] > room:
+        if value.cache_info().misses >= _SOLVE_BUDGET:
+            raise LimitExceeded("budget spent")
+        grown = value(mask | 1 << b)
+        if grown > best_val:
+            best_mask, best_val = mask | 1 << b, grown
+        return grown - val
+
+    def visit(
+        mask: int, val: Fraction, room: Fraction, gains: dict[int, Fraction], stale: set[int]
+    ) -> None:
+        # gains[b] is exact at this node unless b is stale: then it is an
+        # ancestor's gain, which bounds it from above (f submodular).
+        pool = [b for b in gains if sizes[b] <= room]
+        while pool:
+            pool.sort(key=lambda b: (-gains[b] / sizes[b], b))
+            bound = _knapsack_bound([(gains[b], sizes[b]) for b in pool], room)
+            if val + bound <= best_val:
+                return
+            b = pool.pop(0)
+            if b in stale:
+                stale.remove(b)
+                gains[b] = gain(mask, val, b)
+                pool.append(b)
                 continue
-            if value.cache_info().misses >= _SOLVE_BUDGET:
-                raise LimitExceeded("budget spent")
-            grown = value(mask | 1 << b)
-            if grown > best_val:
-                best_mask, best_val = mask | 1 << b, grown
-            gains[b] = grown - val
-        order = sorted(gains, key=lambda b: (-gains[b] / sizes[b], b))
-        items = [(gains[b], sizes[b]) for b in order]
-        # f(A ∪ B) <= f(A) + sum of the gains of B at A (f monotone submodular).
-        if val + _knapsack_bound(items, room) <= best_val:
-            return
-        for pos, b in enumerate(order):
-            child_room = room - sizes[b]
-            if val + gains[b] + _knapsack_bound(items[pos + 1 :], child_room) <= best_val:
-                continue
-            visit(mask | 1 << b, val + gains[b], child_room, order[pos + 1 :])
+            child = {c: gains[c] for c in pool}
+            visit(mask | 1 << b, val + gains[b], room - sizes[b], child, set(child))
 
     try:
-        visit(0, best_val, half, range(len(sizes)))
+        root = {b: gain(0, empty, b) for b in range(len(sizes)) if sizes[b] <= half}
+        visit(0, empty, half, root, set())
     except LimitExceeded:
         return best_mask, best_val, False
     return best_mask, best_val, True
