@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import LimitExceeded
 from .model import ONE, ZERO, Assignment, Instance, validate_instance
-from .submodular import GroundElement
 
 
 # The desk scale solve_exact accepts, and the search nodes it may visit.
@@ -112,18 +111,18 @@ def solve_exact(inst: Instance, use_pruning: bool = True) -> tuple[Fraction, Ass
 
 def exhaustive_knapsack_max(
     f: Callable[[frozenset[int]], Fraction],
-    elements: Sequence[GroundElement],
+    sizes: Mapping[int, Fraction],
     capacity: Fraction,
 ) -> Fraction:
-    """Exact max of f over subsets within the capacity, by enumeration."""
-    if len(elements) > 20:
-        raise LimitExceeded(f"{len(elements)} elements > enumeration limit 20")
-    ids = [e.id for e in elements]
-    sizes = [e.size for e in elements]
+    """Exact max of f over subsets within the capacity, by enumeration;
+    ``sizes`` maps each element id to its size."""
+    if len(sizes) > 20:
+        raise LimitExceeded(f"{len(sizes)} elements > enumeration limit 20")
+    ids = list(sizes)
     best = f(frozenset())
     for mask in range(1, 1 << len(ids)):
         size = sum(
-            (sizes[b] for b in range(len(ids)) if mask >> b & 1), Fraction(0)
+            (sizes[ids[b]] for b in range(len(ids)) if mask >> b & 1), Fraction(0)
         )
         if size > capacity:
             continue

@@ -50,12 +50,12 @@ continued run's, that loses value raises ``InvariantViolated``. Both
 rules are properties of the query, not settings. A warm run needs fewer
 augmenting paths, but each one reroutes through the start flow and scans
 more of the network, so the saving shrinks as the share of new items
-grows: warming from any subset made vod
-36/6/12 solves (the benchmark's oracle-heavy workload) about 16% slower
-than warming only from half-size ones. And each item still to ship takes
-an augmenting path: an unshipped one in a continued run, one that B lacks
-in a warm run. Where B lacks as many items, the continued run takes no
-more paths, each scanning less, and its flow is cold, so
+grows: without the half rule, vod 36/6/12 solves (the benchmark's
+oracle-heavy workload) ran 116.76 Bellman-Ford searches each instead of
+106.58 (:meth:`LpOracle._base` lists the counts). And each item still to
+ship takes an augmenting path: an unshipped one in a continued run, one
+that B lacks in a warm run. Where B lacks as many items, the continued
+run takes no more paths, each scanning less, and its flow is cold, so
 :meth:`LpOracle.solution` can reuse it. Keeping only the latest flows
 bounds their memory and the base search's scan on the selection's long
 fallback search.
@@ -223,15 +223,26 @@ class LpOracle:
         holds at least half its items and lacks fewer of them than
         ``unshipped``, the first solved among equals.
 
+        Bellman-Ford searches per solve, with every output the same, on the
+        benchmark's search-heavy, oracle-heavy and tail-heavy workloads at
+        seed 1 (their first 100, 50 and 50 instances), then uniform
+        60/16/10, 120/32/16 and 200/48/20 and vod 120/24/16 at generator
+        seeds 1-3:
+
+        - both rules: 8.00, 106.58, 98.24, 63.33, 138.00, 332.00, 346.67;
+        - without the half rule: 8.05, 116.76, and 358.67 on vod
+          120/24/16, the rest the same;
+        - without the remainder rule: 8.83, 107.82, 117.40, 80.00, 163.67,
+          360.67, 348.67;
+        - without a warm start: 8.00, 101.78, 99.12, 64.00, 157.67, 526.33,
+          401.67.
+
         The scan is kept rather than the selection search handing over its
-        node A for a query A + e. Over the branch-and-bound's warm starts on
-        the benchmark's three workloads (seed 1) and on uniform 60/16/10,
-        120/32/16 and 200/48/20 and vod 120/24/16 (generator seeds
-        1,000,000 and up), the base found here was A in 827 of 1,834 and the
-        set A's parent evaluated for the same e in the other 1,007. Taking
-        A alone left every output the same but ran 2% more Bellman-Ford
-        searches on vod 36/6/12 and 14-24% more at 120-200 items, and the
-        kept flows are needed either way.
+        node A for a query A + e. On the same shapes the scan found A for
+        207 of the search's 265 warm starts. Taking A alone left every
+        output the same, ran 105.04 searches on oracle-heavy and 335.00 on
+        uniform 200/48/20 and the same elsewhere, and the kept flows are
+        needed either way.
         """
         least = max((len(key) + 1) // 2, len(key) - unshipped + 1)
         if least >= len(key):
@@ -333,7 +344,7 @@ class LpOracle:
         return -cost, y, len(left)
 
     def _transport(
-        self, items: list[int], start: dict[tuple[int, int], int], warm: bool = False
+        self, items: list[int], start: dict[tuple[int, int], int], warm: bool
     ) -> tuple[int, dict[tuple[int, int], int]]:
         """Solve the transportation problem from the flows ``start``;
         returns (gain, flows).
@@ -345,7 +356,7 @@ class LpOracle:
         items ascending, then bins ascending: the order that Bellman-Ford's
         tie-breaks depend on.
 
-        One :func:`._flow.resume` call runs it. Without ``warm``, ``start``
+        One :func:`._flow.resume` call runs it. Unless ``warm``, ``start``
         is a state of the cold solve, such as the empty flow or
         :meth:`_replay`'s, which the solve continues. With ``warm``, it is
         instead the optimal flows of a subset of ``items``, from which the

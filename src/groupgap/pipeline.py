@@ -28,7 +28,7 @@ from .filling import FillStep, make_feasible_traced
 from .lp_oracle import LpOracle
 from .model import Assignment, Instance, validate_instance
 from .rounding import round_to_assignment
-from .submodular import GroundElement, maximize_with_reserve
+from .submodular import maximize_with_reserve
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,11 @@ def solve(inst: Instance) -> tuple[Assignment, SolveReport]:
 
     t0 = time.perf_counter()
     try:
-        ground = [GroundElement(g.id, inst.group_size(g.id)) for g in inst.groups]
+        sizes = {g.id: inst.group_size(g.id) for g in inst.groups}
         # The search reads the oracle's ints in units of 1 / _cost_den: values
         # scaled by one positive constant, so it selects the same set.
         selected = maximize_with_reserve(
-            lambda groups: oracle._value_units(inst.group_items(groups)), ground, Fraction(inst.m)
+            lambda groups: oracle._value_units(inst.group_items(groups)), sizes, Fraction(inst.m)
         )
         t1 = time.perf_counter()
 

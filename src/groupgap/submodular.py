@@ -56,7 +56,7 @@ from functools import cache
 from itertools import combinations
 from math import exp, lcm
 from numbers import Rational
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolated, LimitExceeded, PreconditionViolated
 
@@ -65,12 +65,6 @@ Value = Fraction | int
 Oracle = Callable[[frozenset[int]], Value]
 
 DENOMINATOR_GUARD = 1e-9
-
-
-@dataclass(frozen=True)
-class GroundElement:
-    id: int
-    size: Fraction
 
 
 def _mask_oracle(f: Oracle, ids: Sequence[int]) -> Callable[[int], Value]:
@@ -131,13 +125,13 @@ def _knapsack_bound(items: Sequence[tuple[Value, int]], room: int) -> tuple[Valu
     """Fractional knapsack of ``(gain, size)`` pairs given in density order,
     as ``(num, den)``: the bound is ``num / den``, with ``den > 0``.
 
-    Pairs larger than ``room`` are left out, since no set within the room
-    holds them. The rest are taken whole, in order, until one no longer
-    fits; that one is taken in part, which is where ``den`` comes from.
+    Every size must be at most ``room``: the caller keeps only the pairs
+    that some set within the room can hold. They are taken whole, in order,
+    until one no longer fits; that one is taken in part, which is where
+    ``den`` comes from.
     """
-    fitting = [(gain, size) for gain, size in items if size <= room]
     total = 0
-    for gain, size in fitting:
+    for gain, size in items:
         if size > room:
             return total * size + gain * room, size
         total += gain
@@ -171,7 +165,8 @@ def _branch_and_bound(
 
     def visit(mask: int, val: Value, room: int, gains: dict[int, Value], stale: set[int]) -> None:
         # gains[b] is f(A + b) - f(A), or for b in stale that gain at an
-        # ancestor of A, which bounds it from above (f submodular).
+        # ancestor of A, which bounds it from above (f submodular). The pool
+        # is filtered against the room once: the room is fixed at this node.
         pool = [b for b in gains if sizes[b] <= room]
         while pool:
             pool.sort(key=lambda b: (-gains[b] * weight[b], b))
@@ -238,10 +233,14 @@ def _guess_greedy(
 
 def maximize_with_reserve(
     f: Oracle,
-    elements: Sequence[GroundElement],
+    sizes: Mapping[int, Rational],
     capacity: Fraction,
 ) -> frozenset[int]:
     """Max-value set of size at most ``capacity``/2 under a monotone submodular oracle.
+
+    ``sizes`` maps each element id to its size; ``f`` takes sets of those
+    ids. Elements go by ascending id, so bit ``b`` of a mask stands for the
+    ``b``-th smallest id.
 
     A branch-and-bound returns ``max{f(S) : s(S) <= capacity/2}``. Ties on
     value go to the first such set the search evaluates: the root evaluates
@@ -257,8 +256,8 @@ def maximize_with_reserve(
     compared, never divided. So an oracle may return ints (say, values in
     units of a common denominator) as well as Fractions, and any positive
     scaling of f selects the same set. A negative or non-finite
-    ``capacity``, or an element size that is not an int or Fraction, raises
-    ``ValueError``.
+    ``capacity``, or an element size that is not a positive int or
+    Fraction, raises ``ValueError``.
 
     Guarantees: the returned set R satisfies s(R) <= capacity/2, checked at
     runtime (``InvariantViolated`` otherwise), and
@@ -273,21 +272,18 @@ def maximize_with_reserve(
         half = Fraction(capacity) / 2
     except (OverflowError, ValueError):  # an infinite or NaN float
         raise ValueError(f"capacity must be finite, got {capacity!r}") from None
-    ordered = sorted(elements, key=lambda e: e.id)
-    ids = [e.id for e in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValueError("ground element ids must be distinct")
-    for e in ordered:
-        if not isinstance(e.size, Rational):
-            raise ValueError(f"element {e.id} has size {e.size!r}, not an int or Fraction")
-        if e.size <= 0:
-            raise ValueError(f"element {e.id} has non-positive size {e.size}")
-    for e in ordered:
-        if e.size > half:
-            raise PreconditionViolated(f"element {e.id} has size {e.size} > half capacity {half}")
+    ids = sorted(sizes)
+    for i in ids:
+        if not isinstance(sizes[i], Rational):
+            raise ValueError(f"element {i} has size {sizes[i]!r}, not an int or Fraction")
+        if sizes[i] <= 0:
+            raise ValueError(f"element {i} has non-positive size {sizes[i]}")
+    for i in ids:
+        if sizes[i] > half:
+            raise PreconditionViolated(f"element {i} has size {sizes[i]} > half capacity {half}")
     n = len(ids)
     value = _mask_oracle(f, ids)
-    units, weight, half_units = _integer_sizes([e.size for e in ordered], half)
+    units, weight, half_units = _integer_sizes([sizes[i] for i in ids], half)
 
     best_mask, best_val, finished = _branch_and_bound(value, units, weight, half_units)
     if not finished:
@@ -301,7 +297,7 @@ def maximize_with_reserve(
 
 
 def _integer_sizes(
-    sizes: Sequence[Fraction], half: Fraction
+    sizes: Sequence[Rational], half: Fraction
 ) -> tuple[list[int], list[int], int]:
     """``sizes`` and ``half`` as ints in one unit, with the sizes' density weights.
 
@@ -321,6 +317,13 @@ def _integer_sizes(
     return units, [common // size for size in units], scaled(half)
 
 
+def _floor(p_a: float, p_b: float, decay: float) -> float:
+    """:func:`ratio_lower_bound`'s bound, given its decay
+    ``exp(-(1/2 - s_a) / (1 - s_a - s_b))``: the one place it is written."""
+    both = p_a + p_b
+    return p_a + (1.0 - both) * (1.0 - decay) - both / _SEED_SIZE
+
+
 def ratio_lower_bound(p_a: float, p_b: float, s_a: float, s_b: float) -> float:
     """Closed-form bound on the fraction of the optimum one greedy extension keeps.
 
@@ -332,11 +335,7 @@ def ratio_lower_bound(p_a: float, p_b: float, s_a: float, s_b: float) -> float:
     denom = 1.0 - s_a - s_b
     if denom <= DENOMINATOR_GUARD:
         raise PreconditionViolated(f"1 - s_a - s_b = {denom} <= {DENOMINATOR_GUARD}")
-    return (
-        p_a
-        + (1.0 - p_a - p_b) * (1.0 - exp(-(0.5 - s_a) / denom))
-        - (p_a + p_b) / _SEED_SIZE
-    )
+    return _floor(p_a, p_b, exp(-(0.5 - s_a) / denom))
 
 
 @dataclass(frozen=True)
@@ -361,8 +360,8 @@ def certify_ratio_bound(step: float = 1.0 / 64.0) -> GridCheckReport:
     The bounds are :func:`ratio_lower_bound`'s at the fallback's seed size
     :data:`_SEED_SIZE`. Sweeps value shares in [0, 1/3] and size shares in
     [0, 1/2] at the given resolution; grid points where the bound is
-    undefined are skipped and counted. Passes iff the grid minimum is
-    >= 1/3 - 1e-9.
+    undefined are skipped and counted. The two decays are taken once per
+    size pair. Passes iff the grid minimum is >= 1/3 - 1e-9.
     """
     if not 0 < step <= 0.125:
         raise ValueError(f"step must be in (0, 1/8], got {step}")
@@ -382,11 +381,8 @@ def certify_ratio_bound(step: float = 1.0 / 64.0) -> GridCheckReport:
             decay2 = exp(-(0.5 - s2) / denom)
             for p1 in p_axis:
                 for p2 in p_axis:
-                    both = p1 + p2
-                    penalty = both / _SEED_SIZE
-                    rest = 1.0 - both
-                    v1 = p1 + rest * (1.0 - decay1) - penalty
-                    v2 = p2 + rest * (1.0 - decay2) - penalty
+                    v1 = _floor(p1, p2, decay1)
+                    v2 = _floor(p2, p1, decay2)
                     v = v1 if v1 >= v2 else v2
                     if v < min_value:
                         min_value = v

@@ -17,7 +17,6 @@ from groupgap.model import (
     ZERO,
     is_almost_feasible,
 )
-from groupgap.submodular import GroundElement
 
 settings.register_profile("suite", max_examples=100, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -271,8 +270,8 @@ def scaled_matching_graph(inst: Instance, item_ids):
     return WeightedBipartiteGraph(left=left, right=inst.m * n_scale, weights=weights)
 
 
-def modular_oracle(rng: random.Random, elements):
-    values = {e.id: F(rng.randint(0, 30)) for e in elements}
+def modular_oracle(rng: random.Random, sizes):
+    values = {i: F(rng.randint(0, 30)) for i in sizes}
 
     def f(subset):
         return sum((values[i] for i in subset), ZERO)
@@ -280,12 +279,10 @@ def modular_oracle(rng: random.Random, elements):
     return f
 
 
-def coverage_oracle(rng: random.Random, elements):
+def coverage_oracle(rng: random.Random, sizes):
     universe = range(rng.randint(3, 10))
     weights = [F(rng.randint(0, 10)) for _ in universe]
-    covers = {
-        e.id: frozenset(u for u in universe if rng.random() < 0.4) for e in elements
-    }
+    covers = {i: frozenset(u for u in universe if rng.random() < 0.4) for i in sizes}
 
     def f(subset):
         covered = set()
@@ -297,15 +294,13 @@ def coverage_oracle(rng: random.Random, elements):
 
 
 def random_ground(rng: random.Random, n_max=8, cap_max=4):
-    """Ground set with capacity; every element size within half the capacity."""
+    """Element sizes by id, with a capacity; every size within half the capacity."""
     n = rng.randint(1, n_max)
     cap = F(rng.randint(2, cap_max))
     den = 8
     half_num = int(cap / 2 * den)
-    elements = [
-        GroundElement(i, F(rng.randint(1, half_num), den)) for i in range(1, n + 1)
-    ]
-    return elements, cap
+    sizes = {i: F(rng.randint(1, half_num), den) for i in range(1, n + 1)}
+    return sizes, cap
 
 
 def adjacency(net):

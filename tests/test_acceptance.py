@@ -92,12 +92,12 @@ def test_criterion_1_lp_value_diminishing_returns(announce):
 def check_reserved_capacity_guarantee():
     rng = random.Random(2002)
     for trial in range(100):
-        elements, cap = random_ground(rng, n_max=8)
-        f = (modular_oracle if trial % 2 == 0 else coverage_oracle)(rng, elements)
-        picked = maximize_with_reserve(f, elements, cap)
-        used = sum((e.size for e in elements if e.id in picked), F(0))
+        sizes, cap = random_ground(rng, n_max=8)
+        f = (modular_oracle if trial % 2 == 0 else coverage_oracle)(rng, sizes)
+        picked = maximize_with_reserve(f, sizes, cap)
+        used = sum((sizes[i] for i in picked), F(0))
         assert used <= cap / 2
-        optimum = exhaustive_knapsack_max(f, elements, cap)
+        optimum = exhaustive_knapsack_max(f, sizes, cap)
         assert 3 * f(picked) >= optimum
 
 

@@ -15,7 +15,6 @@ from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
 from groupgap.pipeline import solve, upper_bound
-from groupgap.submodular import GroundElement
 
 from conftest import F, make_instance, random_instance, worked_example
 
@@ -142,20 +141,20 @@ def test_node_budget_carries_partial_result(monkeypatch):
 
 
 def test_exhaustive_knapsack_examples():
-    elements = [GroundElement(1, F(1)), GroundElement(2, F(1)), GroundElement(3, F(1))]
+    sizes = {1: F(1), 2: F(1), 3: F(1)}
     values = {1: F(5), 2: F(3), 3: F(2)}
 
     def f(subset):
         return sum((values[i] for i in subset), F(0))
 
-    assert exhaustive_knapsack_max(f, [], F(1)) == 0
-    assert exhaustive_knapsack_max(f, elements, F(2)) == 8
+    assert exhaustive_knapsack_max(f, {}, F(1)) == 0
+    assert exhaustive_knapsack_max(f, sizes, F(2)) == 8
 
 
 def test_exhaustive_knapsack_limit():
-    elements = [GroundElement(i, F(1)) for i in range(25)]
+    sizes = {i: F(1) for i in range(25)}
     with pytest.raises(LimitExceeded):
-        exhaustive_knapsack_max(lambda s: F(len(s)), elements, F(5))
+        exhaustive_knapsack_max(lambda s: F(len(s)), sizes, F(5))
 
 
 def brute_matching(graph, left_nodes):

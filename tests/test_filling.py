@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from groupgap import filling
 from groupgap.errors import InvariantViolated, PreconditionViolated
 from groupgap.filling import (
     KEEP_BETTER_HALF,
@@ -199,6 +200,57 @@ def test_set_bin_guards_a_load_above_one():
     st = _FillState(inst, Assignment(bins=(frozenset({1}), frozenset({2}))))
     with pytest.raises(InvariantViolated, match=r"^a move left bin 0 at load 6/5 > 1$"):
         st.set_bin(0, {1, 2})
+
+
+def _reinsert_nothing(monkeypatch):
+    monkeypatch.setattr(filling, "_reinsert", lambda _inst, _bins, _loads, _items: [])
+
+
+def _choose_nothing(monkeypatch):
+    # The move's bins count as resolved but keep their items.
+    def stand_still(st, _kind, participants, *_outcomes):
+        st.resolved.update(participants)
+
+    monkeypatch.setattr(_FillState, "choose", stand_still)
+
+
+def _choose_second_unchecked(monkeypatch):
+    # The second outcome, whatever it keeps, with no check of the move's profit.
+    def keep_second(st, _kind, participants, _first, second, _counts=None):
+        held = set().union(*second.values())
+        st.evict(i for j in second for i in st.bins[j] if i not in held)
+        for j, items in second.items():
+            st.set_bin(j, items)
+        st.resolved.update(participants)
+
+    monkeypatch.setattr(_FillState, "choose", keep_second)
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        (_reinsert_nothing, "changed the set of placed items"),
+        (_choose_nothing, "left a bin above load 1"),
+        (_choose_second_unchecked, "kept less than half the input profit"),
+    ],
+    ids=["placed-items", "load-above-one", "half-the-profit"],
+)
+def test_fill_guards_its_result(monkeypatch, patch, message):
+    # Bin 0 holds 2/5 + 7/20 + 7/20 + 3/10 = 7/5 and no big item, so
+    # keep-better-half splits it into {1, 2} (3/4), which earns 11 of its
+    # 13, and {3, 4}. The evicted side fits bin 1, where nothing earns.
+    # Each end-of-pass check follows from the per-move guards, so only a
+    # move patched past them reaches it.
+    sizes = {1: F(2, 5), 2: F(7, 20), 3: F(7, 20), 4: F(3, 10)}
+    profits = {(1, 0): F(10), (2, 0): F(1), (3, 0): F(1), (4, 0): F(1)}
+    inst = make_instance(3, sizes, [[1, 2, 3, 4]], profits)
+    u = Assignment(bins=(frozenset(sizes), frozenset(), frozenset()))
+    fixed, trace = make_feasible_traced(inst, u)
+    assert fixed.bins == ({1, 2}, {3, 4}, set())
+    assert [step.kind for step in trace] == [KEEP_BETTER_HALF, REINSERT, REINSERT]
+    patch(monkeypatch)
+    with pytest.raises(InvariantViolated, match=rf"^filling {message}$"):
+        make_feasible_traced(inst, u)
 
 
 def reinserted(inst, u, evicted):

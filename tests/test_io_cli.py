@@ -213,7 +213,7 @@ def _selection_of_every_group(monkeypatch):
     above half the capacity, so the filling passes the rounding through."""
     monkeypatch.setattr(
         "groupgap.pipeline.maximize_with_reserve",
-        lambda _f, ground, _capacity: frozenset(e.id for e in ground),
+        lambda _f, sizes, _capacity: frozenset(sizes),
     )
     _fill_returning(monkeypatch, lambda u: u)
 

@@ -322,7 +322,7 @@ def warm_starts(monkeypatch):
     starts = []
     original = LpOracle._transport
 
-    def recording(self, items, start, warm=False):
+    def recording(self, items, start, warm):
         starts.append(start if warm else None)
         return original(self, items, start, warm)
 
@@ -591,8 +591,7 @@ def rounding_places_the_support():
 
 def selection_fits_half():
     submodular._branch_and_bound = lambda *args: (0b11, F(0), True)
-    ground = [submodular.GroundElement(1, F(1)), submodular.GroundElement(2, F(1))]
-    submodular.maximize_with_reserve(lambda ids: F(len(ids)), ground, F(2))
+    submodular.maximize_with_reserve(lambda ids: F(len(ids)), {1: F(1), 2: F(1)}, F(2))
 
 
 CHECKS = (
@@ -685,7 +684,7 @@ def test_replay_and_its_continuation_equal_a_zero_flow_transport_on_every_subset
                 units, y, unshipped = oracle._replay(items)
                 assert list(y.items()) == list(first_augmentations(oracle, items, len(y)).items())
                 if unshipped:
-                    gain, flows = oracle._transport(items, y)
+                    gain, flows = oracle._transport(items, y, False)
                     units, y = units + gain, flows
                 assert units == expected[0]
                 assert list(y.items()) == list(expected[1].items())
@@ -710,7 +709,7 @@ def test_replay_breaks_ties_for_the_lower_bin_and_the_lower_item():
     assert y == {(1, 0): oracle._shat[1], (2, 0): oracle._scale - oracle._shat[1]}
     assert unshipped == 1 and replay_outcome(oracle, [1, 2]) == "partial"
     assert F(units, oracle._cost_den) == 4 == oracle.value([1, 2])
-    assert oracle._transport([1, 2], y) == (0, y)
+    assert oracle._transport([1, 2], y, False) == (0, y)
 
 
 def test_replay_stops_before_a_full_bin(warm_starts):

@@ -10,7 +10,7 @@ from groupgap import submodular
 from groupgap.errors import LimitExceeded, PreconditionViolated
 from groupgap.exact import exhaustive_knapsack_max
 from groupgap.submodular import (
-    GroundElement,
+    GridCheckReport,
     _SEED_SIZE,
     _branch_and_bound,
     _greedy_mask,
@@ -32,76 +32,80 @@ def modular(values):
     return f
 
 
-def skip_but_remove_greedy(f, elements, cap):
+def size_of(sizes, ids):
+    return sum((sizes[i] for i in ids), F(0))
+
+
+def skip_but_remove_greedy(f, sizes, cap):
     """Reference density greedy: take the densest remaining element (ties to
     the lowest id), keep it if it fits, and never offer it again."""
-    remaining = list(elements)
+    remaining = sorted(sizes)
     chosen, used = frozenset(), F(0)
     while remaining:
         base = f(chosen)
-        best = max(remaining, key=lambda e: ((f(chosen | {e.id}) - base) / e.size, -e.id))
+        best = max(remaining, key=lambda i: ((f(chosen | {i}) - base) / sizes[i], -i))
         remaining.remove(best)
-        if used + best.size <= cap:
-            chosen, used = chosen | {best.id}, used + best.size
+        if used + sizes[best] <= cap:
+            chosen, used = chosen | {best}, used + sizes[best]
     return chosen
 
 
-def density_greedy(f, elements, cap):
+def density_greedy(f, sizes, cap):
     """The fallback's density greedy alone, from the empty set within ``cap``."""
-    ordered = sorted(elements, key=lambda e: e.id)
-    value = _mask_oracle(f, [e.id for e in ordered])
-    units, weight, room = _integer_sizes([e.size for e in ordered], cap)
+    ids = sorted(sizes)
+    value = _mask_oracle(f, ids)
+    units, weight, room = _integer_sizes([sizes[i] for i in ids], cap)
     mask = _greedy_mask(value, units, weight, 0, room)
-    return frozenset(e.id for b, e in enumerate(ordered) if mask >> b & 1)
+    return frozenset(i for b, i in enumerate(ids) if mask >> b & 1)
 
 
-def guess_greedy(f, elements, cap, k=_SEED_SIZE):
+def guess_greedy(f, sizes, cap, k=_SEED_SIZE):
     """The fallback guess-greedy alone, started from the empty set."""
-    ordered = sorted(elements, key=lambda e: e.id)
-    value = _mask_oracle(f, [e.id for e in ordered])
-    units, weight, half = _integer_sizes([e.size for e in ordered], cap / 2)
+    ids = sorted(sizes)
+    value = _mask_oracle(f, ids)
+    units, weight, half = _integer_sizes([sizes[i] for i in ids], cap / 2)
     mask = _guess_greedy(value, units, weight, half, k, 0, value(0))
-    return frozenset(e.id for b, e in enumerate(ordered) if mask >> b & 1)
+    return frozenset(i for b, i in enumerate(ids) if mask >> b & 1)
 
 
-def brute_force_best(f, elements, cap):
+def brute_force_best(f, sizes, cap):
     best = f(frozenset())
-    for r in range(1, len(elements) + 1):
-        for combo in combinations(elements, r):
-            if sum((e.size for e in combo), F(0)) <= cap:
-                best = max(best, f(frozenset(e.id for e in combo)))
+    for r in range(1, len(sizes) + 1):
+        for combo in combinations(sizes, r):
+            if size_of(sizes, combo) <= cap:
+                best = max(best, f(frozenset(combo)))
     return best
 
 
 def test_greedy_empty_ground():
-    assert density_greedy(modular({}), [], F(2)) == frozenset()
+    assert density_greedy(modular({}), {}, F(2)) == frozenset()
 
 
 def test_greedy_zero_capacity_selects_nothing():
-    elements = [GroundElement(1, F(1, 2)), GroundElement(2, F(1, 4))]
+    sizes = {1: F(1, 2), 2: F(1, 4)}
     f = modular({1: F(5), 2: F(3)})
-    assert density_greedy(f, elements, F(0)) == frozenset()
+    assert density_greedy(f, sizes, F(0)) == frozenset()
 
 
 def test_greedy_rejects_nonpositive_sizes():
     with pytest.raises(ValueError):
-        maximize_with_reserve(modular({1: F(1)}), [GroundElement(1, F(0))], F(1))
+        maximize_with_reserve(modular({1: F(1)}), {1: F(0)}, F(1))
 
 
 def test_greedy_matches_brute_force_on_uniform_sizes():
-    elements = [GroundElement(1, F(1)), GroundElement(2, F(1)), GroundElement(3, F(1))]
+    sizes = {1: F(1), 2: F(1), 3: F(1)}
     f = modular({1: F(5), 2: F(3), 3: F(2)})
-    picked = density_greedy(f, elements, F(2))
+    picked = density_greedy(f, sizes, F(2))
     assert picked == {1, 2}
-    assert f(picked) == 8 == brute_force_best(f, elements, F(2))
+    assert f(picked) == 8 == brute_force_best(f, sizes, F(2))
 
 
 def test_greedy_skip_but_remove_trace():
     # highest-density element first; the best-value element is argmax in
     # round two, does not fit, and is removed rather than retried
-    elements = [GroundElement(1, F(3)), GroundElement(2, F(1)), GroundElement(3, F(1))]
+    sizes = {1: F(3), 2: F(1), 3: F(1)}
     f = modular({1: F(6), 2: F(3), 3: F(2)})
-    picked = density_greedy(f, elements, F(3))
+    picked = density_greedy(f, sizes, F(3))
     assert picked == {2, 3}
     assert f(picked) == 5
 
@@ -109,17 +113,17 @@ def test_greedy_skip_but_remove_trace():
 def test_greedy_respects_capacity():
     rng = random.Random(23)
     for _ in range(40):
-        elements, cap = random_ground(rng)
-        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, elements)
+        sizes, cap = random_ground(rng)
+        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, sizes)
         budget = cap * F(rng.randint(1, 4), 8)
-        picked = density_greedy(f, elements, budget)
-        assert sum((e.size for e in elements if e.id in picked), F(0)) <= budget
-        assert picked == skip_but_remove_greedy(f, elements, budget)
+        picked = density_greedy(f, sizes, budget)
+        assert size_of(sizes, picked) <= budget
+        assert picked == skip_but_remove_greedy(f, sizes, budget)
 
 
 def test_greedy_never_queries_elements_that_no_longer_fit():
     # element 3 never fits in 2; once 1 is taken, 2 (size 3/2) no longer fits
-    elements = [GroundElement(1, F(1)), GroundElement(2, F(3, 2)), GroundElement(3, F(3))]
+    sizes = {1: F(1), 2: F(3, 2), 3: F(3)}
     values = modular({1: F(5), 2: F(6), 3: F(30)})
     asked = []
 
@@ -127,7 +131,7 @@ def test_greedy_never_queries_elements_that_no_longer_fit():
         asked.append(subset)
         return values(subset)
 
-    assert density_greedy(f, elements, F(2)) == {1}
+    assert density_greedy(f, sizes, F(2)) == {1}
     assert set(asked) == {frozenset(), frozenset({1}), frozenset({2})}
 
 
@@ -137,15 +141,15 @@ def test_greedy_partial_coverage_bound():
     rng = random.Random(29)
     checked = 0
     for _ in range(60):
-        elements, cap = random_ground(rng)
-        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, elements)
-        target_set = frozenset(e.id for e in elements if rng.random() < 0.5)
+        sizes, cap = random_ground(rng)
+        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, sizes)
+        target_set = frozenset(i for i in sizes if rng.random() < 0.5)
         if not target_set:
             continue
-        m_star = sum((e.size for e in elements if e.id in target_set), F(0))
+        m_star = size_of(sizes, target_set)
         m_star = max(m_star, F(1, 8)) * F(rng.randint(4, 6), 4)
         m_prime = m_star * F(rng.randint(1, 4), 4)
-        picked = density_greedy(f, elements, m_prime)
+        picked = density_greedy(f, sizes, m_prime)
         lhs = max(float(f(picked) + f(frozenset({i}))) for i in target_set)
         rhs = (1 - math.exp(-float(m_prime / m_star))) * float(f(target_set))
         assert lhs >= rhs - 1e-9
@@ -154,18 +158,17 @@ def test_greedy_partial_coverage_bound():
 
 
 def test_maximize_single_element():
-    elements = [GroundElement(7, F(1))]
     f = modular({7: F(4)})
-    assert maximize_with_reserve(f, elements, F(2)) == {7}
+    assert maximize_with_reserve(f, {7: F(1)}, F(2)) == {7}
 
 
 def test_maximize_two_unit_elements_takes_one():
-    elements = [GroundElement(1, F(1)), GroundElement(2, F(1))]
+    sizes = {1: F(1), 2: F(1)}
     f = modular({1: F(1), 2: F(1)})
-    picked = maximize_with_reserve(f, elements, F(2))
+    picked = maximize_with_reserve(f, sizes, F(2))
     assert len(picked) == 1
     assert f(picked) == 1
-    opt = exhaustive_knapsack_max(f, elements, F(2))
+    opt = exhaustive_knapsack_max(f, sizes, F(2))
     assert opt == 2
     assert 3 * f(picked) >= opt
 
@@ -173,69 +176,66 @@ def test_maximize_two_unit_elements_takes_one():
 def test_maximize_ratio_and_size_on_random_oracles():
     rng = random.Random(31)
     for _ in range(30):
-        elements, cap = random_ground(rng, n_max=7)
-        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, elements)
-        picked = maximize_with_reserve(f, elements, cap)
-        assert sum((e.size for e in elements if e.id in picked), F(0)) <= cap / 2
-        opt = exhaustive_knapsack_max(f, elements, cap)
+        sizes, cap = random_ground(rng, n_max=7)
+        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, sizes)
+        picked = maximize_with_reserve(f, sizes, cap)
+        assert size_of(sizes, picked) <= cap / 2
+        opt = exhaustive_knapsack_max(f, sizes, cap)
         assert 3 * f(picked) >= opt
 
 
 def test_maximize_deterministic():
     rng = random.Random(37)
-    elements, cap = random_ground(rng, n_max=6)
-    f = coverage_oracle(rng, elements)
-    first = maximize_with_reserve(f, elements, cap)
-    second = maximize_with_reserve(f, elements, cap)
+    sizes, cap = random_ground(rng, n_max=6)
+    f = coverage_oracle(rng, sizes)
+    first = maximize_with_reserve(f, sizes, cap)
+    second = maximize_with_reserve(f, sizes, cap)
     assert first == second
 
 
 def test_maximize_rejects_oversized_element():
-    elements = [GroundElement(1, F(3, 2))]
     with pytest.raises(PreconditionViolated, match=r"^element 1 has size 3/2 > half capacity 1$"):
-        maximize_with_reserve(modular({1: F(1)}), elements, F(2))
+        maximize_with_reserve(modular({1: F(1)}), {1: F(3, 2)}, F(2))
 
 
 def test_maximize_requires_capacity():
-    elements = [GroundElement(1, F(1, 2))]
+    sizes = {1: F(1, 2)}
     f = modular({1: F(1)})
     # bad input, not an internal error (InvariantViolated) or an oversized
     # element (PreconditionViolated), with or without elements
-    for ground in ([], elements):
+    for ground in ({}, sizes):
         with pytest.raises(ValueError):
             maximize_with_reserve(f, ground, F(-2))
-    assert maximize_with_reserve(f, [], F(0)) == frozenset()
+    assert maximize_with_reserve(f, {}, F(0)) == frozenset()
     # sizes that are not an int or Fraction, and capacities that are not
     # finite, are named in a ValueError
     with pytest.raises(ValueError, match="0.5"):
-        maximize_with_reserve(f, [GroundElement(1, 0.5)], F(2))
+        maximize_with_reserve(f, {1: 0.5}, F(2))
     for capacity in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match=str(capacity)):
-            maximize_with_reserve(f, elements, capacity)
-    assert maximize_with_reserve(f, elements, 2.0) == frozenset({1})  # converts exactly
-    with pytest.raises(ValueError, match=r"^ground element ids must be distinct$"):
-        maximize_with_reserve(f, [*elements, GroundElement(1, F(1, 4))], F(2))
+            maximize_with_reserve(f, sizes, capacity)
+    assert maximize_with_reserve(f, sizes, 2.0) == frozenset({1})  # converts exactly
 
 
 def test_search_is_exact_and_never_below_guess_greedy():
     rng = random.Random(41)
     small_seed_cases = 0
     for _ in range(240):
-        elements, cap = random_ground(rng)
-        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, elements)
-        value = f(maximize_with_reserve(f, elements, cap))
-        assert value == exhaustive_knapsack_max(f, elements, cap / 2)
+        sizes, cap = random_ground(rng)
+        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, sizes)
+        value = f(maximize_with_reserve(f, sizes, cap))
+        assert value == exhaustive_knapsack_max(f, sizes, cap / 2)
         # k=2 keeps the guess-greedy cheap; the budget test below compares
         # against k=6
-        fallback = f(guess_greedy(f, elements, cap, k=2))
+        fallback = f(guess_greedy(f, sizes, cap, k=2))
         assert value >= fallback
         # when no set within cap/2 has more than k elements, every such set
         # is its own seed and part, so the guess-greedy is exact as well
         most = max(
             r
-            for r in range(len(elements) + 1)
-            for combo in combinations(elements, r)
-            if sum((e.size for e in combo), F(0)) <= cap / 2
+            for r in range(len(sizes) + 1)
+            for combo in combinations(sizes, r)
+            if size_of(sizes, combo) <= cap / 2
         )
         if most <= 2:
             assert fallback == value
@@ -250,9 +250,9 @@ def test_search_keeps_the_first_strictly_better_set():
     # candidate, 3: {2, 3} beats {1}. The equal {1, 2} is then pruned
     # unevaluated, since its bound 3 + 3 is not above 6, although its mask
     # is lower.
-    elements = [GroundElement(1, F(3)), GroundElement(2, F(1)), GroundElement(3, F(2))]
+    sizes = {1: F(3), 2: F(1), 3: F(2)}
     f = modular({1: F(3), 2: F(3), 3: F(3)})
-    assert maximize_with_reserve(f, elements, F(8)) == {2, 3}
+    assert maximize_with_reserve(f, sizes, F(8)) == {2, 3}
 
 
 @pytest.mark.parametrize("budget", [0, 3])
@@ -260,16 +260,16 @@ def test_spent_budget_falls_back_to_guess_greedy(monkeypatch, budget):
     monkeypatch.setattr(submodular, "_SOLVE_BUDGET", budget)
     rng = random.Random(43)
     for _ in range(40):
-        elements, cap = random_ground(rng)
-        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, elements)
-        picked = maximize_with_reserve(f, elements, cap)
-        assert sum((e.size for e in elements if e.id in picked), F(0)) <= cap / 2
-        fallback = guess_greedy(f, elements, cap)
+        sizes, cap = random_ground(rng)
+        f = (modular_oracle if rng.random() < 0.5 else coverage_oracle)(rng, sizes)
+        picked = maximize_with_reserve(f, sizes, cap)
+        assert size_of(sizes, picked) <= cap / 2
+        fallback = guess_greedy(f, sizes, cap)
         assert f(picked) >= f(fallback)
         if budget == 0:
             # the search stops before its first gain, at the empty set
             assert picked == fallback
-        assert 3 * f(picked) >= exhaustive_knapsack_max(f, elements, cap)
+        assert 3 * f(picked) >= exhaustive_knapsack_max(f, sizes, cap)
 
 
 # Fraction twins of the integer search and fallback, kept as the reference.
@@ -277,15 +277,14 @@ _SOLVE_BUDGET = 4096
 
 
 def _knapsack_bound(items: Sequence[tuple[Fraction, Fraction]], room: Fraction) -> Fraction:
-    """Fractional knapsack of ``(gain, size)`` pairs given in density order.
+    """Fractional knapsack of ``(gain, size)`` pairs given in density order,
+    each of size at most ``room``.
 
-    Pairs larger than ``room`` are left out, since no set within the room
-    holds them. The rest are taken whole, in order, until one no longer
-    fits; that one is taken in part.
+    They are taken whole, in order, until one no longer fits; that one is
+    taken in part.
     """
-    fitting = [(gain, size) for gain, size in items if size <= room]
     total = Fraction(0)
-    for gain, size in fitting:
+    for gain, size in items:
         if size > room:
             return total + gain * room / size
         total += gain
@@ -426,23 +425,23 @@ def mixed_ground(rng):
     off their grid; every size fits the half."""
     cap = F(rng.randint(2, 9), rng.choice([1, 1, 3, 7]))
     half = cap / 2
-    elements = []
+    sizes = {}
     for i in range(1, rng.randint(1, 9) + 1):
         den = rng.choice([1, 2, 3, 4, 5, 6, 8, 12])
         num = rng.randint(1, max(1, int(half * den)))
-        elements.append(GroundElement(i, min(F(num, den), half)))
-    return elements, cap
+        sizes[i] = min(F(num, den), half)
+    return sizes, cap
 
 
-def int_oracle(rng, elements):
+def int_oracle(rng, sizes):
     """A modular or coverage oracle with int values, often tied."""
     top = rng.choice([2, 5, 30])
     if rng.random() < 0.5:
-        values = {e.id: rng.randint(0, top) for e in elements}
+        values = {i: rng.randint(0, top) for i in sizes}
         return lambda subset: sum(values[i] for i in subset)
     universe = range(rng.randint(2, 8))
     weights = [rng.randint(0, top) for _ in universe]
-    covers = {e.id: [u for u in universe if rng.random() < 0.4] for e in elements}
+    covers = {i: [u for u in universe if rng.random() < 0.4] for i in sizes}
     return lambda subset: sum(weights[u] for u in {u for i in subset for u in covers[i]})
 
 
@@ -454,18 +453,18 @@ def test_integer_search_matches_the_fraction_search(monkeypatch, budget):
     kinds = set()
     for trial in range(500):
         if trial % 2:
-            elements, cap = mixed_ground(rng)
+            ground, cap = mixed_ground(rng)
         else:
-            elements, cap = random_ground(rng, n_max=9)
+            ground, cap = random_ground(rng, n_max=9)
         draw = rng.random()
         if draw < 0.3:
-            f, kind = modular_oracle(rng, elements), "fraction"
+            f, kind = modular_oracle(rng, ground), "fraction"
         elif draw < 0.6:
-            f, kind = coverage_oracle(rng, elements), "fraction"
+            f, kind = coverage_oracle(rng, ground), "fraction"
         else:
-            f, kind = int_oracle(rng, elements), "int"
-        ids = [e.id for e in elements]
-        sizes = [e.size for e in elements]
+            f, kind = int_oracle(rng, ground), "int"
+        ids = sorted(ground)
+        sizes = [ground[i] for i in ids]
         reference, value = _mask_oracle(f, ids), _mask_oracle(f, ids)
         units, weight, half = _integer_sizes(sizes, cap / 2)
         expected = reference_branch_and_bound(reference, sizes, cap / 2)
@@ -493,7 +492,7 @@ def test_fallback_guesses_no_seed_above_the_capacity(monkeypatch):
     # them keeps every query within 3 elements; the parent queried all 64
     # sets, up to all 6 elements. The selection is the same.
     monkeypatch.setattr(submodular, "_SOLVE_BUDGET", 0)
-    elements = [GroundElement(i, F(1)) for i in range(1, 7)]
+    sizes = {i: F(1) for i in range(1, 7)}
     values = {1: 5, 2: 4, 3: 4, 4: 3, 5: 2, 6: 1}
     asked = []
 
@@ -501,7 +500,7 @@ def test_fallback_guesses_no_seed_above_the_capacity(monkeypatch):
         asked.append(subset)
         return sum(values[i] for i in subset)
 
-    assert maximize_with_reserve(f, elements, F(2)) == {1}
+    assert maximize_with_reserve(f, sizes, F(2)) == {1}
     assert max(len(subset) for subset in asked) == 3
     assert len(asked) == 42 < 64
 
@@ -534,6 +533,22 @@ def test_certify_ratio_bound_coarse_grid():
     # the only degenerate size pair on this grid is (1/2, 1/2)
     p_points = 4  # 0, 1/8, 2/8 and the 1/3 endpoint
     assert report.skipped == p_points * p_points
+
+
+@pytest.mark.parametrize(
+    "step, min_value, argmin, skipped",
+    [
+        (1 / 8, 0.3533786689846778, (1 / 3, 1 / 3, 0.0, 0.0), 16),
+        (1 / 64, 0.34093760592226496, (0.0, 1 / 3, 0.0625, 0.453125), 529),
+    ],
+)
+def test_certify_ratio_bound_report(step, min_value, argmin, skipped):
+    # The whole report, to the last bit of the minimum: the grid's floor is
+    # the same arithmetic as ratio_lower_bound's.
+    report = certify_ratio_bound(step=step)
+    assert report == GridCheckReport(step, min_value, argmin, skipped, passed=True)
+    p1, p2, s1, s2 = argmin
+    assert min_value == max(ratio_lower_bound(p1, p2, s1, s2), ratio_lower_bound(p2, p1, s2, s1))
 
 
 def test_certify_ratio_bound_rejects_bad_step():
