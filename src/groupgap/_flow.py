@@ -126,7 +126,6 @@ where the left nodes with start flow are fed from and in the return arc.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import repeat
 from typing import Iterable
 
 from .errors import InvariantViolated
@@ -141,19 +140,12 @@ class FlowNetwork:
     out of u that have room, ascending, which is Bellman-Ford's scan order.
     After the build only :meth:`_augment` changes capacities, and it keeps
     ``live`` in step. ``flows``, one per edge, preloads that much flow on
-    each edge; by default every edge starts empty. A flow outside
-    ``[0, cap]``, or a ``flows`` of another length, raises ``ValueError``.
+    each edge. A flow outside ``[0, cap]``, or a ``flows`` of another
+    length, raises ``ValueError``.
     """
 
-    def __init__(
-        self,
-        n: int,
-        edges: list[tuple[int, int, int, int]],
-        flows: list[int] | None = None,
-    ):
-        if flows is None:
-            flows = repeat(0)
-        elif len(flows) != len(edges):
+    def __init__(self, n: int, edges: list[tuple[int, int, int, int]], flows: list[int]):
+        if len(flows) != len(edges):
             raise ValueError(f"got {len(flows)} flows for {len(edges)} edges")
         self.n = n
         self.live: list[list[int]] = [[] for _ in range(n)]

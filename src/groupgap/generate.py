@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .model import Group, Instance, Item
+from .model import Group, Instance, Item, _is_int
 
 VOD_MIN_SEGMENTS = 2
 VOD_MAX_SEGMENTS = 8
@@ -76,6 +76,10 @@ def _vod_counts(rng: random.Random, n: int, groups: int) -> list[int]:
 
 def generate(spec: GeneratorSpec) -> Instance:
     """Build a strict-valid instance; identical specs yield identical instances."""
+    for field in ("n", "groups", "bins", "size_denominator", "max_profit"):
+        value = getattr(spec, field)
+        if not _is_int(value):
+            raise ValidationError(f"{field} must be an int, got {value!r}")
     if spec.n < 1 or spec.groups < 1 or spec.bins < 1:
         raise ValidationError("n, groups and bins must all be positive")
     if spec.size_denominator < 1 or spec.max_profit < 1:

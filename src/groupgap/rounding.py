@@ -26,14 +26,15 @@ same units along the same paths as the unshifted min-cost flow of
 |items| units. A smaller ``M``, such as the largest weight, does not do:
 a path that undoes a heavy edge can cost up to the sum of the weights.
 
-The weights are the instance's profits as ints over its ``profit_den``
-(``model._Units``), not over the lcm of the graph's own weight
-denominators: any positive common denominator does. Scaling every weight
-by c > 0 scales the weight part of every path's cost by c, and a path's
-cost to a node v is its weight part plus a shift part that depends only
-on v, so every comparison Bellman-Ford makes, ties included, and the
-replay's arc order come out the same; ``M`` is then one more than the
-scaled sum, so every source-to-sink path still costs < 0.
+Each edge's weight is the instance's profit for its item and bin, as an
+int over the instance's ``profit_den`` (``model._Units``), not over the
+lcm of the denominators of the profits on the graph: any positive common
+denominator does. Scaling every weight by c > 0 scales the weight part of
+every path's cost by c, and a path's cost to a node v is its weight part
+plus a shift part that depends only on v, so every comparison
+Bellman-Ford makes, ties included, and the replay's arc order come out
+the same; ``M`` is then one more than the scaled sum, so every
+source-to-sink path still costs < 0.
 
 Slot loads are ints too, over the lcm of the fractional entries'
 denominators, and sizes are compared as ints over the instance's
@@ -50,7 +51,7 @@ from math import lcm
 
 from ._flow import transport
 from .errors import InvariantViolated, PreconditionViolated
-from .model import ZERO, Assignment, FractionalSolution, Instance
+from .model import Assignment, FractionalSolution, Instance
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class Slot:
 class SlotEdge:
     item: int
     slot: Slot
-    weight: Fraction
+    weight: int  # the profit of (item, slot.bin), as an int over the instance's profit_den
     load: Fraction
 
 
@@ -72,15 +73,6 @@ class SlotGraph:
     items: tuple[int, ...]  # support items, largest first
     slots: tuple[Slot, ...]
     edges: tuple[SlotEdge, ...]
-    # Each edge's weight, in ``edges`` order, as an int over one positive
-    # common denominator: the costs of :func:`complete_matching`.
-    weight_units: tuple[int, ...]
-
-    def slot_load(self, slot: Slot) -> Fraction:
-        return sum((e.load for e in self.edges if e.slot == slot), ZERO)
-
-    def fractional_weight(self) -> Fraction:
-        return sum((e.weight * e.load for e in self.edges), ZERO)
 
 
 def build_slot_graph(inst: Instance, x: FractionalSolution) -> SlotGraph:
@@ -108,14 +100,12 @@ def build_slot_graph(inst: Instance, x: FractionalSolution) -> SlotGraph:
     sizes = units.sizes
     order = sorted(totals, key=lambda i: (-sizes[i], i))
     position = {i: k for k, i in enumerate(order)}
-    profit, profit_units = inst.profits.get, units.profits.get
+    profit = units.profits.get
     slots: list[Slot] = []
     edges: list[SlotEdge] = []
-    weights: list[int] = []
 
     def add_edge(i: int, slot: Slot, load: Fraction) -> None:
-        edges.append(SlotEdge(i, slot, profit((i, slot.bin), ZERO), load))
-        weights.append(profit_units((i, slot.bin), 0))
+        edges.append(SlotEdge(i, slot, profit((i, slot.bin), 0), load))
 
     for j, row in enumerate(per_bin):
         if not row:
@@ -136,9 +126,7 @@ def build_slot_graph(inst: Instance, x: FractionalSolution) -> SlotGraph:
             slots.append(slot)
             load = frac - take
             add_edge(i, slot, Fraction(load, den))
-    return SlotGraph(
-        items=tuple(order), slots=tuple(slots), edges=tuple(edges), weight_units=tuple(weights)
-    )
+    return SlotGraph(items=tuple(order), slots=tuple(slots), edges=tuple(edges))
 
 
 def complete_matching(g: SlotGraph) -> dict[int, Slot]:
@@ -147,17 +135,15 @@ def complete_matching(g: SlotGraph) -> dict[int, Slot]:
     Solved by the profit-maximising :func:`~groupgap._flow.transport`:
     every item supplies and every slot accepts one unit, and each slot
     edge, in ``g.edges`` order, is an arc of cost ``-(w + M)``, where ``w``
-    is its int weight (``g.weight_units``) and ``M = 1 + sum(w)`` (see the
-    module docstring for why that ships every unit without changing the
-    min-cost flow of that many units).
+    is its int weight and ``M = 1 + sum(w)`` (see the module docstring for
+    why that ships every unit without changing the min-cost flow of that
+    many units).
     """
     n = len(g.items)
-    shift = 1 + sum(g.weight_units)
+    shift = 1 + sum(e.weight for e in g.edges)
     item_pos = {i: k for k, i in enumerate(g.items)}
     slot_pos = {s: k for k, s in enumerate(g.slots)}
-    arcs = [
-        (item_pos[e.item], slot_pos[e.slot], -w - shift) for e, w in zip(g.edges, g.weight_units)
-    ]
+    arcs = [(item_pos[e.item], slot_pos[e.slot], -e.weight - shift) for e in g.edges]
     flow, _cost, flows = transport([1] * n, [1] * len(g.slots), arcs)
     if flow != n:
         raise InvariantViolated(f"matched only {flow} of {n} items; slot graph invariant broken")

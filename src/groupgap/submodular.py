@@ -274,7 +274,7 @@ def maximize_with_reserve(
         raise ValueError(f"capacity must be finite, got {capacity!r}") from None
     ids = sorted(sizes)
     for i in ids:
-        if not isinstance(sizes[i], Rational):
+        if isinstance(sizes[i], bool) or not isinstance(sizes[i], Rational):
             raise ValueError(f"element {i} has size {sizes[i]!r}, not an int or Fraction")
         if sizes[i] <= 0:
             raise ValueError(f"element {i} has non-positive size {sizes[i]}")

@@ -370,7 +370,7 @@ def bipartite_states(supply, demand, arcs, max_flow=None):
     edges = [(0, 1 + i, units, 0) for i, units in enumerate(supply)]
     edges += [(1 + i, right + j, supply[i], cost) for i, j, cost in arcs]
     edges += [(right + j, sink, units, 0) for j, units in enumerate(demand)]
-    net = FlowNetwork(sink + 1, edges)
+    net = FlowNetwork(sink + 1, edges, [0] * len(edges))
     first = 2 * len(supply)
 
     def arc_flows():

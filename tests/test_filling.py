@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from groupgap import filling
+from groupgap import filling, io
 from groupgap.errors import InvariantViolated, PreconditionViolated
 from groupgap.filling import (
     KEEP_BETTER_HALF,
@@ -146,6 +146,9 @@ def test_split_across_vacants_fires_when_every_vacant_blocks():
     assert len(splits) == 1
     over_count, vacant_count = splits[0].counts
     assert vacant_count > 2 * over_count
+    doc = io.fill_step_to_dict(splits[0])
+    assert doc["kind"] == SPLIT_ACROSS_VACANTS
+    assert (doc["overfull_count"], doc["semi_vacant_count"]) == (over_count, vacant_count)
 
 
 def test_splits_follow_every_one_partner_move():

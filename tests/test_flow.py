@@ -72,7 +72,7 @@ def test_edge_list_layout_matches_edge_by_edge_build():
             to += [v, u]
             cap += [c, 0]
             cost += [w, -w]
-        net = FlowNetwork(n, edges)
+        net = FlowNetwork(n, edges, [0] * len(edges))
         assert (adjacency(net), net.to, net.cap, net.cost) == (adj, to, cap, cost)
 
 
@@ -111,8 +111,9 @@ def test_live_lists_follow_every_capacity_change(monkeypatch):
         n, edges = random_edges(rng)
         flows = [rng.randint(0, cap) for _u, _v, cap, _cost in edges]
         assert_live_lists(FlowNetwork(n, edges, flows))
-        FlowNetwork(n, edges).run(0, n - 1)
-        FlowNetwork(n, sink_shifted(n, edges)[1]).run(0, n - 1)
+        zero = [0] * len(edges)
+        FlowNetwork(n, edges, zero).run(0, n - 1)
+        FlowNetwork(n, sink_shifted(n, edges)[1], zero).run(0, n - 1)
         supply, demand, arcs = random_bipartite(rng)
         # From the zero flow without the replay, so every call builds a network.
         zero = [0] * len(arcs)
@@ -128,7 +129,7 @@ def test_live_lists_follow_every_capacity_change(monkeypatch):
 def test_run_stops_at_a_zero_cost_path():
     """A run stops at the first path of cost >= 0, so a lone zero-cost arc
     ships nothing."""
-    assert FlowNetwork(2, [(0, 1, 1, 0)]).run(0, 1) == (0, 0)
+    assert FlowNetwork(2, [(0, 1, 1, 0)], [0]).run(0, 1) == (0, 0)
     assert transport([1], [1], [(0, 0, 0)]) == (0, 0, [0])
 
 
@@ -137,7 +138,7 @@ def test_dirty_scan_matches_full_scan_on_fresh_and_residual_graphs():
     residual_checks = 0
     for _ in range(200):
         n, edges = random_edges(rng)
-        net = FlowNetwork(n, edges)
+        net = FlowNetwork(n, edges, [0] * len(edges))
         for step in range(4):
             expected = full_scan_shortest_path(net, 0)
             assert net._shortest_path(0) == expected
@@ -157,13 +158,14 @@ def test_run_leaves_reference_flows(mode):
     rng = random.Random(43 if mode == "profit" else 47)
     for _ in range(200):
         n, edges = random_edges(rng)
-        ref = FlowNetwork(n, edges)
+        zero = [0] * len(edges)
+        ref = FlowNetwork(n, edges, zero)
         if mode == "profit":
-            net = FlowNetwork(n, edges)
+            net = FlowNetwork(n, edges, zero)
             expected = reference_run(ref, 0, n - 1, stop_on_nonnegative=True)
         else:
             shift, shifted_edges = sink_shifted(n, edges)
-            net = FlowNetwork(n, shifted_edges)
+            net = FlowNetwork(n, shifted_edges, zero)
             flow, cost = reference_run(ref, 0, n - 1)
             expected = (flow, cost - shift * flow)
         assert net.run(0, n - 1) == expected
@@ -225,7 +227,7 @@ def test_start_flows_fill_the_twins():
     for _ in range(100):
         n, edges = random_edges(rng)
         flows = [rng.randint(0, cap) for _u, _v, cap, _cost in edges]
-        net, empty = FlowNetwork(n, edges, flows), FlowNetwork(n, edges)
+        net, empty = FlowNetwork(n, edges, flows), FlowNetwork(n, edges, [0] * len(edges))
         assert net.cap[0::2] == [cap - units for (_u, _v, cap, _w), units in zip(edges, flows)]
         assert net.cap[1::2] == flows
         assert (adjacency(net), net.to, net.cost) == (adjacency(empty), empty.to, empty.cost)
@@ -235,6 +237,15 @@ def test_start_flows_fill_the_twins():
     for flows in ([], [1, 1]):  # not one flow per edge
         with pytest.raises(ValueError):
             FlowNetwork(2, [(0, 1, 2, 0)], flows)
+    with pytest.raises(TypeError):  # every network is built from a start flow
+        FlowNetwork(2, [(0, 1, 2, 0)])
+
+
+def test_augment_guards_a_full_path():
+    """A parent path through an edge with no room left pushes nothing."""
+    net = FlowNetwork(2, [(0, 1, 1, -1)], [1])  # built full
+    with pytest.raises(InvariantViolated, match=r"^augmenting path can push 0 units$"):
+        net._augment(0, 1, [-1, 0])
 
 
 def test_warm_resume_reaches_the_cold_optimum():
@@ -265,7 +276,7 @@ def test_warm_resume_reaches_the_cold_optimum():
 def test_negative_cycle_raises_instead_of_looping():
     """A start flow that is not optimal leaves a negative residual cycle, on
     which successive shortest paths would never end."""
-    net = FlowNetwork(3, [(0, 1, 1, 0), (1, 2, 1, -1), (2, 1, 1, -1)])
+    net = FlowNetwork(3, [(0, 1, 1, 0), (1, 2, 1, -1), (2, 1, 1, -1)], [0, 0, 0])
     with pytest.raises(InvariantViolated, match="negative cycle"):
         net.run(0, 2)
     # Left node 0 starts in right node 0 although right node 1 pays more.

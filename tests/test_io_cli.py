@@ -144,6 +144,24 @@ def test_cli_solve_table(tmp_path, capsys):
     assert "all OK" in out
 
 
+def test_cli_solve_table_with_exact_compare(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    io.save_instance(worked_example(m=3), path)
+    assert main(["solve", str(path), "--exact-compare"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split() == ["exact", "optimum", "13"]
+    assert lines[-1].split() == ["ratio", "vs", "exact", "1.0000"]
+
+
+def test_cli_solve_zero_optimum_ratio(tmp_path, capsys):
+    """Without profit the optimum is 0, and the ratio is taken as 1."""
+    path = tmp_path / "inst.json"
+    io.save_instance(make_instance(1, {1: F(1, 2)}, [[1]], {}), path)
+    assert main(["solve", str(path), "--json", "--exact-compare"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["final_profit"], doc["exact_optimum"], doc["ratio_vs_exact"]) == ("0", "0", 1.0)
+
+
 def test_cli_solve_json_reparses(tmp_path, capsys):
     path = tmp_path / "inst.json"
     io.save_instance(worked_example(m=3), path)
@@ -436,10 +454,28 @@ def test_cli_gen_impossible_spec(tmp_path, capsys):
             {"n": 10, "groups": 1, "bins": 1, "size_denominator": 4},
             r"^group of 10 items cannot fit budget 1/2 at grid 1/4$",
         ),
+        ({"bins": 0}, r"^n, groups and bins must all be positive$"),
         ({"size_denominator": 0}, r"^size_denominator and max_profit must be positive$"),
         ({"flavor": "zipf"}, r"^unknown flavor 'zipf'$"),
+        ({"n": 5.0}, r"^n must be an int, got 5\.0$"),
+        ({"n": True}, r"^n must be an int, got True$"),
+        ({"groups": 2.0}, r"^groups must be an int, got 2\.0$"),
+        ({"bins": 2.5}, r"^bins must be an int, got 2\.5$"),
+        ({"size_denominator": 4.0}, r"^size_denominator must be an int, got 4\.0$"),
+        ({"max_profit": 2.5}, r"^max_profit must be an int, got 2\.5$"),
     ],
-    ids=["cannot-fit-budget", "non-positive-sizes", "unknown-flavor"],
+    ids=[
+        "cannot-fit-budget",
+        "non-positive-counts",
+        "non-positive-sizes",
+        "unknown-flavor",
+        "float-n",
+        "bool-n",
+        "float-groups",
+        "float-bins",
+        "float-size-denominator",
+        "float-max-profit",
+    ],
 )
 def test_generate_rejects_bad_specs(change, message):
     spec = GeneratorSpec(seed=1, n=4, groups=2, bins=2)

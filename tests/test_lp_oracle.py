@@ -11,7 +11,7 @@ import pytest
 import groupgap
 from groupgap import lp_oracle, rounding
 from groupgap._flow import FlowNetwork, transport
-from groupgap.errors import PreconditionViolated
+from groupgap.errors import InvariantViolated, PreconditionViolated
 from groupgap.exact import matching_value
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import Group, Instance, Item, validate_fractional
@@ -529,6 +529,59 @@ def test_solution_does_not_depend_on_query_history(warm_starts):
     assert reused > 100 and warm > 100 and other_flow > 20
 
 
+def guard_instance():
+    """Item 1 alone fits the one bin, items 1 and 2 do not, so the replay
+    stops short on {1, 2}; on {1, 2, 3} it leaves two items, more than
+    {1, 2} lacks, so that miss starts warm from {1, 2}'s flow."""
+    items = (Item(1, F(1, 2)), Item(2, F(3, 4)), Item(3, F(3, 4)))
+    groups = (Group(0, (1, 2)), Group(1, (3,)))
+    return Instance(1, items, groups, {(1, 0): F(5), (2, 0): F(3), (3, 0): F(3)})
+
+
+@pytest.mark.parametrize("loses_warm", [False, True], ids=["cold", "warm"])
+def test_optimum_guards_a_value_loss(monkeypatch, loses_warm):
+    """A transport run that loses value on a cold or a warm miss."""
+    transport_run = LpOracle._transport
+
+    def losing(self, items, start, warm):
+        if warm == loses_warm:
+            return -self._cost_den, start
+        return transport_run(self, items, start, warm)
+
+    monkeypatch.setattr(LpOracle, "_transport", losing)
+    oracle = LpOracle(guard_instance())
+    flow = "subset" if loses_warm else "replayed"
+    message = rf"^LP value fell by 1 below the {flow} flow's$"
+    with pytest.raises(InvariantViolated, match=message):
+        oracle.value([1, 2])
+        oracle.value([1, 2, 3])
+
+
+def two_halves():
+    return make_instance(1, {1: F(1, 2), 2: F(1, 2)}, [[1, 2]], {(1, 0): F(2), (2, 0): F(1)})
+
+
+def test_solution_guards_an_unassigned_remainder(monkeypatch):
+    """An optimum whose flow overfills the bin with item 2 leaves no room
+    for item 1."""
+    monkeypatch.setattr(LpOracle, "_optimum", lambda self, items, key=None: (0, {(2, 0): 3}, True))
+    with pytest.raises(InvariantViolated, match=r"^saturation left 1 units of item 1 unassigned$"):
+        LpOracle(two_halves()).solution([1, 2])
+
+
+def test_solution_guards_the_lp_value(monkeypatch):
+    """An optimum whose units disagree with its flow."""
+    optimum = LpOracle._optimum
+
+    def off_by_one(self, items, key=None):
+        units, y, cold = optimum(self, items, key)
+        return units + 1, y, cold
+
+    monkeypatch.setattr(LpOracle, "_optimum", off_by_one)
+    with pytest.raises(InvariantViolated, match=r"^saturation pass changed the LP value$"):
+        LpOracle(two_halves()).solution([1, 2])
+
+
 INJECTED_VIOLATIONS = """
 from fractions import Fraction as F
 
@@ -547,7 +600,7 @@ def instance():
 
 
 def push_check():
-    net = _flow.FlowNetwork(2, [(0, 1, 1, -1)])
+    net = _flow.FlowNetwork(2, [(0, 1, 1, -1)], [0])
     net.cap[0] = 0  # the path below has no room left
     net._shortest_path = lambda s: ([0, -1], [-1, 0])
     net.run(0, 1)
@@ -647,7 +700,7 @@ def first_augmentations(oracle, items, k):
     edges = [(0, 1 + p, units, 0) for p, units in enumerate(supply)]
     edges += [(1 + p, right + j, supply[p], cost) for p, j, cost in arcs]
     edges += [(right + j, sink, oracle._scale, 0) for j in range(oracle.inst.m)]
-    net = FlowNetwork(sink + 1, edges)
+    net = FlowNetwork(sink + 1, edges, [0] * len(edges))
     for _ in range(k):
         dist, parent = net._shortest_path(0)
         assert dist[sink] is not None and dist[sink] < 0

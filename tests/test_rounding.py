@@ -44,6 +44,12 @@ def split_pair():
     return inst, x
 
 
+def fractional_weight(inst, g):
+    """The fractional matching's weight, from the instance's ``Fraction``
+    profits rather than the edges' int weights."""
+    return sum((inst.profit(e.item, e.slot.bin) * e.load for e in g.edges), F(0))
+
+
 def test_single_item_single_slot():
     inst = make_instance(1, {1: F(1, 2)}, [[1]], {(1, 0): F(5)})
     x = FractionalSolution(entries={(1, 0): F(1)}, value=F(5))
@@ -59,11 +65,22 @@ def test_slot_graph_hand_trace(split_pair):
     assert set(g.slots) == {Slot(0, 1), Slot(0, 2), Slot(1, 1)}
     by_slot = {}
     for e in g.edges:
-        by_slot.setdefault(e.slot, []).append((e.item, e.load))
-    assert by_slot[Slot(0, 1)] == [(1, F(1))]
-    assert by_slot[Slot(0, 2)] == [(2, F(2, 3))]
-    assert by_slot[Slot(1, 1)] == [(2, F(1, 3))]
-    assert g.fractional_weight() == x.value
+        by_slot.setdefault(e.slot, []).append((e.item, e.weight, e.load))
+    assert by_slot[Slot(0, 1)] == [(1, 10, F(1))]
+    assert by_slot[Slot(0, 2)] == [(2, 6, F(2, 3))]
+    assert by_slot[Slot(1, 1)] == [(2, 3, F(1, 3))]
+    assert fractional_weight(inst, g) == x.value
+
+
+def test_slot_edge_weights_are_profits_over_profit_den():
+    """Profits 1/2 and 2/3 have common denominator 6: the weights are 3 and 4."""
+    inst = make_instance(
+        1, {1: F(1, 2), 2: F(1, 2)}, [[1, 2]], {(1, 0): F(1, 2), (2, 0): F(2, 3)}
+    )
+    x = FractionalSolution(entries={(1, 0): F(1), (2, 0): F(1)}, value=F(7, 6))
+    g = build_slot_graph(inst, x)
+    assert [(e.item, e.weight) for e in g.edges] == [(1, 3), (2, 4)]
+    assert all(type(e.weight) is int for e in g.edges)
 
 
 def test_slot_graph_rejects_unsaturated():
@@ -80,7 +97,7 @@ def check_slot_invariants(inst, g):
     for s in g.slots:
         ranks[s.bin] = max(ranks.get(s.bin, 0), s.rank)
     for s in g.slots:
-        load = g.slot_load(s)
+        load = sum((e.load for e in g.edges if e.slot == s), F(0))
         if s.rank < ranks[s.bin]:
             assert load == 1
         else:
@@ -102,7 +119,7 @@ def test_slot_graph_invariants_fuzz():
         x = random_saturated_solution(rng, inst)
         g = build_slot_graph(inst, x)
         check_slot_invariants(inst, g)
-        assert g.fractional_weight() == x.value
+        assert fractional_weight(inst, g) == x.value
         for i in x.support_items():
             total = sum((e.load for e in g.edges if e.item == i), F(0))
             assert total == 1
@@ -130,9 +147,7 @@ def test_complete_matching_picks_heavier_option(split_pair):
 def test_complete_matching_guards_an_unmatched_item():
     # Item 2 has no edge, so no matching covers it: a broken slot graph.
     s1 = Slot(0, 1)
-    g = SlotGraph(
-        items=(1, 2), slots=(s1,), edges=(SlotEdge(1, s1, F(1), F(1)),), weight_units=(1,)
-    )
+    g = SlotGraph(items=(1, 2), slots=(s1,), edges=(SlotEdge(1, s1, 1, F(1)),))
     with pytest.raises(InvariantViolated, match=r"^matched only 1 of 2 items; slot graph"):
         complete_matching(g)
 
@@ -140,7 +155,7 @@ def test_complete_matching_guards_an_unmatched_item():
 def test_empty_network_ships_nothing():
     """No items: the replay ends the run at once, and the matching is empty."""
     assert transport([], [], []) == (0, 0, [])
-    assert complete_matching(SlotGraph(items=(), slots=(), edges=(), weight_units=())) == {}
+    assert complete_matching(SlotGraph(items=(), slots=(), edges=())) == {}
 
 
 def test_matching_weight_at_least_fractional_value_fuzz():
@@ -156,21 +171,27 @@ def test_matching_weight_at_least_fractional_value_fuzz():
         assert weight >= x.value
 
 
-def unshifted_arcs(g):
+def unshifted_arcs(inst, g):
     """The slot edges as ``(item, slot, cost)`` arcs of cost minus the
-    weight, scaled to an integer: the costs without the potential."""
-    den = lcm(*(e.weight.denominator for e in g.edges))
+    edge's profit, scaled to an integer by the lcm of the graph's profit
+    denominators rather than the instance's: the costs without the
+    potential."""
+    weights = [inst.profit(e.item, e.slot.bin) for e in g.edges]
+    den = lcm(*(w.denominator for w in weights))
     item_pos = {i: k for k, i in enumerate(g.items)}
     slot_pos = {s: k for k, s in enumerate(g.slots)}
-    return [(item_pos[e.item], slot_pos[e.slot], -int(e.weight * den)) for e in g.edges]
+    return [
+        (item_pos[e.item], slot_pos[e.slot], -int(w * den)) for e, w in zip(g.edges, weights)
+    ]
 
 
-def network_matching(g):
+def network_matching(inst, g):
     """The complete matching of a min-cost flow of ``n`` units on the
     unshifted arcs: full-scan successive shortest paths from the zero flow,
     along paths of any cost, stopped at ``n`` units."""
     n = len(g.items)
-    flows, _flow, _cost = bipartite_states([1] * n, [1] * len(g.slots), unshifted_arcs(g), n)[-1]
+    arcs = unshifted_arcs(inst, g)
+    flows, _flow, _cost = bipartite_states([1] * n, [1] * len(g.slots), arcs, n)[-1]
     return {e.item: e.slot for e, units in zip(g.edges, flows) if units > 0}
 
 
@@ -196,7 +217,7 @@ def test_complete_matching_equals_the_zero_flow_network_run(monkeypatch):
         before = runs["n"]
         matching = complete_matching(g)
         replayed += runs["n"] == before
-        expected = network_matching(g)
+        expected = network_matching(inst, g)
         assert matching == expected
         assert list(matching) == list(expected)
         matched += 1
@@ -215,11 +236,10 @@ def test_shift_exceeds_the_cost_of_every_path():
         items=(1, 2),
         slots=(s1, s2),
         edges=(
-            SlotEdge(1, s1, F(10), F(1, 2)),
-            SlotEdge(1, s2, F(0), F(1, 2)),
-            SlotEdge(2, s1, F(0), F(1, 2)),
+            SlotEdge(1, s1, 10, F(1, 2)),
+            SlotEdge(1, s2, 0, F(1, 2)),
+            SlotEdge(2, s1, 0, F(1, 2)),
         ),
-        weight_units=(10, 0, 0),
     )
     matching = complete_matching(g)
     assert matching == {1: s2, 2: s1}
@@ -238,7 +258,7 @@ def test_matching_weight_matches_networkx():
         g = build_slot_graph(inst, random_saturated_solution(rng, inst))
         if not g.items:
             continue
-        arcs = unshifted_arcs(g)
+        arcs = unshifted_arcs(inst, g)
         graph = nx.DiGraph()
         graph.add_nodes_from(["s", "t"])
         for i in range(len(g.items)):

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 import pytest
 
 from groupgap import submodular
-from groupgap.errors import LimitExceeded, PreconditionViolated
+from groupgap.errors import InvariantViolated, LimitExceeded, PreconditionViolated
 from groupgap.exact import exhaustive_knapsack_max
 from groupgap.submodular import (
     GridCheckReport,
@@ -211,10 +211,21 @@ def test_maximize_requires_capacity():
     # finite, are named in a ValueError
     with pytest.raises(ValueError, match="0.5"):
         maximize_with_reserve(f, {1: 0.5}, F(2))
+    # True is a Rational equal to 1, but not a size
+    with pytest.raises(ValueError, match=r"^element 1 has size True, not an int or Fraction$"):
+        maximize_with_reserve(f, {1: True}, F(2))
     for capacity in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match=str(capacity)):
             maximize_with_reserve(f, sizes, capacity)
     assert maximize_with_reserve(f, sizes, 2.0) == frozenset({1})  # converts exactly
+
+
+def test_maximize_guards_half_the_capacity(monkeypatch):
+    """A search that returns a set over half the capacity."""
+    monkeypatch.setattr(submodular, "_branch_and_bound", lambda *args: (0b11, F(0), True))
+    message = r"^selected set \[1, 2\] exceeds half the capacity$"
+    with pytest.raises(InvariantViolated, match=message):
+        maximize_with_reserve(modular({1: F(1), 2: F(1)}), {1: F(1), 2: F(1)}, F(2))
 
 
 def test_search_is_exact_and_never_below_guess_greedy():
