@@ -1,19 +1,15 @@
-"""Brute-force reference solvers that certify the pipeline at desk scale.
+"""The exact optimum of a desk-scale grouped assignment instance.
 
-These deliberately take different routes than the production code: the
-exact grouped-assignment optimum enumerates group subsets and placements,
-pruned by a bound of its own, and the partial-matching value function runs
-a bitmask DP rather than a flow computation. Neither calls the LP oracle or
-the flow solver, so each side can vouch for the other.
+``groupgap exact`` and ``solve --exact-compare`` run it. It takes a route of
+its own: it enumerates group subsets and branch-and-bounds over item
+placements with its own bound, and calls neither the LP oracle nor the flow
+solver, so it checks the pipeline rather than repeating it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Callable, Iterable, Mapping
 
 from .errors import LimitExceeded
 from .model import ONE, ZERO, Assignment, Instance, validate_instance
@@ -108,100 +104,3 @@ def solve_exact(inst: Instance, use_pruning: bool = True) -> tuple[Fraction, Ass
         dfs(0, ZERO)
     return best_value, Assignment(bins=best_bins)
 
-
-def exhaustive_knapsack_max(
-    f: Callable[[frozenset[int]], Fraction],
-    sizes: Mapping[int, Fraction],
-    capacity: Fraction,
-) -> Fraction:
-    """Exact max of f over subsets within the capacity, by enumeration;
-    ``sizes`` maps each element id to its size."""
-    if len(sizes) > 20:
-        raise LimitExceeded(f"{len(sizes)} elements > enumeration limit 20")
-    ids = list(sizes)
-    best = f(frozenset())
-    for mask in range(1, 1 << len(ids)):
-        size = sum(
-            (sizes[ids[b]] for b in range(len(ids)) if mask >> b & 1), Fraction(0)
-        )
-        if size > capacity:
-            continue
-        val = f(frozenset(ids[b] for b in range(len(ids)) if mask >> b & 1))
-        if val > best:
-            best = val
-    return best
-
-
-@dataclass(frozen=True)
-class WeightedBipartiteGraph:
-    """Left/right node counts plus non-negative edge weights (absent = no edge)."""
-
-    left: int
-    right: int
-    weights: Mapping[tuple[int, int], Fraction]
-
-
-def _scaled_adjacency(graph: WeightedBipartiteGraph) -> tuple[list[list[tuple[int, int]]], int]:
-    den = 1
-    for w in graph.weights.values():
-        den = lcm(den, Fraction(w).denominator)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.left)]
-    for (l, r), w in graph.weights.items():
-        adj[l].append((1 << r, int(Fraction(w) * den)))
-    return adj, den
-
-
-def _advance(dp: list[int], adj_l: list[tuple[int, int]]) -> list[int]:
-    new = dp[:]
-    for mask in range(len(dp)):
-        base = dp[mask]
-        for rbit, w in adj_l:
-            if mask & rbit:
-                continue
-            cand = base + w
-            merged = mask | rbit
-            if cand > new[merged]:
-                new[merged] = cand
-    return new
-
-
-def matching_value(graph: WeightedBipartiteGraph, left_nodes: Iterable[int]) -> Fraction:
-    """Max-weight matching value of the subgraph induced by the left subset.
-
-    Dynamic program over subsets of right nodes; left nodes may stay
-    unmatched.
-    """
-    chosen = sorted(set(left_nodes))
-    if len(chosen) > 12:
-        raise LimitExceeded(f"{len(chosen)} left nodes > DP limit 12")
-    if graph.right > 20:
-        raise LimitExceeded(f"{graph.right} right nodes > DP limit 20")
-    adj, den = _scaled_adjacency(graph)
-    dp = [0] * (1 << graph.right)
-    for l in chosen:
-        dp = _advance(dp, adj[l])
-    return Fraction(max(dp), den)
-
-
-def matching_value_table(graph: WeightedBipartiteGraph) -> list[Fraction]:
-    """Matching values for every left subset, indexed by subset bitmask.
-
-    Shares DP prefixes across subsets, which is much cheaper than one DP
-    per subset when the whole table is needed.
-    """
-    if graph.left > 12:
-        raise LimitExceeded(f"{graph.left} left nodes > DP limit 12")
-    if graph.right > 20:
-        raise LimitExceeded(f"{graph.right} right nodes > DP limit 20")
-    adj, den = _scaled_adjacency(graph)
-    out: list[Fraction] = [ZERO] * (1 << graph.left)
-
-    def descend(l: int, submask: int, dp: list[int]) -> None:
-        if l == graph.left:
-            out[submask] = Fraction(max(dp), den)
-            return
-        descend(l + 1, submask, dp)
-        descend(l + 1, submask | (1 << l), _advance(dp, adj[l]))
-
-    descend(0, 0, [0] * (1 << graph.right))
-    return out

@@ -90,6 +90,7 @@ def instance_from_dict(doc: Any) -> Instance:
             )
         )
     profits: dict[tuple[int, int], Fraction] = {}
+    seen: set[tuple[int, int]] = set()
     profits_doc = doc.get("profits", [])
     if not isinstance(profits_doc, list):
         raise ValidationError("profits: expected an array")
@@ -100,8 +101,11 @@ def instance_from_dict(doc: Any) -> Instance:
         bin_index = _field_int(entry.get("bin"), f"profits[{k}].bin")
         value = _field_rational(entry.get("value"), f"profits[{k}].value")
         key = (item_id, bin_index - 1)
-        if key in profits:
-            raise ValidationError(f"profits[{k}]: duplicate entry for {key}")
+        if key in seen:
+            raise ValidationError(
+                f"profits[{k}]: duplicate entry for item {item_id}, bin {bin_index}"
+            )
+        seen.add(key)
         if value != ZERO:
             profits[key] = value
     return Instance(m=m, items=tuple(items), groups=tuple(groups), profits=profits)

@@ -1,4 +1,5 @@
-"""Core domain types: items, groups, instances, fractional solutions, assignments.
+"""Core domain types (items, groups, instances, fractional solutions,
+assignments), instance validation, and an assignment's feasibility and profit.
 
 All quantities (sizes, profits, loads, objective values) are exact rationals;
 no solver path ever touches floating point. The solver's stages compute on
@@ -180,10 +181,6 @@ class Assignment:
         return frozenset(out)
 
 
-def bin_load(inst: Instance, u: Assignment, bin_index: int) -> Fraction:
-    return inst.total_size(u.bins[bin_index])
-
-
 def _well_formed(inst: Instance, u: Assignment) -> bool:
     """One bin per instance bin, holding only the instance's items, and no
     item placed in two of them."""
@@ -196,21 +193,7 @@ def is_feasible(inst: Instance, u: Assignment) -> bool:
     """Well formed, and every bin within capacity."""
     if not _well_formed(inst, u):
         return False
-    return all(bin_load(inst, u, j) <= ONE for j in range(inst.m))
-
-
-def is_almost_feasible(inst: Instance, u: Assignment) -> bool:
-    """Well formed, and every bin fits once its single largest item is set aside."""
-    if not _well_formed(inst, u):
-        return False
-    for j in range(inst.m):
-        load = bin_load(inst, u, j)
-        if load <= ONE:
-            continue
-        largest = max(inst.size(i) for i in u.bins[j])
-        if load - largest > ONE:
-            return False
-    return True
+    return all(inst.total_size(b) <= ONE for b in u.bins)
 
 
 def assignment_profit(inst: Instance, u: Assignment) -> Fraction:
@@ -220,29 +203,6 @@ def assignment_profit(inst: Instance, u: Assignment) -> Fraction:
         for i in bin_items:
             total += inst.profit(i, j)
     return total
-
-
-def validate_fractional(inst: Instance, x: FractionalSolution) -> None:
-    """Check LP feasibility and the cached objective of a fractional solution."""
-    per_item: dict[int, Fraction] = {}
-    per_bin: dict[int, Fraction] = {}
-    for (i, j), f in x.entries.items():
-        if i not in inst.item_map:
-            raise ValidationError(f"fractional entry references unknown item {i}")
-        if not 0 <= j < inst.m:
-            raise ValidationError(f"fractional entry references bin {j} out of range")
-        if not ZERO < f <= ONE:
-            raise ValidationError(f"fraction for ({i}, {j}) is {f}, must be in (0, 1]")
-        per_item[i] = per_item.get(i, ZERO) + f
-        per_bin[j] = per_bin.get(j, ZERO) + f * inst.size(i)
-    for i, tot in per_item.items():
-        if tot > ONE:
-            raise ValidationError(f"item {i} has total fraction {tot} > 1")
-    for j, load in per_bin.items():
-        if load > ONE:
-            raise ValidationError(f"bin {j} has fractional load {load} > 1")
-    if x.recompute_value(inst) != x.value:
-        raise ValidationError("cached fractional value does not match entries")
 
 
 def _is_int(x: object) -> bool:

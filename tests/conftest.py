@@ -15,8 +15,9 @@ from groupgap.model import (
     Instance,
     Item,
     ZERO,
-    is_almost_feasible,
 )
+
+from reference import WeightedBipartiteGraph, is_almost_feasible
 
 settings.register_profile("suite", max_examples=100, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -249,8 +250,6 @@ def scaled_matching_graph(inst: Instance, item_ids):
     becomes k left copies, each bin becomes N right slots, and any copy of
     item i in any slot of bin j is worth p_ij split over the copies."""
     from math import lcm
-
-    from groupgap.exact import WeightedBipartiteGraph
 
     items = sorted(item_ids)
     n_scale = 1

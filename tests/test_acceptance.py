@@ -12,16 +12,10 @@ import time
 import pytest
 
 from groupgap import submodular
-from groupgap.exact import (
-    WeightedBipartiteGraph,
-    exhaustive_knapsack_max,
-    matching_value,
-    matching_value_table,
-    solve_exact,
-)
+from groupgap.exact import solve_exact
 from groupgap.filling import REINSERT, SPLIT_ACROSS_VACANTS, make_feasible_traced
 from groupgap.lp_oracle import LpOracle
-from groupgap.model import assignment_profit, is_almost_feasible, is_feasible
+from groupgap.model import assignment_profit, is_feasible
 from groupgap.pipeline import solve
 from groupgap.rounding import round_to_assignment
 from groupgap.submodular import certify_ratio_bound, maximize_with_reserve
@@ -36,6 +30,13 @@ from conftest import (
     random_instance,
     random_saturated_solution,
     scaled_matching_graph,
+)
+from reference import (
+    WeightedBipartiteGraph,
+    exhaustive_knapsack_max,
+    is_almost_feasible,
+    matching_value,
+    matching_value_table,
 )
 
 

@@ -4,19 +4,19 @@ import pytest
 
 from groupgap import exact
 from groupgap.errors import LimitExceeded
-from groupgap.exact import (
-    WeightedBipartiteGraph,
-    exhaustive_knapsack_max,
-    matching_value,
-    matching_value_table,
-    solve_exact,
-)
+from groupgap.exact import solve_exact
 from groupgap.generate import GeneratorSpec, generate
 from groupgap.lp_oracle import LpOracle
 from groupgap.model import assignment_profit, is_feasible
 from groupgap.pipeline import solve, upper_bound
 
 from conftest import F, make_instance, random_instance, worked_example
+from reference import (
+    WeightedBipartiteGraph,
+    exhaustive_knapsack_max,
+    matching_value,
+    matching_value_table,
+)
 
 
 def test_single_group_single_item():

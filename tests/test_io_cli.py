@@ -93,7 +93,11 @@ VALID_DOC = {
         ({"profits": ["3"]}, r"^profits\[0\]: expected an object$"),
         (
             {"profits": [VALID_DOC["profits"][0]] * 2},
-            r"^profits\[1\]: duplicate entry for \(1, 0\)$",
+            r"^profits\[1\]: duplicate entry for item 1, bin 1$",
+        ),
+        (
+            {"profits": [{"item": 1, "bin": 1, "value": "0"}, VALID_DOC["profits"][0]]},
+            r"^profits\[1\]: duplicate entry for item 1, bin 1$",
         ),
     ],
     ids=[
@@ -106,6 +110,7 @@ VALID_DOC = {
         "profits-not-an-array",
         "profit-not-an-object",
         "duplicate-profit",
+        "duplicate-profit-after-a-zero",
     ],
 )
 def test_instance_from_dict_rejects_malformed_structure(change, message):

@@ -18,16 +18,15 @@ from groupgap.model import (
     Instance,
     Item,
     assignment_profit,
-    is_almost_feasible,
     is_feasible,
     parse_rational,
     render_rational,
-    validate_fractional,
     validate_instance,
 )
 from groupgap.pipeline import solve, upper_bound
 
 from conftest import F, make_instance, random_instance
+from reference import is_almost_feasible, validate_fractional
 
 
 @given(st.fractions())

@@ -5,11 +5,7 @@ import pytest
 
 from groupgap._flow import FlowNetwork, transport
 from groupgap.errors import InvariantViolated, PreconditionViolated
-from groupgap.model import (
-    FractionalSolution,
-    assignment_profit,
-    is_almost_feasible,
-)
+from groupgap.model import FractionalSolution, assignment_profit
 from groupgap.rounding import (
     Slot,
     SlotEdge,
@@ -26,6 +22,7 @@ from conftest import (
     random_instance,
     random_saturated_solution,
 )
+from reference import is_almost_feasible
 
 
 @pytest.fixture

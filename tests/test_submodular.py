@@ -8,7 +8,6 @@ import pytest
 
 from groupgap import submodular
 from groupgap.errors import InvariantViolated, LimitExceeded, PreconditionViolated
-from groupgap.exact import exhaustive_knapsack_max
 from groupgap.submodular import (
     GridCheckReport,
     _SEED_SIZE,
@@ -23,6 +22,7 @@ from groupgap.submodular import (
 )
 
 from conftest import F, coverage_oracle, modular_oracle, random_ground
+from reference import exhaustive_knapsack_max
 
 
 def modular(values):
