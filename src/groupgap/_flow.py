@@ -34,6 +34,50 @@ that gains room goes into its tail's list at its sorted position. Most of
 the edges left out are twins without flow: every arc into a right node has
 one there, so a right node's full list is mostly dead weight.
 
+Potentials. Every search of a run after its first skips the scans that
+cannot reach the path it returns (reduced costs as in Edmonds and Karp,
+1972, kept as in Johnson, 1977). The run keeps node potentials ``pi``:
+the first search's distances, 0 at a node it left unreached, and after
+each later search and its augmentation ``pi[v] = min(dist[v], pi[v] + D)``,
+where ``D = dist[t] - pi[t]`` is t's reduced distance and an unreached v
+takes ``pi[v] + D``. A later search keeps the first's pass order, dirty
+flags and strict ``<``, with two changes: t is never marked dirty (no
+simple s-t path leaves t), and a dirty node u is skipped when its reduced
+distance ``dist[u] - pi[u]`` exceeds t's current one (nothing is skipped
+before t is reached). The first search scans every node it reaches, t
+included, so its negative-cycle guard still covers any start flow. The
+paths stay the same:
+
+- A node the first search leaves unreached is never reached later:
+  augmenting gives room only to twins of path edges, between reached
+  nodes. Every live edge out of a reached node has a reduced cost
+  ``cost + pi[u] - pi[v] >= 0`` before each later search (last point).
+- Reduced costs move every candidate distance at v by the same
+  ``-pi[v]``, so reduced distances make the same comparisons as plain
+  ones; only which comparisons run changes. With reduced costs >= 0, a
+  node on a cheapest path to v has a reduced distance at most v's.
+- Call a node's final distance the one the full search gives it without
+  scanning t. It reaches that distance at the scan of its parent: the
+  first tight edge, in scan order, out of a node already at its final
+  distance. t's current reduced distance only falls, to D, so a node whose
+  final reduced distance is at most D is never skipped at the scan that
+  holds its final distance, and by induction from s every such node gets
+  the distance, parent and scan position that it gets without skips: a
+  skipped scan is of a node whose reduced distance then exceeds D, so it
+  could only offer reduced distances above D, never one of those.
+- Not scanning t loses no path to t: with strict ``<`` and no negative
+  cycle, Bellman-Ford's parents form a tree, so t's parent chain never
+  passes through t. So ``dist[t]`` and the parent chain from t are the
+  full search's, and so are every push, flow and cost.
+- The potentials stay valid. Let ``d(v) = min(r(v), D)``, with r(v) the
+  true reduced distance, through t or not (a path through t has r >= D).
+  The search leaves ``min(dist[v] - pi[v], D) = d(v)`` at every node,
+  since it gets every r(v) <= D that avoids t exactly and leaves the
+  others above D or unreached. For a live edge, ``d(v) <= d(u) + r(u, v)``
+  (r(u, v) its reduced cost), so its new reduced cost
+  ``r(u, v) + d(u) - d(v)`` is >= 0; the path's edges are tight with both
+  ends at most D, so the twins that augmenting gives room cost 0.
+
 :func:`transport` solves the bipartite problem of both callers, items to
 bins for the LP value and items to slots for the rounding matching, and
 :func:`resume` lays out every network that it or the LP oracle runs: node 0
@@ -166,7 +210,17 @@ class FlowNetwork:
             cost.append(w)
             cost.append(-w)
 
-    def _shortest_path(self, s: int):
+    def _shortest_path(self, s: int, t: int = -1, pi: list[int] | None = None):
+        """Bellman-Ford from s over the live edges: ``(dist, parent)``, with
+        ``None`` for a node not reached and ``-1`` for a node without parent.
+
+        Without t and ``pi`` every reached node is scanned. A given t is
+        never scanned: no simple path to t leaves it. With ``pi``, the
+        potentials that :meth:`run` keeps from its earlier searches, a node
+        whose reduced distance ``dist[u] - pi[u]`` exceeds t's is skipped
+        too. ``dist[t]`` and the parent chain from t come out as without
+        them (module docstring).
+        """
         live, to, cost = self.live, self.to, self.cost
         n = self.n
         dist: list[int | None] = [None] * n
@@ -174,6 +228,7 @@ class FlowNetwork:
         dirty = [False] * n  # dist dropped since the node was last scanned
         dist[s] = 0
         dirty[s] = True
+        limit = None  # t's reduced distance, once a search with potentials reaches t
         for _ in range(n):
             changed = False
             for u in range(n):
@@ -181,6 +236,8 @@ class FlowNetwork:
                     continue
                 dirty[u] = False
                 du = dist[u]
+                if limit is not None and du - pi[u] > limit:
+                    continue
                 for e in live[u]:
                     v = to[e]
                     nd = du + cost[e]
@@ -188,8 +245,11 @@ class FlowNetwork:
                     if dv is None or nd < dv:
                         dist[v] = nd
                         parent[v] = e
-                        dirty[v] = True
                         changed = True
+                        if v != t:
+                            dirty[v] = True
+                        elif pi is not None:
+                            limit = nd - pi[t]
             if not changed:
                 break
         else:  # a pass still relaxed after n - 1: the residual has a negative cycle
@@ -226,16 +286,28 @@ class FlowNetwork:
         """Push flow from s to t along successively cheapest paths, up to
         the first path of cost >= 0 or until no path is left.
         Returns (flow, cost).
+
+        The first search scans every node it reaches. Each later one runs
+        under potentials ``pi``: the first search's distances (0 for a node
+        it left unreached, which no later search reaches), then after each
+        augmentation ``pi[v] = min(dist[v], pi[v] + D)``, with ``D`` t's
+        reduced distance, so every live edge out of a node the first search
+        reached keeps a reduced cost ``cost + pi[u] - pi[v] >= 0``.
         """
         total_flow = 0
         total_cost = 0
-        while True:
-            dist, parent = self._shortest_path(s)
-            if dist[t] is None or dist[t] >= 0:
-                break
+        dist, parent = self._shortest_path(s)  # scans t too: the cycle guard covers it
+        pi = None
+        while dist[t] is not None and dist[t] < 0:
             push = self._augment(s, t, parent)
             total_flow += push
             total_cost += push * dist[t]
+            if pi is None:
+                pi = [0 if d is None else d for d in dist]
+            else:
+                limit = dist[t] - pi[t]  # t's reduced distance, D
+                pi = [p + limit if d is None or d - p > limit else d for d, p in zip(dist, pi)]
+            dist, parent = self._shortest_path(s, t, pi)
         return total_flow, total_cost
 
 

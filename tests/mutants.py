@@ -1,5 +1,6 @@
 """Each certificate and runtime check must fail the test written for it
-once it is switched off.
+once it is switched off, and so must each rule that the flow search's
+skipped scans rest on once it is bent.
 
 Run from the repository root::
 
@@ -84,6 +85,24 @@ MUTANTS = [
         "if push is None or push <= 0:",
         OFF,
         "tests/test_flow.py::test_augment_guards_a_full_path",
+    ),
+    (
+        "_flow.py",
+        "if limit is not None and du - pi[u] > limit:",
+        "if limit is not None and du - pi[u] >= limit:",
+        "tests/test_flow.py::test_later_searches_take_the_full_scan_paths",
+    ),
+    (
+        "_flow.py",
+        "pi = [p + limit if d is None or d - p > limit else d for d, p in zip(dist, pi)]",
+        "pi = [p + limit if d is None else d for d, p in zip(dist, pi)]",
+        "tests/test_flow.py::test_potentials_keep_reduced_costs_nonnegative",
+    ),
+    (
+        "_flow.py",
+        "dist, parent = self._shortest_path(s)  #",
+        "dist, parent = self._shortest_path(s, t)  #",
+        "tests/test_flow.py::test_negative_cycle_raises_instead_of_looping",
     ),
     (
         "lp_oracle.py",

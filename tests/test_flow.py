@@ -2,14 +2,20 @@
 cold solves, on plain costs and under the node potential that makes a run
 ship every unit (the rounding's matching). ``resume`` runs from a start
 flow: a state of the cold run, which it continues, or, warm, a subset's
-optimum, which it re-optimises for every left node."""
+optimum, which it re-optimises for every left node. On generated networks
+large enough for a run's later searches to skip scans, those searches
+take the full scan's paths, and the potentials they run under stay valid."""
 
+import copy
 import random
 
 import pytest
 
 from groupgap._flow import FlowNetwork, replay, resume, transport
 from groupgap.errors import InvariantViolated
+from groupgap.generate import GeneratorSpec, generate
+from groupgap.lp_oracle import LpOracle
+from groupgap.rounding import build_slot_graph
 
 from conftest import adjacency, augment, bipartite_states, full_scan_shortest_path
 
@@ -403,3 +409,133 @@ def test_replay_that_finishes_builds_no_network(monkeypatch):
 def test_transport_rejects_parallel_arcs():
     with pytest.raises(ValueError, match="same left and right"):
         transport([1], [1], [(0, 0, -1), (0, 0, -2)])
+
+
+def generated_transports():
+    """Transport inputs of the size where later searches skip scans: the LP
+    of all items of a uniform 120/2/16 and a vod 36/6/12 instance (generator
+    seeds 1 and 2), as the LP oracle lays it out, and the rounding matching
+    of each uniform LP's solution, shifted as ``complete_matching`` shifts
+    it so that its run ships every item."""
+    problems = []
+    for seed in (1, 2):
+        for n, groups, bins, flavor in ((120, 2, 16, "uniform"), (36, 6, 12, "vod")):
+            inst = generate(GeneratorSpec(seed, n, groups, bins, flavor))
+            oracle = LpOracle(inst)
+            items = sorted(inst.item_ids)
+            supply = [oracle._shat[i] for i in items]
+            arcs = [(k, j, cost) for k, i in enumerate(items) for j, cost in oracle._arcs[i]]
+            problems.append((supply, oracle._demand, arcs))
+            if flavor == "uniform":  # two groups, each within half the bins: all items fit
+                g = build_slot_graph(inst, oracle.solution(items))
+                item_pos = {i: k for k, i in enumerate(g.items)}
+                slot_pos = {slot: k for k, slot in enumerate(g.slots)}
+                arcs = [(item_pos[e.item], slot_pos[e.slot], -e.weight) for e in g.edges]
+                problems.append(([1] * len(g.items), [1] * len(g.slots), shifted(arcs)[1]))
+    return problems
+
+
+def run_generated_transports():
+    """Each generated problem run cold (from zero, no replay), continued
+    (``transport``: the replay, then the network from the replayed flow)
+    and warm (from the optimum of every other left node)."""
+    for supply, demand, arcs in generated_transports():
+        resume(supply, demand, arcs, [0] * len(arcs), False)
+        transport(supply, demand, arcs)
+        half = [units if k % 2 else 0 for k, units in enumerate(supply)]
+        resume(supply, demand, arcs, transport(half, demand, arcs)[2], True)
+
+
+def without_sink_edges(net, t):
+    """A copy of ``net`` whose search, like one with potentials, never
+    leaves t."""
+    bare = copy.deepcopy(net)
+    bare.live[t] = []
+    return bare
+
+
+def path(parent, net, s, t):
+    """The edges of the parent chain from t back to s, or None if t is unreached."""
+    if parent[t] < 0:
+        return None
+    edges, v = [], t
+    while v != s:
+        edges.append(parent[v])
+        v = net.to[parent[v] ^ 1]
+    return edges
+
+
+def test_later_searches_take_the_full_scan_paths(monkeypatch):
+    """Every run on the generated networks, cold, continued and warm, ends
+    with the flow, cost and capacities of a run that calls the full-scan
+    reference for every search. Each later search returns t's distance
+    and parent chain as the search without potentials does, and every node
+    whose reduced distance, t's out-edges left aside, is at most t's gets
+    that search's distance and parent; some reached node is left with an
+    edge not relaxed, which only a skipped scan leaves."""
+    run, search = FlowNetwork.run, FlowNetwork._shortest_path
+    counts = {"later": 0, "skipped": 0}
+
+    def checked_run(net, s, t):
+        ref = copy.deepcopy(net)
+        expected = reference_run(ref, s, t, stop_on_nonnegative=True)
+        assert run(net, s, t) == expected
+        assert net.cap == ref.cap
+        return expected
+
+    def checked_search(net, s, t=-1, pi=None):
+        dist, parent = search(net, s, t, pi)
+        if pi is None:
+            return dist, parent
+        counts["later"] += 1
+        full_dist, full_parent = search(net, s)
+        assert dist[t] == full_dist[t]
+        assert path(parent, net, s, t) == path(full_parent, net, s, t)
+        bare_dist, bare_parent = search(without_sink_edges(net, t), s)
+        limit = None if dist[t] is None else dist[t] - pi[t]
+        for v, d in enumerate(bare_dist):
+            if d is not None and (limit is None or d - pi[v] <= limit):
+                assert (dist[v], parent[v]) == (d, bare_parent[v])
+        counts["skipped"] += any(
+            dist[net.to[e]] is None or dist[net.to[e]] > d + net.cost[e]
+            for u, d in enumerate(dist)
+            if d is not None and u != t
+            for e in net.live[u]
+        )
+        return dist, parent
+
+    monkeypatch.setattr(FlowNetwork, "run", checked_run)
+    monkeypatch.setattr(FlowNetwork, "_shortest_path", checked_search)
+    run_generated_transports()
+    assert counts["later"] > 1000 and counts["skipped"] > 500, counts
+
+
+def test_potentials_keep_reduced_costs_nonnegative(monkeypatch):
+    """Before every later search of a run on the generated networks, so
+    after every augmentation, each live edge out of a node that the run's
+    first search reached has reduced cost ``cost + pi[u] - pi[v] >= 0``
+    under the potentials the search gets; no node that the first search
+    left unreached is reached later."""
+    search = FlowNetwork._shortest_path
+    reached = {}
+    counts = {"checked": 0, "unreached": 0}
+
+    def checked_search(net, s, t=-1, pi=None):
+        if pi is None:
+            dist, parent = search(net, s)
+            reached[net] = [d is not None for d in dist]
+            counts["unreached"] += reached[net].count(False)
+            return dist, parent
+        first = reached[net]
+        for u in range(net.n):
+            if first[u]:
+                for e in net.live[u]:
+                    assert net.cost[e] + pi[u] - pi[net.to[e]] >= 0
+        dist, parent = search(net, s, t, pi)
+        assert all(first[v] for v, d in enumerate(dist) if d is not None)
+        counts["checked"] += 1
+        return dist, parent
+
+    monkeypatch.setattr(FlowNetwork, "_shortest_path", checked_search)
+    run_generated_transports()
+    assert counts["checked"] > 1000 and counts["unreached"] > 0, counts
