@@ -124,6 +124,45 @@ node with an arc is shipped whole, or no arc of an unshipped node is left
 replayed flow is then the cold run's result: the same flow, cost and arc
 flows. Left nodes without an arc ship nothing either way.
 
+Components. :func:`transport` walks its arcs once, but a stop ends the
+walk of the stopped left node's connected component only (arcs join left
+and right nodes): its left nodes leave the walk, which goes on in the
+others, and each component left unfinished is then resumed cold from its
+walked flow as a network of its own, its nodes and arcs in their order in
+the whole network. The arc flows are those of the one network:
+
+- Every simple source-to-sink path of the residual graph stays inside one
+  component: between the source and the sink it moves only along arcs and
+  their twins.
+- Call a search plain if it scans every node it reaches except the sink.
+  Every search of a run, the first (which also scans the sink) and each
+  later one (under potentials), returns the plain search's sink distance
+  and parent chain, by the point above that not scanning the sink loses no
+  path. In a plain search, only the source and a component's own nodes
+  relax that component's nodes, so pass by pass they get the distances,
+  parents and dirty flags that the component's own plain search gives
+  them. The sink's parent is the first right node, in pass and scan order,
+  to offer its least distance, so the one network takes the next path of
+  one component's own run.
+- Augmenting changes only that component's capacities, so the one network
+  takes every component's own paths, interleaved, and stops where each of
+  them does: a component whose next path costs >= 0 keeps it.
+- The walk over a component's arcs, in the order of all arcs, is the
+  replay of its own network. An arc of cost >= 0 ends every component's
+  walk, since every later arc costs >= 0 too.
+
+The unfinished components must run apart. The walk goes on in B after it
+stopped in A, and may ship a left node of B along an arc that costs more
+than a path A still has. In one network the source and sink join them,
+and the cycle source -> left node of A -> right node of A -> sink ->
+right node of B -> left node of B -> source then costs < 0, which
+Bellman-Ford's guard reports as a negative cycle. Each component's walked
+flow is a state of its own cold run. Components are labelled only at the
+first stop, so a walk that finishes pays nothing for them. The LP oracle
+calls :func:`replay` itself and resumes one network from its first stop,
+which the plain replay argument covers; its networks are connected in
+practice.
+
 Resume. :func:`resume` runs the network from a start flow instead of
 from zero: it is built with that flow on the arcs and the matching flow on
 the source and sink edges (``FlowNetwork``'s ``flows``). It runs in one of
@@ -135,9 +174,9 @@ alone, live lists included, so a start flow that successive shortest paths
 themselves reached from zero, after their first k augmentations, leaves
 exactly the network that run had then. The run therefore goes on as the
 cold run would: the same paths, the same final flows, and the cold cost
-minus the start flow's. A ``transport`` from zero replays first and, where
-the walk stops short, resumes from what it shipped; the LP oracle does the
-same with its own pre-sorted arcs.
+minus the start flow's. A ``transport`` from zero replays first and
+resumes each component whose walk stops short from what it shipped; the
+LP oracle resumes its one network with its own pre-sorted arcs.
 
 Warm (``warm`` True): the start flow is optimal for the left nodes that
 carry it, in practice a subset's optimum, to which more supplied left
@@ -323,23 +362,72 @@ def transport(
     ``arcs`` holds ``(left, right, cost)``, indices into ``supply`` and
     ``demand``, at most one arc per pair (``ValueError`` otherwise); an
     arc's capacity is its left node's supply.
-    The run starts from zero with :func:`replay` and, only where the walk
-    stops short, goes on from the replayed flow with :func:`resume`.
+    The run starts from zero with one :func:`replay` walk over all arcs. A
+    stop ends the walk of its left node's connected component only (see
+    Components in the module docstring), and each component whose walk
+    stops short goes on from its walked flow as a network of its own, with
+    :func:`resume`. Components are labelled only once a walk stops.
     Returns the flow, its cost and the flow on each arc.
     """
     index = {(i, j): k for k, (i, j, _cost) in enumerate(arcs)}
     if len(index) < len(arcs):
         raise ValueError("two arcs join the same left and right nodes")
-    order = sorted((cost, j, i) for i, j, cost in arcs)
-    supplied = {i: units for i, units in enumerate(supply) if units}
-    flow, cost, shipped, left = replay(supplied, demand, order)
+    walk = iter(sorted((cost, j, i) for i, j, cost in arcs))
+    left = {i: units for i, units in enumerate(supply) if units}
+    room = list(demand)
+    flow = cost = 0
     flows = [0] * len(arcs)
-    for i, (j, units) in shipped.items():
-        flows[index[i, j]] = units
-    if not left:
-        return flow, cost, flows
-    more, more_cost, flows = resume(supply, demand, arcs, flows, False)
-    return flow + more, cost + more_cost, flows
+    component = None  # labelled at the first stop
+    while True:
+        more, more_cost, shipped, stop = replay(left, room, walk)
+        flow += more
+        cost += more_cost
+        for i, (j, units) in shipped.items():
+            flows[index[i, j]] = units
+        if stop is None:
+            return flow, cost, flows
+        if component is None:
+            component = _components(len(supply), arcs)
+        # The walk is done with this component: resume it on its own.
+        ks = component[stop]
+        lefts = sorted({arcs[k][0] for k in ks})
+        rights = sorted({arcs[k][1] for k in ks})
+        for i in lefts:
+            left.pop(i, None)
+        at_left = {i: n for n, i in enumerate(lefts)}
+        at_right = {j: n for n, j in enumerate(rights)}
+        more, more_cost, part = resume(
+            [supply[i] for i in lefts],
+            [demand[j] for j in rights],
+            [(at_left[i], at_right[j], c) for i, j, c in (arcs[k] for k in ks)],
+            [flows[k] for k in ks],
+            False,
+        )
+        flow += more
+        cost += more_cost
+        for k, units in zip(ks, part):
+            flows[k] = units
+
+
+def _components(n: int, arcs: list[tuple[int, int, int]]) -> list[list[int]]:
+    """For each of the n left nodes, the ids of the arcs of its connected
+    component, ascending; arcs join left and right nodes, and the nodes of
+    one component share one list."""
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    first: dict[int, int] = {}  # right node -> the first left node joined to it
+    for i, j, _cost in arcs:
+        root[find(i)] = find(first.setdefault(j, i))
+    members: list[list[int]] = [[] for _ in range(n)]
+    for k, (i, _j, _cost) in enumerate(arcs):
+        members[find(i)].append(k)
+    return [members[find(i)] for i in range(n)]
 
 
 def resume(
@@ -386,25 +474,26 @@ def resume(
 
 
 def replay(
-    supply: dict[int, int],
-    demand: list[int],
+    left: dict[int, int],
+    room: list[int],
     order: Iterable[tuple[int, int, int]],
-) -> tuple[int, int, dict[int, tuple[int, int]], dict[int, int]]:
+) -> tuple[int, int, dict[int, tuple[int, int]], int | None]:
     """The first augmenting paths of a cold :func:`transport` run, without
     Bellman-Ford (see the module docstring).
 
-    ``supply`` maps every left node of the network that has a positive
-    supply and an arc to that supply. ``order`` holds the network's arcs as
-    ``(cost, right, left)``, ascending, at most one per pair. Arcs of left
-    nodes outside ``supply`` are skipped, so the LP oracle passes the
+    ``left`` maps every left node of the network that has a positive
+    supply and an arc to the units it has still to ship, and ``room`` holds
+    each right node's room; the walk updates both in place. ``order`` holds
+    the network's arcs as ``(cost, right, left)``, ascending, at most one
+    per pair; an iterator goes on where the last walk over it stopped. Arcs
+    of left nodes outside ``left`` are skipped, so the LP oracle passes the
     sorted arcs of its whole instance.
-    Returns ``(flow, cost, shipped, left)``: the flow and cost shipped,
+    Returns ``(flow, cost, shipped, stop)``: the flow and cost shipped,
     each shipped left node's ``(right, units)`` in the order shipped, and
-    the units still to ship of each left node not shipped whole. ``left``
-    is empty exactly when the walk has ended the cold run.
+    the left node at whose arc the walk stopped short, or ``None`` where
+    the walk ended the cold run. After a stop, ``left`` holds the units
+    still to ship of each left node not shipped whole.
     """
-    left = dict(supply)
-    room = list(demand)
     flow = cost = 0
     shipped = {}
     if left:
@@ -415,7 +504,7 @@ def replay(
                 break
             r = room[j]
             if not r:
-                return flow, cost, shipped, left
+                return flow, cost, shipped, i
             units = left.pop(i)
             ship = units if units <= r else r
             room[j] = r - ship
@@ -424,7 +513,7 @@ def replay(
             shipped[i] = (j, ship)
             if ship < units:  # shipped in part: the right node is full
                 left[i] = units - ship
-                return flow, cost, shipped, left
+                return flow, cost, shipped, i
             if not left:
                 break
-    return flow, cost, shipped, {}
+    return flow, cost, shipped, None

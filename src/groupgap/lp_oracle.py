@@ -338,10 +338,10 @@ class LpOracle:
         positive profit that it did not ship whole; at 0 the flows are the
         optimum."""
         arcs, shat = self._arcs, self._shat
-        supply = {i: shat[i] for i in items if arcs[i]}
-        _flow, cost, shipped, left = replay(supply, self._demand, self._order)
+        left = {i: shat[i] for i in items if arcs[i]}
+        _flow, cost, shipped, stop = replay(left, list(self._demand), self._order)
         y = {(i, j): units for i, (j, units) in sorted(shipped.items())}
-        return -cost, y, len(left)
+        return -cost, y, 0 if stop is None else len(left)
 
     def _transport(
         self, items: list[int], start: dict[tuple[int, int], int], warm: bool

@@ -23,7 +23,11 @@ cost is at most the sum of the weights it crosses backwards (weights are
 profits, so >= 0), and ``M`` is one more than the sum of all weights, so
 every such path costs < 0 and the run ships until no path is left: the
 same units along the same paths as the unshifted min-cost flow of
-|items| units. A smaller ``M``, such as the largest weight, does not do:
+|items| units. Most connected components of the slot graph are one item
+joined to one slot, which the replay finishes; :func:`~groupgap._flow.transport`
+runs each component it leaves unfinished as a network of its own, with the
+same ``M`` and the same arc flows, and every source-to-sink path of such a
+network is one of the whole network, so it too costs < 0. A smaller ``M``, such as the largest weight, does not do:
 a path that undoes a heavy edge can cost up to the sum of the weights.
 
 Each edge's weight is the instance's profit for its item and bin, as an

@@ -351,35 +351,121 @@ def count_runs(monkeypatch):
     return runs
 
 
+def components(supply, arcs):
+    """The connected components that have an arc, each as its arcs' ids,
+    ascending: grown from each left node in turn by adding every arc at a
+    node already in, until none is added."""
+    done, found = set(), []
+    for start in range(len(supply)):
+        if start in done:
+            continue
+        lefts, rights = {start}, set()
+        while True:
+            ks = [k for k, (i, j, _cost) in enumerate(arcs) if i in lefts or j in rights]
+            if {arcs[k][0] for k in ks} <= lefts and {arcs[k][1] for k in ks} <= rights:
+                break
+            lefts.update(arcs[k][0] for k in ks)
+            rights.update(arcs[k][1] for k in ks)
+        done |= lefts
+        if ks:
+            found.append(ks)
+    return found
+
+
+def walk_stops_short(supply, demand, arcs, ks):
+    """Whether the replay of the component with arcs ``ks``, laid out as a
+    network of its own, stops short of ending its run."""
+    lefts = sorted({arcs[k][0] for k in ks})
+    rights = sorted({arcs[k][1] for k in ks})
+    left = {n: supply[i] for n, i in enumerate(lefts) if supply[i]}
+    order = sorted((arcs[k][2], rights.index(arcs[k][1]), lefts.index(arcs[k][0])) for k in ks)
+    return replay(left, [demand[j] for j in rights], order)[3] is not None
+
+
 @pytest.mark.parametrize("mode", ["profit", "shifted"])
 def test_transport_from_zero_equals_the_reference_run(mode, monkeypatch):
     """Each step of the replay is the next augmentation of the full-scan
     reference run; where the walk ends the run, the reference stops there
-    too, and otherwise the network run from the replayed flow ends where the
-    reference does. Ties, cost-0 arcs, unit and general supplies."""
+    too, and otherwise the networks run from the walked flow end where the
+    reference does, one per component whose own walk stops short. Ties,
+    cost-0 arcs, unit and general supplies."""
     built = count_runs(monkeypatch)
     rng = random.Random(101 if mode == "profit" else 103)
     outcomes = {"done": 0, "stopped": 0, "stopped after a step": 0}
     for trial in range(600):
         supply, demand, arcs = (tied_bipartite if trial % 3 else random_bipartite)(rng)
         arcs, states = reference_states(mode, supply, demand, arcs)
-        supplied = {i: units for i, units in enumerate(supply) if units}
+        left = {i: units for i, units in enumerate(supply) if units}
         order = sorted((cost, j, i) for i, j, cost in arcs)
-        flow, cost, shipped, left = replay(supplied, demand, order)
+        flow, cost, shipped, stop = replay(left, list(demand), order)
         placed = {(i, j): units for i, (j, units) in shipped.items()}
         flows = [placed.get((i, j), 0) for i, j, _cost in arcs]
         assert (flows, flow, cost) == states[len(shipped)]
-        if not left:
+        if stop is None:
             assert len(states) == len(shipped) + 1
         runs = built["n"]
         final_flows, final_flow, final_cost = states[-1]
         assert transport(supply, demand, arcs) == (final_flow, final_cost, final_flows)
-        assert built["n"] == runs + (len(left) > 0)
-        if not left:
+        unfinished = [
+            ks for ks in components(supply, arcs) if walk_stops_short(supply, demand, arcs, ks)
+        ]
+        assert built["n"] == runs + len(unfinished)
+        assert (stop is None) == (not unfinished)
+        if stop is None:
             outcomes["done"] += 1
         else:
             outcomes["stopped after a step" if shipped else "stopped"] += 1
     assert min(outcomes.values()) > 30, outcomes
+
+
+def disconnected_bipartite(rng):
+    """Bipartite inputs whose nodes are dealt to 2-4 parts, left and right
+    indices interleaved across them, with arcs only inside a part: as many
+    connected components or more. Few distinct costs, 0 among them, and
+    unit supplies and demands (as in the rounding) half the time."""
+    parts = rng.randint(2, 4)
+    unit = rng.random() < 0.5
+    left = [k % parts for k in range(rng.randint(parts, 10))]
+    right = [k % parts for k in range(rng.randint(parts, 10))]
+    rng.shuffle(left)
+    rng.shuffle(right)
+    supply = [1 if unit else rng.randint(0, 4) for _ in left]
+    demand = [1 if unit else rng.randint(0, 4) for _ in right]
+    costs = rng.choice([(-1, 0), (-2, -1, 0), (-1, 0, 1), (-3, -1), (0,)])
+    density = rng.choice([0.3, 0.6, 0.9])
+    arcs = [
+        (i, j, rng.choice(costs))
+        for i, a in enumerate(left)
+        for j, b in enumerate(right)
+        if a == b and rng.random() < density
+    ]
+    rng.shuffle(arcs)
+    return supply, demand, arcs
+
+
+@pytest.mark.parametrize("mode", ["profit", "shifted"])
+def test_transport_equals_one_network_run_on_disconnected_inputs(mode, monkeypatch):
+    """Each component whose walk stops short runs as a network of its own,
+    and together they end where the one network over all arcs, run cold
+    from zero, does: the same flow, cost and arc flows. So do the generated
+    problems, the rounding's shifted matchings among them."""
+    built = count_runs(monkeypatch)
+    rng = random.Random(107 if mode == "profit" else 109)
+    networks = {0: 0, 1: 0, "several": 0}
+    for _ in range(1500):
+        supply, demand, arcs = disconnected_bipartite(rng)
+        if mode == "shifted":
+            arcs = shifted(arcs)[1]
+        runs = built["n"]
+        got = transport(supply, demand, arcs)
+        runs = built["n"] - runs
+        networks["several" if runs > 1 else runs] += 1
+        assert got == resume(supply, demand, arcs, [0] * len(arcs), False)
+    assert min(networks.values()) > 100, networks
+    for supply, demand, arcs in generated_transports():
+        assert transport(supply, demand, arcs) == resume(
+            supply, demand, arcs, [0] * len(arcs), False
+        )
 
 
 def test_replay_that_finishes_builds_no_network(monkeypatch):
@@ -397,12 +483,10 @@ def test_replay_that_finishes_builds_no_network(monkeypatch):
     # the walk stops there and a network moves node 1 on.
     arcs = [(0, 0, -3), (1, 0, -2), (1, 1, -1)]
     assert transport(supply, demand, arcs) == (2, -4, [1, 0, 1])
-    assert replay({0: 1, 1: 1}, demand, sorted((c, j, i) for i, j, c in arcs)) == (
-        1,
-        -3,
-        {0: (0, 1)},
-        {1: 1},
-    )
+    left, room = {0: 1, 1: 1}, list(demand)
+    walked = replay(left, room, sorted((c, j, i) for i, j, c in arcs))
+    assert walked == (1, -3, {0: (0, 1)}, 1)
+    assert (left, room) == ({1: 1}, [0, 1, 1])
     assert built["n"] == 1
 
 

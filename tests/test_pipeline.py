@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from groupgap import submodular
+from groupgap import rounding, submodular
 from groupgap._flow import FlowNetwork
 from groupgap.errors import ValidationError
 from groupgap.exact import solve_exact
@@ -242,7 +242,11 @@ def test_later_searches_skip_scans_work_pin(monkeypatch):
     # Reads of net.to over one solve: one per edge a search relaxes, two per
     # edge of each augmenting path. 114,944 when every search scanned each
     # dirty node; searches after a run's first skip what cannot beat the
-    # sink, with the same 100 searches and the same outputs.
+    # sink, with the same 100 searches and the same outputs: 35,884. The
+    # rounding's matching took 48 of those searches on the whole slot graph;
+    # it now runs only the one component whose walk stops short, as its own
+    # network (test_matching_searches_work_pin), so 62 searches and 32,132
+    # reads, with the same outputs.
     reads = {"n": 0}
 
     class CountedReads(list):
@@ -261,8 +265,32 @@ def test_later_searches_skip_scans_work_pin(monkeypatch):
     inst = generate(GeneratorSpec(seed=1, n=120, groups=2, bins=16, flavor="uniform"))
     _assignment, report = solve(inst)
     assert report.all_certified()
-    assert searches["n"] == 100
-    assert reads["n"] == 35_884
+    assert searches["n"] == 62
+    assert reads["n"] == 32_132
+
+
+def test_matching_searches_work_pin(monkeypatch):
+    # The slot graph of this solve has 102 items, 103 slots and 87 connected
+    # components, 86 of them one item joined to one slot. The walk stops
+    # short in the one other component, of 32 arcs, and only that component
+    # runs as a network: 10 Bellman-Ford searches. When the walk's first
+    # stop sent the whole slot graph to one network, the matching took 48.
+    searches = count_calls(monkeypatch, FlowNetwork, "_shortest_path")
+    runs = count_calls(monkeypatch, FlowNetwork, "run")
+    matching = rounding.complete_matching
+    counted = {}
+
+    def counting(g):
+        before = searches["n"], runs["n"]
+        result = matching(g)
+        counted["searches"], counted["runs"] = searches["n"] - before[0], runs["n"] - before[1]
+        return result
+
+    monkeypatch.setattr(rounding, "complete_matching", counting)
+    inst = generate(GeneratorSpec(seed=1, n=120, groups=2, bins=16, flavor="uniform"))
+    _assignment, report = solve(inst)
+    assert report.all_certified()
+    assert counted == {"searches": 10, "runs": 1}
 
 
 def test_solution_reuses_the_selection_flow(monkeypatch):
