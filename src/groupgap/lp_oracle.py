@@ -51,8 +51,8 @@ rules are properties of the query, not settings. A warm run needs fewer
 augmenting paths, but each one reroutes through the start flow and scans
 more of the network, so the saving shrinks as the share of new items
 grows: without the half rule, vod 36/6/12 solves (the benchmark's
-oracle-heavy workload) ran 116.76 Bellman-Ford searches each instead of
-106.58 (:meth:`LpOracle._base` lists the counts). And each item still to
+oracle-heavy workload) ran 106.34 LP Bellman-Ford searches each instead of
+96.16 (:meth:`LpOracle._base` lists the counts). And each item still to
 ship takes an augmenting path: an unshipped one in a continued run, one
 that B lacks in a warm run. Where B lacks as many items, the continued
 run takes no more paths, each scanning less, and its flow is cold, so
@@ -72,11 +72,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from ._flow import replay, resume
 from .errors import InvariantViolated, PreconditionViolated
-from .model import ZERO, FractionalSolution, Instance
+from .model import FractionalSolution, Instance
 
 
 # How many of the latest solved sets keep their optimal flow; the
@@ -120,19 +121,26 @@ class LpOracle:
     over ``profit_den``, the lcm of every profit denominator. Item i
     supplies ``shat[i] = s_i * scale`` units, and each arc (i, j) with
     p_ij > 0 costs ``-(p_ij / shat[i]) * cost_den``, where ``cost_den`` is
-    the lcm of the denominators of all those unit profits. The build uses
-    integers only: with ``P = p_ij * profit_den`` and
-    ``g = gcd(P, profit_den * shat[i])``, the unit profit in lowest terms
-    is ``(P / g) / (profit_den * shat[i] / g)``, so no rational is ever
-    multiplied or divided. Every query (:meth:`_value_units`, which
-    :meth:`value` wraps, and :meth:`solution`) goes through one solve
-    path, :meth:`_optimum`: the replay, then :meth:`_transport` where
-    needed, which only copies ints and reuses the per-instance demand
-    list. Against a table built for the queried subset alone, every
-    capacity and every cost is multiplied by one positive constant each,
-    so Bellman-Ford's strict comparisons pick the same paths and the flows
-    and values come out the same; so do the replay's, which compares costs
-    and ids only.
+    the lcm of the denominators of all those unit profits. The build is one
+    pass over the view's profit entries, in integers only: with
+    ``P_ij = p_ij * profit_den`` and ``D_i = profit_den * shat[i]``, the
+    unit profit is ``P_ij / D_i``, whose denominator in lowest terms is
+    ``D_i / gcd(P_ij, D_i)``. Every such gcd divides ``D_i``, so the lcm of
+    those denominators over item i's arcs is
+    ``D_i / gcd(D_i, P_i1, ..., P_ik)``: one gcd per item gives
+    ``cost_den`` as the lcm over the items, and each arc costs
+    ``-(P_ij * cost_den) // D_i``, an exact division. No rational is ever
+    multiplied or divided. The walk's (cost, bin, item) order comes from a
+    stable sort on cost over the arcs laid out by (bin, item).
+
+    Every query (:meth:`_value_units`, which :meth:`value` wraps, and
+    :meth:`solution`) goes through one solve path, :meth:`_optimum`: the
+    replay, then :meth:`_transport` where needed, which only copies ints
+    and reuses the per-instance demand list. Against a table built for the
+    queried subset alone, every capacity and every cost is multiplied by
+    one positive constant each, so Bellman-Ford's strict comparisons pick
+    the same paths and the flows and values come out the same; so do the
+    replay's, which compares costs and ids only.
 
     The LP value is ``-cost / cost_den``, so the memo and the warm-start
     gains are ints in units of ``1 / cost_den``. :meth:`_value_units` is
@@ -149,34 +157,46 @@ class LpOracle:
         # The flows of the last _FLOWS_KEPT sets solved, oldest first.
         self._flows: dict[frozenset[int], _Flow] = {}
         view = inst._units
-        scale, shat = view.scale, view.sizes
-        # Per item, (bin, num, den): the unit profit p_ij / shat[i] in lowest
-        # terms, for the bins with p_ij > 0 in ascending order.
-        profit = view.profits.get
-        units = {}
-        for i, supply in shat.items():
-            row = units[i] = []
-            den = view.profit_den * supply
-            for j in range(inst.m):
-                num = profit((i, j), 0)
-                if num > 0:
-                    g = gcd(num, den)
-                    row.append((j, num // g, den // g))
-        cost_den = lcm(*(den for row in units.values() for _j, _num, den in row))
+        scale, shat, profit_den = view.scale, view.sizes, view.profit_den
+        # Per item, ascending ids, (bin, P) for the bins with P = p_ij *
+        # profit_den > 0, in ascending bin order.
+        rows = {i: [] for i in sorted(shat)}
+        for (i, j), num in view.profits.items():
+            if num > 0:
+                rows[i].append((j, num))
+        # The lcm of item i's reduced unit-profit denominators is one
+        # D_i // gcd(D_i, every P), D_i = profit_den * shat[i] (see above).
+        dens = []
+        for i, row in rows.items():
+            if row:
+                row.sort()
+                den = profit_den * shat[i]
+                dens.append(den // gcd(den, *[num for _j, num in row]))
+        cost_den = lcm(*dens)
         self._scale = scale
         self._shat = shat
         self._cost_den = cost_den
         # Each bin's capacity of 1, in units of 1 / scale: the demands of
         # every query.
         self._demand = [scale] * inst.m
-        # Per item, (bin, integer arc cost) in ascending bin order.
-        self._arcs = {
-            i: [(j, -num * (cost_den // den)) for j, num, den in row] for i, row in units.items()
-        }
+        # Per item, (bin, integer arc cost) in ascending bin order; and per
+        # bin, its arcs as (cost, bin, item) in ascending item order.
+        self._arcs = {}
+        by_bin = [[] for _j in range(inst.m)]
+        for i, row in rows.items():
+            den = profit_den * shat[i]
+            arcs = self._arcs[i] = []
+            for j, num in row:
+                cost = -(num * cost_den) // den
+                arcs.append((j, cost))
+                by_bin[j].append((cost, j, i))
         # Every arc as (cost, bin, item), ascending: the walk of
-        # :meth:`_replay`. Queried items are ascending ids, so sorting by id
-        # sorts by their position in the network too.
-        self._order = sorted((cost, j, i) for i, row in self._arcs.items() for j, cost in row)
+        # :meth:`_replay`. The sort on cost is stable over arcs laid out by
+        # (bin, item), so it gives the (cost, bin, item) order. Queried
+        # items are ascending ids, so sorting by id sorts by their position
+        # in the network too.
+        self._order = [arc for per_bin in by_bin for arc in per_bin]
+        self._order.sort(key=itemgetter(0))
 
     def value(self, item_ids: Iterable[int]) -> Fraction:
         """Optimal LP value with all items outside the subset forced to 0."""
@@ -223,26 +243,29 @@ class LpOracle:
         holds at least half its items and lacks fewer of them than
         ``unshipped``, the first solved among equals.
 
-        Bellman-Ford searches per solve, with every output the same, on the
-        benchmark's search-heavy, oracle-heavy and tail-heavy workloads at
-        seed 1 (their first 100, 50 and 50 instances), then uniform
-        60/16/10, 120/32/16 and 200/48/20 and vod 120/24/16 at generator
-        seeds 1-3:
+        The LP oracle's Bellman-Ford searches per solve (the rounding's
+        matching, which no base rule touches, left out), with every output
+        the same, on the benchmark's search-heavy, oracle-heavy and
+        tail-heavy workloads at seed 1 (their first 100, 50 and 50
+        instances), then uniform 60/16/10, 120/32/16 and 200/48/20 and vod
+        120/24/16 at generator seeds 1-3, counted at commit f548ce4:
 
-        - both rules: 8.00, 106.58, 98.24, 63.33, 138.00, 332.00, 346.67;
-        - without the half rule: 8.05, 116.76, and 358.67 on vod
+        - both rules: 7.01, 96.16, 52.36, 57.33, 128.33, 310.67, 327.67;
+        - without the half rule: 7.06, 106.34, and 339.67 on vod
           120/24/16, the rest the same;
-        - without the remainder rule: 8.83, 107.82, 117.40, 80.00, 163.67,
-          360.67, 348.67;
-        - without a warm start: 8.00, 101.78, 99.12, 64.00, 157.67, 526.33,
-          401.67.
+        - without the remainder rule: 7.84, 97.40, 71.52, 74.00, 154.00,
+          339.33, 329.67;
+        - without a warm start: 7.01, 91.36, 53.24, 58.00, 148.00, 505.00,
+          382.67.
 
         The scan is kept rather than the selection search handing over its
         node A for a query A + e. On the same shapes the scan found A for
         207 of the search's 265 warm starts. Taking A alone left every
-        output the same, ran 105.04 searches on oracle-heavy and 335.00 on
-        uniform 200/48/20 and the same elsewhere, and the kept flows are
-        needed either way.
+        output the same and the kept flows are needed either way. Counted
+        before the matching solved each connected component apart, with
+        its searches included, it ran 105.04 searches on oracle-heavy and
+        335.00 on uniform 200/48/20 against both rules' 106.58 and 332.00,
+        and the same elsewhere.
         """
         least = max((len(key) + 1) // 2, len(key) - unshipped + 1)
         if least >= len(key):
@@ -281,31 +304,35 @@ class LpOracle:
         cold solve: the replay and, where it stops short, its continuation.
         Both are the same flow, so the result never depends on earlier
         queries.
+
+        The capacity precondition and the check that the post-pass kept the
+        value compare ints from the instance's integer view; Fractions are
+        built only for an error message and the returned solution.
         """
         items = self._known(item_ids)
-        total = sum((self.inst.size(i) for i in items), ZERO)
-        if total > self.inst.m:
+        view = self.inst._units
+        m, scale, shat = self.inst.m, self._scale, self._shat
+        total = view.load(items)
+        if total > m * scale:
             raise PreconditionViolated(
-                f"selected items have total size {total} > total capacity {self.inst.m}"
+                f"selected items have total size {Fraction(total, scale)} > total capacity {m}"
             )
         # Every cap is 1, so the flows are in units of 1/scale and item i
         # supplies shat[i] of them.
         key = frozenset(items)
         kept = self._flows.get(key)
         if kept is not None and kept.cold:
-            units, y = self._memo[key], dict(kept.units)
+            lp_units, y = self._memo[key], dict(kept.units)
         else:
-            units, y, _cold = self._optimum(items)
-        value = Fraction(units, self._cost_den)
-        scale, shat = self._scale, self._shat
-        used = [0] * self.inst.m
+            lp_units, y, _cold = self._optimum(items)
+        used = [0] * m
         assigned = {i: 0 for i in items}
         for (i, j), units in y.items():
             used[j] += units
             assigned[i] += units
         for i in items:
             rem = shat[i] - assigned[i]
-            for j in range(self.inst.m):
+            for j in range(m):
                 if rem == 0:
                     break
                 take = min(rem, scale - used[j])
@@ -315,13 +342,19 @@ class LpOracle:
                     rem -= take
             if rem != 0:
                 raise InvariantViolated(f"saturation left {rem} units of item {i} unassigned")
-        x = FractionalSolution(
-            entries={(i, j): Fraction(units, shat[i]) for (i, j), units in y.items() if units > 0},
-            value=value,
+        # The value of the saturated flows in units of 1 / cost_den: a unit
+        # of i in j is worth p_ij / shat[i], so each term divides exactly
+        # (it is the arc's cost, negated, or 0 where p_ij is 0).
+        profit, den, cost_den = view.profits.get, view.profit_den, self._cost_den
+        earned = sum(
+            units * (profit((i, j), 0) * cost_den // (den * shat[i])) for (i, j), units in y.items()
         )
-        if x.recompute_value(self.inst) != value:
+        if earned != lp_units:
             raise InvariantViolated("saturation pass changed the LP value")
-        return x
+        return FractionalSolution(
+            entries={(i, j): Fraction(units, shat[i]) for (i, j), units in y.items() if units > 0},
+            value=Fraction(lp_units, cost_den),
+        )
 
     def _known(self, item_ids: Iterable[int]) -> list[int]:
         """The distinct ids in ascending order; ``ValueError`` names any unknown one."""

@@ -164,9 +164,6 @@ class FractionalSolution:
     def support_items(self) -> frozenset[int]:
         return frozenset(i for (i, _j) in self.entries)
 
-    def recompute_value(self, inst: Instance) -> Fraction:
-        return sum((f * inst.profit(i, j) for (i, j), f in self.entries.items()), ZERO)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -262,19 +259,22 @@ def validate_instance(inst: Instance, strict: bool = False) -> None:
     if grouped != seen_items:
         missing = sorted(seen_items - grouped)
         raise ValidationError(f"items {missing} belong to no group")
+    # The profit table is the largest part of an instance, so its loop tests
+    # ``type(x) is int`` first and calls ``_is_int`` only for other types.
+    m = inst.m
     for key, p in inst.profits.items():
         if not isinstance(key, tuple) or len(key) != 2:
             raise ValidationError(f"profit key {key!r} is not an (item, bin) pair")
         i, j = key
-        if not _is_int(i):
+        if type(i) is not int and not _is_int(i):
             raise ValidationError(f"profit key {key!r} has item {i!r}, not an int")
         if i not in seen_items:
             raise ValidationError(f"profit entry references unknown item {i}")
-        if not _is_int(j):
+        if type(j) is not int and not _is_int(j):
             raise ValidationError(f"profit for item {i} has bin index {j!r}, not an int")
-        if not 0 <= j < inst.m:
+        if not 0 <= j < m:
             raise ValidationError(
-                f"profit for item {i} references bin {j + 1}, valid range is 1..{inst.m}"
+                f"profit for item {i} references bin {j + 1}, valid range is 1..{m}"
             )
         try:
             negative = p.numerator < 0

@@ -118,9 +118,15 @@ MUTANTS = [
     ),
     (
         "lp_oracle.py",
-        "if x.recompute_value(self.inst) != value:",
+        "if earned != lp_units:",
         OFF,
         "tests/test_lp_oracle.py::test_solution_guards_the_lp_value",
+    ),
+    (
+        "lp_oracle.py",
+        "if total > m * scale:",
+        OFF,
+        "tests/test_lp_oracle.py::test_solution_insufficient_capacity",
     ),
     (
         "submodular.py",

@@ -133,6 +133,11 @@ def is_almost_feasible(inst: Instance, u: Assignment) -> bool:
     return True
 
 
+def recompute_value(inst: Instance, x: FractionalSolution) -> Fraction:
+    """The objective of ``x``'s entries, summed as Fractions."""
+    return sum((f * inst.profit(i, j) for (i, j), f in x.entries.items()), ZERO)
+
+
 def validate_fractional(inst: Instance, x: FractionalSolution) -> None:
     """Check LP feasibility and the cached objective of a fractional solution."""
     per_item: dict[int, Fraction] = {}
@@ -152,5 +157,5 @@ def validate_fractional(inst: Instance, x: FractionalSolution) -> None:
     for j, load in per_bin.items():
         if load > ONE:
             raise ValidationError(f"bin {j} has fractional load {load} > 1")
-    if x.recompute_value(inst) != x.value:
+    if recompute_value(inst, x) != x.value:
         raise ValidationError("cached fractional value does not match entries")

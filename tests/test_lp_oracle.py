@@ -237,34 +237,69 @@ def fraction_tables(inst):
     return scale, shat, cost_den, arcs
 
 
+def tie_heavy_instance(rng):
+    """Equal sizes, or sizes in proportion to profits, and a few equal
+    profits across items and bins, so many arcs share one cost; items and
+    profits are listed in descending id order."""
+    n, m = rng.randint(2, 7), rng.randint(1, 4)
+    ids = list(range(n, 0, -1))
+    if rng.random() < 0.5:
+        sizes = {i: F(1, 2) for i in ids}
+        unit = {i: F(1) for i in ids}
+    else:
+        # Profit p * size gives every item the unit profit p in every bin.
+        sizes = {i: F(rng.choice([1, 2, 4]), 4) for i in ids}
+        unit = sizes
+    profits = {}
+    for i in ids:
+        for j in reversed(range(m)):
+            kind = rng.choice(["missing", "zero", "tie", "tie", "tie"])
+            if kind == "zero":
+                profits[(i, j)] = F(0)
+            elif kind == "tie":
+                profits[(i, j)] = rng.choice([F(1), F(2)]) * unit[i]
+    items = tuple(Item(i, sizes[i]) for i in ids)
+    return Instance(m, items, (Group(0, tuple(sorted(ids))),), profits)
+
+
 def test_integer_tables_match_fraction_reference():
     """Rational profits of many denominators, explicit zeros and int-typed
-    profits, and instances without a positive profit."""
+    profits, instances without a positive profit, and tie-heavy instances
+    whose arcs share costs across items and bins (so the sorted walk's
+    (bin, item) order within one cost is pinned too)."""
     rng = random.Random(83)
-    without_profit = 0
-    for trial in range(150):
-        inst = random_instance(rng, n_max=7, m_max=4, den=rng.choice([16, 30, 97]))
-        profits = {}
-        for i in inst.item_ids:
-            for j in range(inst.m):
-                kind = rng.choice(["missing", "zero", "int", "fraction", "fraction"])
-                if kind == "zero":
-                    profits[(i, j)] = rng.choice([F(0), 0])
-                elif kind == "int":
-                    profits[(i, j)] = rng.randint(1, 40)
-                elif kind == "fraction":
-                    profits[(i, j)] = F(rng.randint(1, 60), rng.randint(1, 45))
-        if trial % 10 == 0:
-            profits = {key: p * 0 for key, p in profits.items()}
-        inst = Instance(inst.m, inst.items, inst.groups, profits)
-        without_profit += all(p <= 0 for p in profits.values())
+    without_profit = ties = 0
+    for trial in range(200):
+        if trial >= 150:
+            inst = tie_heavy_instance(rng)
+        else:
+            inst = random_instance(rng, n_max=7, m_max=4, den=rng.choice([16, 30, 97]))
+            profits = {}
+            for i in inst.item_ids:
+                for j in range(inst.m):
+                    kind = rng.choice(["missing", "zero", "int", "fraction", "fraction"])
+                    if kind == "zero":
+                        profits[(i, j)] = rng.choice([F(0), 0])
+                    elif kind == "int":
+                        profits[(i, j)] = rng.randint(1, 40)
+                    elif kind == "fraction":
+                        profits[(i, j)] = F(rng.randint(1, 60), rng.randint(1, 45))
+            if trial % 10 == 0:
+                profits = {key: p * 0 for key, p in profits.items()}
+            inst = Instance(inst.m, inst.items, inst.groups, profits)
+        without_profit += all(p <= 0 for p in inst.profits.values())
         oracle = LpOracle(inst)
-        tables = (oracle._scale, oracle._shat, oracle._cost_den, oracle._arcs)
-        assert tables == fraction_tables(inst)
+        tables = fraction_tables(inst)
+        assert (oracle._scale, oracle._shat, oracle._cost_den, oracle._arcs) == tables
+        order = sorted((cost, j, i) for i, row in tables[3].items() for j, cost in row)
+        assert oracle._order == order
+        costs = [cost for cost, _j, _i in order]
+        ties += len(costs) - len(set(costs))
         ints = [oracle._scale, oracle._cost_den, *oracle._shat.values()]
         ints += [x for row in oracle._arcs.values() for arc in row for x in arc]
         assert all(type(x) is int for x in ints)
     assert without_profit >= 15
+    assert ties >= 200
 
 
 def networkx_transport_value(nx, inst, items):

@@ -226,6 +226,18 @@ def test_validate_rejects_ids_that_are_not_ints():
                     call(inst)
 
 
+def test_validate_accepts_int_subclasses():
+    """An int subclass other than bool is an int, as an item id, a group
+    id, a group member and a profit key's item and bin."""
+
+    class Id(int):
+        pass
+
+    inst = Instance(2, (Item(Id(1), F(1, 2)),), (Group(Id(0), (Id(1),)),), {(Id(1), Id(0)): F(3)})
+    validate_instance(inst, strict=True)
+    assert upper_bound(inst) == 3
+
+
 def _check_instance(*fields):
     return lambda: validate_instance(Instance(*fields))
 
