@@ -4,14 +4,24 @@ Files use 1-based bin indices and ``"p/q"`` rational strings; the library
 is 0-based internally. Canonical serialization (sorted keys, items by id,
 profits by (item, bin), zero profits dropped) makes round-trips
 byte-stable.
+
+The canonical text is exactly ``json.dumps(doc, sort_keys=True, indent=2,
+ensure_ascii=False)`` followed by a newline, the same characters and the
+same exceptions. :func:`dumps_canonical` writes it itself because
+``json.dumps`` takes its C encoder only without ``indent``: with it, json
+runs a pure-Python generator per container. That, with Fraction's regex
+parser and an f-string per field name, made the JSON round trip of a
+120-item, 16-bin instance take longer than solving it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
+from math import inf
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ValidationError
 from .filling import FillStep
@@ -20,22 +30,24 @@ from .model import (
     Group,
     Instance,
     Item,
-    ZERO,
     parse_rational,
     render_rational,
 )
 from .pipeline import SolveReport
 
 
-def _field_rational(doc: Any, field: str) -> Fraction:
+def _field_rational(doc: Any, array: str, k: int, key: str) -> Fraction:
+    """``doc`` read as a rational, or ValidationError naming ``array[k].key``."""
     # A float is no exact rational: 0.3333333333333333 would load as
     # 3333333333333333/10**16, not the 1/3 it stands for.
     if isinstance(doc, float):
-        raise ValidationError(f'{field}: expected a "p/q" string or an integer, got {doc!r}')
+        raise ValidationError(
+            f'{array}[{k}].{key}: expected a "p/q" string or an integer, got {doc!r}'
+        )
     try:
         return parse_rational(doc)
     except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{field}: {exc}") from None
+        raise ValidationError(f"{array}[{k}].{key}: {exc}") from None
 
 
 def _field_int(value: Any, field: str) -> int:
@@ -55,7 +67,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "profits": [
             {"item": i, "bin": j + 1, "value": render_rational(p)}
             for (i, j), p in sorted(inst.profits.items())
-            if p != ZERO
+            if p != 0  # Fraction.__eq__ has a fast path for an int
         ],
     }
 
@@ -71,8 +83,11 @@ def instance_from_dict(doc: Any) -> Instance:
     for k, entry in enumerate(items_doc):
         if not isinstance(entry, dict):
             raise ValidationError(f"items[{k}]: expected an object")
-        item_id = _field_int(entry.get("id"), f"items[{k}].id")
-        size = _field_rational(entry.get("size"), f"items[{k}].size")
+        # A field's name is built only for its error message.
+        item_id = entry.get("id")
+        if type(item_id) is not int:
+            item_id = _field_int(item_id, f"items[{k}].id")
+        size = _field_rational(entry.get("size"), "items", k, "size")
         items.append(Item(id=item_id, size=size))
     groups_doc = doc.get("groups")
     if not isinstance(groups_doc, list):
@@ -85,7 +100,10 @@ def instance_from_dict(doc: Any) -> Instance:
             Group(
                 id=k,
                 members=tuple(
-                    sorted(_field_int(i, f"groups[{k}][{p}]") for p, i in enumerate(members))
+                    sorted(
+                        i if type(i) is int else _field_int(i, f"groups[{k}][{p}]")
+                        for p, i in enumerate(members)
+                    )
                 ),
             )
         )
@@ -97,22 +115,113 @@ def instance_from_dict(doc: Any) -> Instance:
     for k, entry in enumerate(profits_doc):
         if not isinstance(entry, dict):
             raise ValidationError(f"profits[{k}]: expected an object")
-        item_id = _field_int(entry.get("item"), f"profits[{k}].item")
-        bin_index = _field_int(entry.get("bin"), f"profits[{k}].bin")
-        value = _field_rational(entry.get("value"), f"profits[{k}].value")
+        item_id = entry.get("item")
+        if type(item_id) is not int:
+            item_id = _field_int(item_id, f"profits[{k}].item")
+        bin_index = entry.get("bin")
+        if type(bin_index) is not int:
+            bin_index = _field_int(bin_index, f"profits[{k}].bin")
+        value = _field_rational(entry.get("value"), "profits", k, "value")
         key = (item_id, bin_index - 1)
         if key in seen:
             raise ValidationError(
                 f"profits[{k}]: duplicate entry for item {item_id}, bin {bin_index}"
             )
         seen.add(key)
-        if value != ZERO:
+        if value != 0:
             profits[key] = value
     return Instance(m=m, items=tuple(items), groups=tuple(groups), profits=profits)
 
 
+def _float_text(x: float) -> str:
+    """json's spelling of a float (``allow_nan``): repr, or NaN and ±Infinity."""
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    """json's conversion of a dict key: a str (a subclass too) as it is."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+# The text of each exact scalar type; a subclass (an IntEnum, say) is
+# written as its base type, as json writes it.
+_ATOMS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _none: "null",
+}
+
+
+def _write(o: Any, indent: str, out: list[str], open_ids: set[int]) -> None:
+    """Append ``o``'s text to ``out``.
+
+    ``indent`` is the newline and indentation that start ``o``'s closing
+    bracket's line, and ``open_ids`` holds the containers written around it.
+    """
+    atom = _ATOMS.get(type(o))
+    if atom is not None:
+        out.append(atom(o))
+        return
+    if isinstance(o, (dict, list, tuple)):
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+            return
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(o))
+        inner = indent + "  "
+        if isinstance(o, dict):
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                key = key if type(key) is str else _key_text(key)
+                out.append(f"{sep}{encode_basestring(key)}: ")
+                _write(value, inner, out, open_ids)
+                sep = "," + inner
+            out.append(indent + "}")
+        else:
+            sep = "[" + inner
+            for value in o:
+                out.append(sep)
+                _write(value, inner, out, open_ids)
+                sep = "," + inner
+            out.append(indent + "]")
+        open_ids.discard(id(o))
+        return
+    for base in (str, int, float):
+        if isinstance(o, base):
+            out.append(_ATOMS[base](o))
+            return
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def dumps_canonical(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` and a
+    newline, the same text and the same errors, written in one recursive pass
+    (json's own indented encoder is its slower pure-Python one)."""
+    out: list[str] = []
+    _write(doc, "\n", out, set())
+    out.append("\n")
+    return "".join(out)
 
 
 def load_instance(path: str | Path) -> Instance:

@@ -24,11 +24,25 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# int() reads up to 640 digits under any ``sys.set_int_max_str_digits`` limit.
+_INT_DIGITS_ALWAYS_READ = 640
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational from a ``"p/q"`` (or plain integer) string.
 
     Raises ValueError on malformed input, including zero denominators.
     """
+    # The files' own spelling, ASCII digits "p" or "p/q" with q > 0, is read
+    # with int(); any other text goes through Fraction's parser and its
+    # errors, so both paths give the same value or the same error.
+    if type(text) is str and len(text) <= _INT_DIGITS_ALWAYS_READ and text.isascii():
+        num, slash, den = text.partition("/")
+        if num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and int(den) > 0:
+                return Fraction(int(num), int(den))
     try:
         return Fraction(str(text))
     except ZeroDivisionError:
@@ -39,6 +53,10 @@ def parse_rational(text: str) -> Fraction:
 
 def render_rational(value: Fraction) -> str:
     """Render a rational in lowest terms, e.g. ``"3/4"`` or ``"5"``."""
+    # An int or a Fraction prints as it stands; a subclass (bool among them:
+    # str(True) is "True") goes through Fraction.
+    if type(value) is int or type(value) is Fraction:
+        return str(value)
     return str(Fraction(value))
 
 
@@ -140,14 +158,14 @@ class Instance:
     @cached_property
     def _units(self) -> _Units:
         # Built on the first solver query, not by validation or generation.
-        # Sizes and profits are ints or lowest-terms Fractions, so the
-        # numerator and the denominator are read as they stand.
-        scale = lcm(*(it.size.denominator for it in self.items))
-        sizes = {it.id: it.size.numerator * (scale // it.size.denominator) for it in self.items}
-        profit_den = lcm(*(p.denominator for p in self.profits.values()))
-        profits = {
-            key: p.numerator * (profit_den // p.denominator) for key, p in self.profits.items()
-        }
+        # Sizes and profits are ints or lowest-terms Fractions, so each one's
+        # (numerator, denominator) is read once, by as_integer_ratio().
+        size_ratios = [(it.id, *it.size.as_integer_ratio()) for it in self.items]
+        scale = lcm(*(d for _i, _n, d in size_ratios))
+        sizes = {i: n * (scale // d) for i, n, d in size_ratios}
+        ratios = [p.as_integer_ratio() for p in self.profits.values()]
+        profit_den = lcm(*{d for _n, d in ratios})
+        profits = dict(zip(self.profits, [n * (profit_den // d) for n, d in ratios]))
         return _Units(scale, sizes, profit_den, profits)
 
 

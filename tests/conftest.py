@@ -25,6 +25,19 @@ settings.load_profile("suite")
 F = Fraction
 
 
+def outcome(call, arg):
+    """What ``call(arg)`` gives: (type, result), or the error's (type, message).
+
+    Comparing two outcomes checks that a fast path returns what the path it
+    stands in for returns, and raises what it raises.
+    """
+    try:
+        result = call(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
 def make_instance(m, sizes, groups, profits):
     """Build an instance from plain dicts; bins are 0-based here."""
     items = tuple(Item(id=i, size=F(s)) for i, s in sorted(sizes.items()))

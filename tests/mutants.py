@@ -1,6 +1,7 @@
 """Each certificate and runtime check must fail the test written for it
 once it is switched off, and so must each rule that the flow search's
-skipped scans rest on once it is bent.
+skipped scans rest on once it is bent, and each guard of a fast path that
+must agree with the slow path it stands in for.
 
 Run from the repository root::
 
@@ -133,6 +134,18 @@ MUTANTS = [
         "if sum(units[b] for b in range(n) if best_mask >> b & 1) > half_units:",
         OFF,
         "tests/test_submodular.py::test_maximize_guards_half_the_capacity",
+    ),
+    (
+        "model.py",
+        "if den.isdigit() and int(den) > 0:",
+        "if den.isdigit():",
+        "tests/test_model.py::test_parse_rational_matches_fractions_parser",
+    ),
+    (
+        "model.py",
+        "if type(value) is int or type(value) is Fraction:",
+        "if type(value) in (int, bool) or type(value) is Fraction:",
+        "tests/test_model.py::test_render_rational_matches_str_of_fraction",
     ),
 ]
 

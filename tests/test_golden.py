@@ -7,6 +7,9 @@ recorded with every stage after selection in rational arithmetic, so a
 change of arithmetic that moves an output, a tie-break or a trace record
 fails here. The rounded assignment is recomputed from a fresh oracle's
 solution, which never depends on earlier queries.
+
+The instance files of the same shapes and seeds are pinned by hash too, so a
+change to the JSON writer that moves one byte fails here.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import pytest
 
 from groupgap import GeneratorSpec, LpOracle, assignment_profit, generate, solve
+from groupgap.io import dumps_canonical, instance_to_dict
 from groupgap.rounding import round_to_assignment
 
 # The benchmark's three workload shapes: (flavor, items, groups, bins).
@@ -35,13 +39,26 @@ SHAPES = {
 }
 
 
+# sha256 of the ten canonical instance files of each shape, written one after
+# the other.
+INSTANCE_FILES = {
+    "search-heavy": "6f3e0e37ee25508b0323d15bdc3f614a7215392a6939e1acca406a3492d6dabb",
+    "oracle-heavy": "5b63aac48e616fd8b3e11b90cbc80a0d66c5d80038bd652696058619f0e15973",
+    "tail-heavy": "922e90bef00c74dc8b644e51b7cf52014ca6e40c6b655a04c4e5a25aa057bb6a",
+}
+
+
+def _specs(flavor: str, n: int, groups: int, bins: int):
+    for k in range(10):
+        yield GeneratorSpec(seed=1_000_000 + k, n=n, groups=groups, bins=bins, flavor=flavor)
+
+
 def _bins(assignment) -> list[list[int]]:
     return [sorted(b) for b in assignment.bins]
 
 
 def golden_lines(flavor: str, n: int, groups: int, bins: int):
-    for k in range(10):
-        spec = GeneratorSpec(seed=1_000_000 + k, n=n, groups=groups, bins=bins, flavor=flavor)
+    for spec in _specs(flavor, n, groups, bins):
         inst = generate(spec)
         final, report = solve(inst)
         x = LpOracle(inst).solution(inst.group_items(report.selected_groups))
@@ -67,3 +84,10 @@ def golden_digest(shape) -> str:
 def test_outputs_match_golden_digest(name):
     shape, digest = SHAPES[name]
     assert golden_digest(shape) == digest
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCE_FILES))
+def test_instance_files_match_golden_digest(name):
+    shape, _digest = SHAPES[name]
+    text = "".join(dumps_canonical(instance_to_dict(generate(spec))) for spec in _specs(*shape))
+    assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_FILES[name]

@@ -1,9 +1,12 @@
 import dataclasses
+import enum
 import json
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from groupgap import io
 from groupgap.cli import main
@@ -19,7 +22,7 @@ from groupgap.lp_oracle import LpOracle
 from groupgap.model import Assignment, parse_rational, validate_instance
 from groupgap.pipeline import solve
 
-from conftest import F, make_instance, worked_example
+from conftest import F, make_instance, outcome, worked_example
 
 
 def test_instance_round_trip_bytes(tmp_path):
@@ -37,6 +40,113 @@ def test_file_format_uses_one_based_bins(tmp_path):
     assert doc["profits"] == [{"item": 1, "bin": 2, "value": "3"}]
     back = io.instance_from_dict(doc)
     assert back.profit(1, 1) == 3 and back.profit(1, 0) == 0
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# Quotes, backslashes, control characters and non-ASCII text, next to
+# whatever st.text() draws.
+_TEXT = st.one_of(st.text(max_size=6), st.text('a"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\u2028\U0001f600'))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    _TEXT,
+)
+# Each dict draws its keys of one kind, so that most of them sort; a dict of
+# str and int keys raises json's TypeError, which the writer must raise too.
+_KEYS = [
+    _TEXT,
+    st.one_of(st.integers(), st.floats(), st.booleans()),
+    st.none(),
+    st.one_of(_TEXT, st.integers()),
+]
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        *(st.dictionaries(keys, inner, max_size=4) for keys in _KEYS),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_DOCS)
+def test_dumps_canonical_is_jsons_indented_text(doc):
+    assert outcome(io.dumps_canonical, doc) == outcome(_json_dumps, doc)
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+# Written twice, yet no circular reference.
+_SHARED = [1, {"x": 2}]
+
+
+def _circular_list():
+    doc = [1, [2]]
+    doc[1].append(doc)
+    return doc
+
+
+def _circular_dict():
+    doc = {"a": {}}
+    doc["a"]["b"] = doc
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {_Text("b"): _Color.RED, "a": [_Real(1.5), _Text("x\u00e9"), _Real("nan")]},
+        {_Color.RED: 1, 0: 2, _Real(0.5): 3},
+        OrderedDict([("b", ()), ("a", {})]),
+        {"a": _SHARED, "b": [_SHARED]},
+        {1: "one", 2.5: "two and a half", True: "true", None: "none"},
+        {1: 1, "1": 1},
+        {(1, 2): 3},
+        [1, Fraction(1, 2)],
+        {"a": {1, 2}},
+        object(),
+        _circular_list(),
+        _circular_dict(),
+        [[], {}, "", 0, -0.0],
+        "top\nlevel",
+    ],
+    ids=[
+        "subclass-values",
+        "subclass-keys",
+        "ordered-dict",
+        "shared-list",
+        "mixed-number-keys",
+        "str-and-int-keys",
+        "tuple-key",
+        "fraction",
+        "set",
+        "object",
+        "circular-list",
+        "circular-dict",
+        "empty-containers",
+        "top-level-str",
+    ],
+)
+def test_dumps_canonical_matches_json_on_edge_cases(doc):
+    assert outcome(io.dumps_canonical, doc) == outcome(_json_dumps, doc)
 
 
 def test_zero_profits_dropped_in_canonical_form():
@@ -99,6 +209,28 @@ VALID_DOC = {
             {"profits": [{"item": 1, "bin": 1, "value": "0"}, VALID_DOC["profits"][0]]},
             r"^profits\[1\]: duplicate entry for item 1, bin 1$",
         ),
+        (
+            {"profits": [{"item": 1, "bin": 1, "value": 2.5}]},
+            r'^profits\[0\]\.value: expected a "p/q" string or an integer, got 2\.5$',
+        ),
+        ({"items": [{"id": True, "size": "1/2"}]}, r"^items\[0\]\.id: expected an integer, got True$"),
+        (
+            {"profits": [{"item": 1, "bin": 1, "value": "1/0"}]},
+            r"^profits\[0\]\.value: zero denominator in rational '1/0'$",
+        ),
+        (
+            {"items": [{"id": 1, "size": 0.5}]},
+            r'^items\[0\]\.size: expected a "p/q" string or an integer, got 0\.5$',
+        ),
+        ({"groups": [[1, False]]}, r"^groups\[0\]\[1\]: expected an integer, got False$"),
+        (
+            {"profits": [VALID_DOC["profits"][0], {"item": 1.0, "bin": 1, "value": "3"}]},
+            r"^profits\[1\]\.item: expected an integer, got 1\.0$",
+        ),
+        (
+            {"profits": [{"item": 1, "bin": "1", "value": "3"}]},
+            r"^profits\[0\]\.bin: expected an integer, got '1'$",
+        ),
     ],
     ids=[
         "not-an-object",
@@ -111,6 +243,13 @@ VALID_DOC = {
         "profit-not-an-object",
         "duplicate-profit",
         "duplicate-profit-after-a-zero",
+        "float-profit-value",
+        "bool-item-id",
+        "zero-denominator-value",
+        "float-size",
+        "bool-group-member",
+        "float-profit-item",
+        "string-profit-bin",
     ],
 )
 def test_instance_from_dict_rejects_malformed_structure(change, message):

@@ -25,7 +25,7 @@ from groupgap.model import (
 )
 from groupgap.pipeline import solve, upper_bound
 
-from conftest import F, make_instance, random_instance
+from conftest import F, make_instance, outcome, random_instance
 from reference import is_almost_feasible, validate_fractional
 
 
@@ -38,6 +38,64 @@ def test_rational_round_trip(q):
 def test_parse_rational_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def _fraction_parse(text):
+    """parse_rational as Fraction's parser alone reads ``text``."""
+    try:
+        return F(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
+    except ValueError:
+        raise ValueError(f"malformed rational {text!r}") from None
+
+
+PARSE_CASES = [
+    "7", "007", "3/4", "+1/2", " 1/2 ", "1_000", "1.5", "1e3", "-3/6", "1/0", "0/0",
+    "", "/", "1/", "/2", "\u0661\u0662", "\u00b2", "0/5", "12/08", "1 / 2", "3/4\n",
+    "1" * 5000, "1/" + "1" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", PARSE_CASES, ids=lambda text: repr(text)[:12])
+def test_parse_rational_matches_fractions_parser(text):
+    # The int() path for ASCII "p" and "p/q" must give Fraction's value, and
+    # a text that Fraction rejects must raise the same message as before.
+    assert outcome(parse_rational, text) == outcome(_fraction_parse, text)
+
+
+@given(
+    st.one_of(
+        st.from_regex(r"\A[0-9]{0,4}(/[0-9]{0,4})?\Z"),
+        st.text(alphabet="0123456789/+-_. eE\t\u0661\u00b2", max_size=8),
+        st.text(max_size=6),
+    )
+)
+def test_parse_rational_matches_fractions_parser_fuzzed(text):
+    assert outcome(parse_rational, text) == outcome(_fraction_parse, text)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "an int subclass"
+
+    __str__ = __repr__
+
+
+class _Fraction(F):
+    def __repr__(self):
+        return "a Fraction subclass"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, 7, -12, 10**40, F(3, 4), F(-6, 4), F(0), F(10, 5), True, False, _Int(5), _Fraction(3, 4)],
+    ids=repr,
+)
+def test_render_rational_matches_str_of_fraction(value):
+    assert render_rational(value) == str(F(value))
 
 
 def test_validate_small_instance_ok():
